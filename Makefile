@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke checkpoint-smoke serve-smoke docs-check cover bench bench-json bench-smoke bench-compare profile ci
+.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke checkpoint-smoke serve-smoke docs-check cover bench bench-json bench-smoke bench-compare profile ci
 
 all: build test
 
@@ -9,6 +9,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt must list no tracked Go file (perfbench/ included).
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "not gofmt-clean (run gofmt -w):"; echo "$$out"; exit 1; fi
+	@echo "every tracked Go file is gofmt-clean"
 
 test:
 	$(GO) test ./...
@@ -282,4 +288,4 @@ profile:
 		-cpuprofile /tmp/satin_cpu.prof -memprofile /tmp/satin_mem.prof -o /tmp/satin.test .
 	@echo "inspect with: $(GO) tool pprof /tmp/satin.test /tmp/satin_cpu.prof"
 
-ci: vet build test race determinism spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke docs-check
+ci: vet fmt-check build test race determinism spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke docs-check

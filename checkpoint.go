@@ -213,6 +213,7 @@ func (s *Scenario) Checkpoint(at time.Duration, prefixKey []byte) (*Snapshot, er
 		State:      st,
 		Pages:      pages,
 		Gens:       gens,
+		Boot:       s.image.Boot(),
 	}, nil
 }
 
@@ -428,12 +429,18 @@ func (s *Scenario) RestoreSnapshot(snap *Snapshot) error {
 // and restores the snapshot into it. The returned scenario sits at the
 // checkpoint instant; drive the remaining horizon with RunRemaining (or
 // Run directly). The canonical member spec is returned alongside.
+//
+// A snapshot taken in this process carries its prefix's boot state, and the
+// member's kernel image is built from it: the boot bytes are copied rather
+// than re-filled from the seed, and the golden hashes come from the
+// prefix's memo. A snapshot read from disk has none, so its members boot
+// from the seed. Either way the member is byte-identical.
 func ResumeScenario(snap *Snapshot, member ScenarioSpec) (*Scenario, ScenarioSpec, error) {
 	c, err := ValidateResume(snap, member)
 	if err != nil {
 		return nil, c, err
 	}
-	sc, err := FromSpec(c)
+	sc, err := fromSpec(c, snap.Boot)
 	if err != nil {
 		return nil, c, err
 	}

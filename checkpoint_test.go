@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,8 +88,45 @@ func runForked(t *testing.T, snap *Snapshot, member ScenarioSpec) (trace, timeli
 	return out.String(), tl.String(), fmt.Sprintf("%+v", sc.Report())
 }
 
+// runResumed resumes member through ResumeScenario on an in-process
+// snapshot — the path campaign fork groups take, with the member's image
+// built from the prefix's boot state. ResumeScenario replays the prefix
+// through the bus before a caller can subscribe, so the sink is first fed
+// the snapshot's timeline: the events a sink subscribed before the restore
+// would have seen.
+func runResumed(t *testing.T, snap *Snapshot, member ScenarioSpec) (trace, timeline, report string) {
+	t.Helper()
+	sc, c, err := ResumeScenario(snap, member)
+	if err != nil {
+		t.Fatalf("ResumeScenario: %v", err)
+	}
+	if sc.Image().Boot() != snap.Boot {
+		t.Fatal("the resumed member's image was not built from the snapshot's boot state")
+	}
+	var out bytes.Buffer
+	sink, err := NewStreamSink(&out, ExportJSONL)
+	if err != nil {
+		t.Fatalf("NewStreamSink: %v", err)
+	}
+	for _, e := range snap.State.Timeline {
+		sink.OnEvent(e)
+	}
+	sc.Bus().Subscribe(sink.OnEvent)
+	RunRemaining(sc, c)
+	if err := sink.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	var tl bytes.Buffer
+	if err := sc.Timeline().WriteText(&tl); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
+	return out.String(), tl.String(), fmt.Sprintf("%+v", sc.Report())
+}
+
 // forkIdentity asserts the fork of `member` from a checkpoint at `at` is
-// byte-identical to the from-scratch run.
+// byte-identical to the from-scratch run, on both resume paths: in-process
+// through ResumeScenario (the image built from the prefix's boot state) and
+// from the on-disk format (the image booted from the seed).
 func forkIdentity(t *testing.T, member ScenarioSpec, at time.Duration) {
 	t.Helper()
 	scratch, err := FromSpec(member)
@@ -96,8 +134,25 @@ func forkIdentity(t *testing.T, member ScenarioSpec, at time.Duration) {
 		t.Fatalf("FromSpec(scratch): %v", err)
 	}
 	wantTrace, wantTL, wantRep := runScenario(t, scratch, func(sc *Scenario) { DriveSpec(sc, member) })
+	compare := func(path, gotTrace, gotTL, gotRep string) {
+		t.Helper()
+		if gotTrace != wantTrace {
+			t.Errorf("%s fork: trace diverges from from-scratch run:\n%s", path, firstDiffLine(wantTrace, gotTrace))
+		}
+		if gotTL != wantTL {
+			t.Errorf("%s fork: timeline diverges from from-scratch run:\n%s", path, firstDiffLine(wantTL, gotTL))
+		}
+		if gotRep != wantRep {
+			t.Errorf("%s fork: report diverges:\nscratch: %s\nforked:  %s", path, wantRep, gotRep)
+		}
+	}
 
 	snap := takeCheckpoint(t, member, at)
+	if snap.Boot == nil {
+		t.Fatal("an in-process snapshot carries no boot state")
+	}
+	gotTrace, gotTL, gotRep := runResumed(t, snap, member)
+	compare("in-memory", gotTrace, gotTL, gotRep)
 
 	// Round-trip through the on-disk format so the encode/decode path is on
 	// the identity-critical path, not just unit-tested.
@@ -109,17 +164,11 @@ func forkIdentity(t *testing.T, member ScenarioSpec, at time.Duration) {
 	if err != nil {
 		t.Fatalf("ReadCheckpoint: %v", err)
 	}
-
-	gotTrace, gotTL, gotRep := runForked(t, snap, member)
-	if gotTrace != wantTrace {
-		t.Errorf("forked trace diverges from from-scratch run:\n%s", firstDiffLine(wantTrace, gotTrace))
+	if snap.Boot != nil {
+		t.Fatal("a snapshot read from disk carries a boot state")
 	}
-	if gotTL != wantTL {
-		t.Errorf("forked timeline diverges from from-scratch run:\n%s", firstDiffLine(wantTL, gotTL))
-	}
-	if gotRep != wantRep {
-		t.Errorf("forked report diverges:\nscratch: %s\nforked:  %s", wantRep, gotRep)
-	}
+	gotTrace, gotTL, gotRep = runForked(t, snap, member)
+	compare("on-disk", gotTrace, gotTL, gotRep)
 }
 
 // firstDiffLine locates the first differing line of two multi-line strings.
@@ -215,6 +264,16 @@ func TestForkIdentityHashCacheOff(t *testing.T) {
 	forkIdentity(t, member, 30*time.Second)
 }
 
+// TestForkIdentitySyncGuardBypassed forks a member whose sync guard is
+// installed and bypassed. The guard's trusted boot recaptures the pristine
+// image, so this is where a member built from a shared boot state must take
+// a private pristine copy and hash its own golden table.
+func TestForkIdentitySyncGuardBypassed(t *testing.T) {
+	member := ckptSpec(45*time.Second, "dvfs:at=35s,factor=0.8")
+	member.Guard = "bypassed"
+	forkIdentity(t, member, 30*time.Second)
+}
+
 // TestCheckpointSupportGating pins the v1 protocol's refusals, including the
 // issue's DVFS-straddles-the-checkpoint case that campaign grouping falls
 // back on.
@@ -288,6 +347,9 @@ func TestCampaignForkInvariance(t *testing.T) {
 
 	plain := runBytes(campaign.RunOptions{Workers: 4, SpecTrial: RunSpecTrial})
 
+	// Group trials run on the campaign's workers at once, so the counters
+	// are locked.
+	var mu sync.Mutex
 	groups := 0
 	largest := 0
 	forked := runBytes(campaign.RunOptions{
@@ -295,10 +357,10 @@ func TestCampaignForkInvariance(t *testing.T) {
 		SpecTrial: RunSpecTrial,
 		GroupKey:  CheckpointGroupKey,
 		GroupTrial: func(ctx context.Context, members []ScenarioSpec) []campaign.GroupResult {
+			mu.Lock()
 			groups++
-			if len(members) > largest {
-				largest = len(members)
-			}
+			largest = max(largest, len(members))
+			mu.Unlock()
 			return RunCheckpointGroup(ctx, members)
 		},
 	})
@@ -325,5 +387,67 @@ func TestResumeRejectsForeignSpec(t *testing.T) {
 	}
 	if _, _, err := ResumeScenario(snap, member); err != nil {
 		t.Fatalf("ResumeScenario rejected the matching member: %v", err)
+	}
+}
+
+// TestResumeRejectsForeignBootState: a boot state filled from another seed
+// is an error at construction, never silently used.
+func TestResumeRejectsForeignBootState(t *testing.T) {
+	member := ckptSpec(45*time.Second, "")
+	snap := takeCheckpoint(t, member, 30*time.Second)
+	other := member.Clone()
+	other.Seed = 2
+	sc, err := FromSpec(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := *snap
+	foreign.Boot = sc.Image().Boot()
+	if _, _, err := ResumeScenario(&foreign, member); err == nil {
+		t.Fatal("ResumeScenario built a member from a boot state of another seed")
+	}
+}
+
+// TestResumeConcurrentFromOneSnapshot resumes several members from one
+// in-process snapshot on parallel goroutines, as a campaign's workers may.
+// Run under -race, it checks that the shared boot state is only read and its
+// memo only touched under the lock; every member must still reproduce its
+// from-scratch trial.
+func TestResumeConcurrentFromOneSnapshot(t *testing.T) {
+	faults := []string{"", "dvfs:at=35s,factor=0.8", "dvfs:at=40s,factor=1.2", "hotplug:core=1,off=36s,on=42s"}
+	snap := takeCheckpoint(t, ckptSpec(45*time.Second, ""), 30*time.Second)
+	want := make([]SweepMetrics, len(faults))
+	for i, f := range faults {
+		m, err := RunSpecTrial(ckptSpec(45*time.Second, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = m
+	}
+	got := make([]SweepMetrics, len(faults))
+	errs := make([]error, len(faults))
+	var wg sync.WaitGroup
+	for i, f := range faults {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc, c, err := ResumeScenario(snap, ckptSpec(45*time.Second, f))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			RunRemaining(sc, c)
+			got[i] = specTrialMetrics(c, sc.Report())
+		}()
+	}
+	wg.Wait()
+	for i := range faults {
+		if errs[i] != nil {
+			t.Errorf("member %q: %v", faults[i], errs[i])
+			continue
+		}
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Errorf("member %q: resumed %v, from scratch %v", faults[i], got[i], want[i])
+		}
 	}
 }

@@ -3,6 +3,7 @@ package satin
 import (
 	"time"
 
+	"satin/internal/mem"
 	"satin/internal/spec"
 )
 
@@ -62,6 +63,12 @@ func InstantiateSpec(tmpl ScenarioSpec, seed uint64) ScenarioSpec {
 // export switches are carried by the spec, not the Scenario; drive the
 // returned Scenario with DriveSpec (or Run/RunToCompletion directly).
 func FromSpec(s ScenarioSpec) (*Scenario, error) {
+	return fromSpec(s, nil)
+}
+
+// fromSpec is FromSpec building the kernel image from boot, when it is not
+// nil, instead of booting it from the seed (see ResumeScenario).
+func fromSpec(s ScenarioSpec, boot *mem.BootState) (*Scenario, error) {
 	c, err := spec.Canonicalize(s)
 	if err != nil {
 		return nil, err
@@ -141,7 +148,7 @@ func FromSpec(s ScenarioSpec) (*Scenario, error) {
 			MaxRounds:       b.MaxRounds,
 		}))
 	}
-	return NewScenario(opts...)
+	return newScenario(boot, opts...)
 }
 
 func techniqueFromSpec(v string) Technique {

@@ -31,6 +31,7 @@ import (
 	"satin/internal/core"
 	"satin/internal/hw"
 	"satin/internal/introspect"
+	"satin/internal/mem"
 	"satin/internal/obs"
 	"satin/internal/simclock"
 	"satin/internal/trace"
@@ -47,9 +48,9 @@ type State struct {
 	Now        simclock.Time `json:"now"`
 	Dispatched uint64        `json:"dispatched"`
 
-	Cores   []hw.CoreState           `json:"cores"`
-	Monitor trustzone.MonitorState   `json:"monitor"`
-	Checker introspect.CheckerState  `json:"checker"`
+	Cores   []hw.CoreState          `json:"cores"`
+	Monitor trustzone.MonitorState  `json:"monitor"`
+	Checker introspect.CheckerState `json:"checker"`
 
 	SATIN      *core.SATINState             `json:"satin,omitempty"`
 	Baseline   *introspect.BaselineState    `json:"baseline,omitempty"`
@@ -87,6 +88,12 @@ type Snapshot struct {
 	// baseline; Gens is the full per-page generation array at the instant.
 	Pages []Page
 	Gens  []uint64
+
+	// Boot is the boot state the captured scenario's kernel image was built
+	// from, so members resumed in-process skip the kernel fill and the
+	// golden hashing. It lives in memory only: Encode ignores it and Decode
+	// leaves it nil, so members resumed from a file boot from the seed.
+	Boot *mem.BootState
 }
 
 // On-disk layout (all integers little-endian):

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"satin/internal/mem"
 	"satin/internal/simclock"
 )
 
@@ -90,5 +91,35 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestBootStateStaysInMemory: the boot state a snapshot carries in-process
+// is not part of the SATINCKP format. Encode writes the same bytes with or
+// without it, and Decode never produces one.
+func TestBootStateStaysInMemory(t *testing.T) {
+	want, err := sample().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := mem.NewJunoImage(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sample()
+	s.Boot = im.Boot()
+	got, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("Encode output changed with a boot state attached (%d bytes vs %d)", len(got), len(want))
+	}
+	dec, err := Decode(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Boot != nil {
+		t.Error("Decode produced a boot state")
 	}
 }

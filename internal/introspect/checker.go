@@ -396,13 +396,16 @@ func secondsDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// GoldenArea computes the boot-time (pristine) hash of one area.
+// GoldenArea computes the boot-time (pristine) hash of one area. The sum
+// is memoized on the image's pristine copy, which images booted from one
+// boot state share, so the hash runs once per boot rather than once per
+// image.
 func GoldenArea(image *mem.Image, hash HashKind, a mem.Area) (uint64, error) {
-	v, err := image.PristineView(a.Addr, a.Size)
+	h, err := image.PristineSum(hash, a.Addr, a.Size)
 	if err != nil {
 		return 0, fmt.Errorf("introspect: golden hash of %v: %w", a, err)
 	}
-	return hash.Sum(v), nil
+	return h, nil
 }
 
 // GoldenTable computes the authorized hash of every area — the table SATIN
@@ -422,9 +425,9 @@ func GoldenTable(image *mem.Image, hash HashKind, areas []mem.Area) ([]uint64, e
 // GoldenRange computes the pristine hash of an arbitrary static-kernel
 // range, used by the full-kernel baseline.
 func GoldenRange(image *mem.Image, hash HashKind, addr uint64, size int) (uint64, error) {
-	v, err := image.PristineView(addr, size)
+	h, err := image.PristineSum(hash, addr, size)
 	if err != nil {
 		return 0, fmt.Errorf("introspect: golden hash of [%#x,+%d): %w", addr, size, err)
 	}
-	return hash.Sum(v), nil
+	return h, nil
 }

@@ -19,33 +19,43 @@ type Image struct {
 	mem        *Memory
 	layout     Layout
 	moduleBase uint64
-	pristine   []byte
+	// boot is the state the image was built from. pristine starts out as
+	// boot's shared copy and is replaced, never written, when the trusted
+	// state is recaptured.
+	boot     *BootState
+	pristine *pristine
 }
 
 // NewImage boots an image with the given layout, filling the static kernel
 // with deterministic pseudo-random content derived from seed, installing a
 // plausible syscall table and exception vector table, and capturing the
-// pristine copy.
+// pristine copy. The fill and the pristine copy become the image's boot
+// state (Boot), from which further images of the same seed can be built.
 func NewImage(layout Layout, seed uint64) (*Image, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, fmt.Errorf("mem: invalid layout: %w", err)
 	}
-	total := layout.TotalSize()
-	m, err := NewMemory(layout.Base, total+ModuleArenaSize)
+	m, err := newImageMemory(layout)
 	if err != nil {
 		return nil, err
 	}
-	im := &Image{
+	fill(m, layout, seed)
+	p := &pristine{data: make([]byte, layout.TotalSize())}
+	copy(p.data, m.data)
+	b := &BootState{layout: layout, seed: seed, gens: m.PageGens(), pristine: p}
+	return &Image{
 		mem:        m,
 		layout:     layout,
-		moduleBase: layout.Base + uint64(total),
-	}
-	im.fill(seed)
-	im.pristine = make([]byte, total)
-	if err := m.Read(layout.Base, im.pristine); err != nil {
-		return nil, err
-	}
-	return im, nil
+		moduleBase: layout.End(),
+		boot:       b,
+		pristine:   p,
+	}, nil
+}
+
+// newImageMemory allocates the live region of an image: the static kernel
+// followed by the module arena.
+func newImageMemory(layout Layout) (*Memory, error) {
+	return NewMemory(layout.Base, layout.TotalSize()+ModuleArenaSize)
 }
 
 // NewJunoImage boots the paper's synthetic lsk-4.4-armlt kernel.
@@ -53,10 +63,42 @@ func NewJunoImage(seed uint64) (*Image, error) {
 	return NewImage(JunoKernelLayout(), seed)
 }
 
-// fill populates the static kernel with deterministic content.
-func (im *Image) fill(seed uint64) {
-	// splitmix64: tiny, deterministic, and good enough to make every byte
-	// of "kernel text" unique so hash checks are meaningful.
+// fill populates the static kernel held by m with deterministic content.
+func fill(m *Memory, layout Layout, seed uint64) {
+	fillRandom(m.data[:layout.TotalSize()], seed)
+	// Install the syscall table: entry nr points at a distinct "handler"
+	// in kernel text.
+	for nr := 0; nr < layout.SyscallCount; nr++ {
+		addr := layout.SyscallEntryAddr(nr)
+		if err := m.PutUint64(addr, benignHandler(layout, nr)); err != nil {
+			panic(err) // unreachable: layout validated
+		}
+	}
+	// Install the exception vector table: each vector begins with the
+	// address of its handler (standing in for the branch instruction a
+	// real vector holds).
+	for v := 0; v < 16; v++ {
+		vecAddr := layout.VBAR + uint64(v)*VectorSize
+		handler := layout.Base + 0x2000 + uint64(v)*0x200
+		if err := m.PutUint64(vecAddr, handler); err != nil {
+			panic(err) // unreachable: layout validated
+		}
+	}
+	// Zero the page-permission table: every page boots writable (no
+	// synchronous protections until a guard installs them).
+	if layout.PTBase != 0 {
+		zeros := make([]byte, layout.PageCount())
+		if err := m.Write(layout.PTBase, zeros); err != nil {
+			panic(err) // unreachable: layout validated
+		}
+	}
+}
+
+// fillRandom fills data with splitmix64 output: tiny, deterministic, and
+// good enough to make every byte of "kernel text" unique so hash checks are
+// meaningful. It is its own function so the loop keeps its state in
+// registers; inside fill it spilled to the stack.
+func fillRandom(data []byte, seed uint64) {
 	state := seed
 	next := func() uint64 {
 		state += 0x9E3779B97F4A7C15
@@ -65,7 +107,6 @@ func (im *Image) fill(seed uint64) {
 		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 		return z ^ (z >> 31)
 	}
-	data := im.mem.data[:im.layout.TotalSize()]
 	i := 0
 	for ; i+8 <= len(data); i += 8 {
 		binary.LittleEndian.PutUint64(data[i:], next())
@@ -76,46 +117,31 @@ func (im *Image) fill(seed uint64) {
 			data[i+j] = byte(v >> (8 * j))
 		}
 	}
-	// Install the syscall table: entry nr points at a distinct "handler"
-	// in kernel text.
-	for nr := 0; nr < im.layout.SyscallCount; nr++ {
-		addr := im.layout.SyscallEntryAddr(nr)
-		if err := im.mem.PutUint64(addr, im.BenignHandler(nr)); err != nil {
-			panic(err) // unreachable: layout validated
-		}
-	}
-	// Install the exception vector table: each vector begins with the
-	// address of its handler (standing in for the branch instruction a
-	// real vector holds).
-	for v := 0; v < 16; v++ {
-		vecAddr := im.layout.VBAR + uint64(v)*VectorSize
-		handler := im.layout.Base + 0x2000 + uint64(v)*0x200
-		if err := im.mem.PutUint64(vecAddr, handler); err != nil {
-			panic(err) // unreachable: layout validated
-		}
-	}
-	// Zero the page-permission table: every page boots writable (no
-	// synchronous protections until a guard installs them).
-	if im.layout.PTBase != 0 {
-		zeros := make([]byte, im.layout.PageCount())
-		if err := im.mem.Write(im.layout.PTBase, zeros); err != nil {
-			panic(err) // unreachable: layout validated
-		}
-	}
 }
 
 // RecapturePristine refreshes the trusted (golden) copy from live memory.
 // The trusted-boot sequence calls it after applying boot-time protections
 // (e.g. a synchronous guard setting PTE bits), so the authorized hashes
-// describe the protected state rather than the raw image.
+// describe the protected state rather than the raw image. The image gets a
+// pristine copy of its own, with an empty sum memo; the boot state it may
+// share with other images is left untouched.
 func (im *Image) RecapturePristine() error {
-	return im.mem.Read(im.layout.Base, im.pristine)
+	p := &pristine{data: make([]byte, im.layout.TotalSize())}
+	if err := im.mem.Read(im.layout.Base, p.data); err != nil {
+		return err
+	}
+	im.pristine = p
+	return nil
 }
 
 // BenignHandler returns the legitimate handler address for syscall nr, the
 // value the pristine table holds.
 func (im *Image) BenignHandler(nr int) uint64 {
-	return im.layout.Base + 0x10000 + uint64(nr)*0x100
+	return benignHandler(im.layout, nr)
+}
+
+func benignHandler(layout Layout, nr int) uint64 {
+	return layout.Base + 0x10000 + uint64(nr)*0x100
 }
 
 // Mem exposes the live memory.
@@ -127,27 +153,45 @@ func (im *Image) Layout() Layout { return im.layout }
 // ModuleBase reports the start of the loadable-module arena.
 func (im *Image) ModuleBase() uint64 { return im.moduleBase }
 
+// Boot returns the boot state the image was built from. RecapturePristine
+// does not change it: an image built from it starts from the seed's fill,
+// and its own trusted boot recaptures again.
+func (im *Image) Boot() *BootState { return im.boot }
+
+// pristineOffset validates that the n-byte range at addr lies in the static
+// kernel and converts addr to an offset into the pristine copy. The
+// comparison never adds to addr, so a negative or huge n cannot wrap past
+// the check.
+func (im *Image) pristineOffset(addr uint64, n int) (int, error) {
+	size := uint64(im.layout.TotalSize())
+	if n < 0 || addr < im.layout.Base || addr-im.layout.Base > size || uint64(n) > size-(addr-im.layout.Base) {
+		return 0, fmt.Errorf("mem: pristine range [%#x,+%d) outside static kernel", addr, n)
+	}
+	return int(addr - im.layout.Base), nil
+}
+
 // Pristine returns a copy of the n pristine (boot-time) bytes at addr, which
 // must lie in the static kernel.
 func (im *Image) Pristine(addr uint64, n int) ([]byte, error) {
-	if addr < im.layout.Base || addr+uint64(n) > im.layout.End() {
-		return nil, fmt.Errorf("mem: pristine range [%#x,+%d) outside static kernel", addr, n)
+	off, err := im.pristineOffset(addr, n)
+	if err != nil {
+		return nil, err
 	}
-	off := int(addr - im.layout.Base)
 	out := make([]byte, n)
-	copy(out, im.pristine[off:off+n])
+	copy(out, im.pristine.data[off:off+n])
 	return out, nil
 }
 
-// PristineView returns a read-only alias of the pristine bytes at addr.
-// Callers must not mutate it. It exists so boot-time golden-hash computation
-// does not copy megabytes.
-func (im *Image) PristineView(addr uint64, n int) ([]byte, error) {
-	if addr < im.layout.Base || addr+uint64(n) > im.layout.End() {
-		return nil, fmt.Errorf("mem: pristine range [%#x,+%d) outside static kernel", addr, n)
+// PristineSum returns h's sum over the n pristine bytes at addr. Sums are
+// memoized on the pristine copy, so images sharing a boot state hash each
+// range once between them — the golden table is computed "during booting
+// stage" (§V-B), not once per image.
+func (im *Image) PristineSum(h Summer, addr uint64, n int) (uint64, error) {
+	off, err := im.pristineOffset(addr, n)
+	if err != nil {
+		return 0, err
 	}
-	off := int(addr - im.layout.Base)
-	return im.pristine[off : off+n : off+n], nil
+	return im.pristine.sum(h, off, n), nil
 }
 
 // Modified returns the addresses (ascending) of static-kernel bytes whose
@@ -158,7 +202,7 @@ func (im *Image) Modified() []uint64 {
 	var out []uint64
 	live := im.mem.data[:im.layout.TotalSize()]
 	for i := range live {
-		if live[i] != im.pristine[i] {
+		if live[i] != im.pristine.data[i] {
 			out = append(out, im.layout.Base+uint64(i))
 		}
 	}

@@ -369,21 +369,45 @@ func TestImageModifyAndRestore(t *testing.T) {
 	}
 }
 
+// TestImagePristineBounds: every pristine accessor rejects a range outside
+// the static kernel with an error. The negative and huge lengths wrap
+// addr+n past the end check at the kernel's high base address, so the check
+// must never add n to addr.
 func TestImagePristineBounds(t *testing.T) {
 	im, err := NewJunoImage(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Module arena has no pristine copy.
-	if _, err := im.Pristine(im.ModuleBase(), 8); err == nil {
-		t.Error("Pristine of module arena succeeded")
+	l := im.Layout()
+	cases := []struct {
+		name string
+		addr uint64
+		n    int
+	}{
+		{"module arena", im.ModuleBase(), 8},
+		{"below base", l.Base - 1, 8},
+		{"n=-1", l.Base, -1},
+		{"n=-50", l.Base + 100, -50},
+		{"n=1<<62", l.Base, 1 << 62},
+		{"addr past end", l.End() + 1, 8},
 	}
-	if _, err := im.PristineView(im.Layout().Base-1, 8); err == nil {
-		t.Error("PristineView below base succeeded")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := im.Pristine(tc.addr, tc.n); err == nil {
+				t.Error("Pristine accepted the range")
+			}
+			if err := im.RestoreStatic(tc.addr, tc.n); err == nil {
+				t.Error("RestoreStatic accepted the range")
+			}
+			if _, err := im.PristineSum(crcSum{}, tc.addr, tc.n); err == nil {
+				t.Error("PristineSum accepted the range")
+			}
+		})
 	}
-	v, err := im.PristineView(im.Layout().Base, 16)
-	if err != nil || len(v) != 16 {
-		t.Errorf("PristineView = %d bytes, %v", len(v), err)
+	for _, addr := range []uint64{l.Base, l.End() - 16} {
+		if v, err := im.Pristine(addr, 16); err != nil || len(v) != 16 {
+			t.Errorf("Pristine(%#x, 16) = %d bytes, %v", addr, len(v), err)
+		}
 	}
 }
 

@@ -478,6 +478,12 @@ func WithFaultPlan(plan FaultPlan) Option {
 
 // NewScenario assembles and boots a testbed.
 func NewScenario(opts ...Option) (*Scenario, error) {
+	return newScenario(nil, opts...)
+}
+
+// newScenario is NewScenario building the kernel image from boot, when it
+// is not nil, instead of booting it from the seed (see bootImage).
+func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
 	o := options{
 		seed:         1,
 		evaderSleep:  DefaultProberSleep,
@@ -507,7 +513,7 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	image, err := mem.NewJunoImage(o.seed)
+	image, err := bootImage(o.seed, boot)
 	if err != nil {
 		return nil, err
 	}
@@ -657,6 +663,19 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 	}
 	sc.bootGens = image.Mem().PageGens()
 	return sc, nil
+}
+
+// bootImage boots the scenario's kernel image from the seed, or builds it
+// from boot — the boot state of the prefix an in-process fork resumes from,
+// which has already filled the kernel and hashed its golden table.
+func bootImage(seed uint64, boot *mem.BootState) (*mem.Image, error) {
+	if boot == nil {
+		return mem.NewJunoImage(seed)
+	}
+	if boot.Seed() != seed {
+		return nil, fmt.Errorf("satin: boot state was booted from seed %d, not the scenario's seed %d", boot.Seed(), seed)
+	}
+	return boot.NewImage()
 }
 
 // Run advances virtual time by d.

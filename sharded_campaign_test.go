@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -207,6 +208,9 @@ func TestForkResumeAfterKillInsideGroup(t *testing.T) {
 		t.Fatalf("truncated run: finalized %v, newly done %d (want unfinalized, 2)", first.Finalized, first.NewlyDone)
 	}
 
+	// Group trials run on both workers at once, so the bookkeeping is
+	// locked.
+	var mu sync.Mutex
 	groups := 0
 	var groupSizes []int
 	second, err := campaign.Run(context.Background(), c, path, campaign.RunOptions{
@@ -214,8 +218,10 @@ func TestForkResumeAfterKillInsideGroup(t *testing.T) {
 		SpecTrial: RunSpecTrial,
 		GroupKey:  CheckpointGroupKey,
 		GroupTrial: func(ctx context.Context, members []ScenarioSpec) []campaign.GroupResult {
+			mu.Lock()
 			groups++
 			groupSizes = append(groupSizes, len(members))
+			mu.Unlock()
 			return RunCheckpointGroup(ctx, members)
 		},
 	})
