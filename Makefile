@@ -25,12 +25,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The determinism regression from ISSUE 1: multi-seed sweeps must produce
-# byte-identical output with workers=1 and workers=8, and sweep seed 1 must
-# match the serial drivers. Run under -race so the worker pool itself is
-# exercised, not just its output.
+# The determinism regression: multi-seed sweeps must produce byte-identical
+# output with workers=1 and workers=8. Sweeps described as data run as
+# campaigns, so the campaign engine's worker-count and kill/resume
+# invariance tests are part of it. Run under -race so the worker pool
+# itself is exercised, not just its output.
 determinism:
-	$(GO) test -race -run 'TestDeterminism' ./internal/runner ./internal/experiment . ./cmd/benchtables
+	$(GO) test -race -run 'TestDeterminism|TestWorkerCountInvariance|TestKillResumeByteIdentical' ./internal/runner ./internal/campaign . ./cmd/benchtables
 
 # End-to-end sweep check: a multi-seed detection run completes and is
 # worker-count invariant at the CLI level.

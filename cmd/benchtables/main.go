@@ -25,8 +25,11 @@
 // Multi-seed sweeps: with -seeds N (N > 1) the sweep-capable experiments
 // (detection, evasion, race) rerun across seeds seed..seed+N-1 on a worker
 // pool (-workers, default GOMAXPROCS) and report per-metric distributions
-// instead of one universe's numbers. Aggregation is in seed order, so the
-// output is byte-identical for any -workers value.
+// instead of one universe's numbers. Each sweep is a one-combination
+// campaign over the experiment's registry trial, run in a scratch result
+// file through the same campaign.Run + MergeSweeps path as -campaign.
+// Aggregation is in seed order, so the output is byte-identical for any
+// -workers value.
 //
 //	benchtables -detection -seeds 32 -workers 8
 //
@@ -39,8 +42,9 @@
 //
 // Spec sweeps: -spec FILE runs a scenario spec file (see EXPERIMENTS.md
 // "Spec files") as its own sweep instead of the built-in experiments: the
-// template is instantiated at seeds -seed..-seed+N-1 and each instantiation
-// runs through the same trial the satin-sim -spec path uses.
+// template (its export section ignored) becomes a one-combination campaign
+// over seeds -seed..-seed+N-1, and each cell runs through the same trial
+// the satin-sim -spec path uses.
 //
 //	benchtables -spec testdata/specs/clean.json -seeds 8 -metrics-out clean.csv
 //
@@ -57,10 +61,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"satin"
+	"satin/internal/campaign"
 	"satin/internal/experiment"
 	"satin/internal/runner"
 )
@@ -154,6 +160,10 @@ func runWith(args []string, out, errOut io.Writer) error {
 		return want[name]
 	}
 
+	var progressOut io.Writer
+	if *progress {
+		progressOut = errOut
+	}
 	ran := 0
 	var sweeps []*runner.Sweep
 	for _, def := range defs {
@@ -161,25 +171,12 @@ func runWith(args []string, out, errOut io.Writer) error {
 			continue
 		}
 		if *seeds > 1 && def.Sweepable() {
-			var observer runner.Progress
-			if *progress {
-				name, base := def.Name, *seed
-				observer = func(done, total, index int, elapsed time.Duration, trialErr error) {
-					status := "ok"
-					if trialErr != nil {
-						status = "FAILED: " + trialErr.Error()
-					}
-					fmt.Fprintf(errOut, "%s: %d/%d seed %d in %v %s\n",
-						name, done, total, base+uint64(index), elapsed.Truncate(time.Millisecond), status)
-				}
-			}
-			sw, title, err := def.Sweep(context.Background(), *seed, experiment.Options{
-				Seeds: *seeds, Workers: *workers, Progress: observer,
-			})
+			sw, err := runSweep(campaign.Spec{Experiment: def.Name, Seeds: campaign.SeedRange{Base: *seed, Count: *seeds}},
+				def.SweepName, def.Name, *workers, progressOut)
 			if err != nil {
 				return fmt.Errorf("%s: %w", def.Name, err)
 			}
-			section(out, title)
+			section(out, def.SweepTitle)
 			fmt.Fprint(out, sw.Render())
 			sweeps = append(sweeps, sw)
 		} else if err := def.Run(out, experiment.RunConfig{
@@ -190,7 +187,7 @@ func runWith(args []string, out, errOut io.Writer) error {
 		ran++
 	}
 	if *specFile != "" {
-		sw, err := runSpecFileSweep(*specFile, *seed, *seeds, *workers, *progress, errOut)
+		sw, err := runSpecFileSweep(*specFile, *seed, *seeds, *workers, progressOut)
 		if err != nil {
 			return err
 		}
@@ -247,31 +244,62 @@ func writeSweepCSV(path string, sweeps []*runner.Sweep) error {
 	return nil
 }
 
+// runSweep runs one sweep that data can describe — a registry experiment's
+// trial or a scenario template, over c.Seeds — as a one-combination campaign
+// in a scratch result file, and returns that campaign's single sweep renamed
+// to name. The scratch directory is removed on return. With progress
+// non-nil, every completed seed prints "<label>: done/total seed N in T ok".
+func runSweep(c campaign.Spec, name, label string, workers int, progress io.Writer) (*runner.Sweep, error) {
+	dir, err := os.MkdirTemp("", "benchtables-sweep-*")
+	if err != nil {
+		return nil, fmt.Errorf("sweep scratch dir: %w", err)
+	}
+	defer os.RemoveAll(dir)
+	opt := campaign.RunOptions{Workers: workers, SpecTrial: satin.RunSpecTrial}
+	if progress != nil {
+		opt.Progress = func(done, total, index int, elapsed time.Duration, trialErr error) {
+			status := "ok"
+			if trialErr != nil {
+				status = "FAILED: " + trialErr.Error()
+			}
+			fmt.Fprintf(progress, "%s: %d/%d seed %d in %v %s\n",
+				label, done, total, c.Seeds.Base+uint64(index), elapsed.Truncate(time.Millisecond), status)
+		}
+	}
+	res, err := campaign.Run(context.Background(), c, filepath.Join(dir, "sweep.result"), opt)
+	if err != nil {
+		return nil, err
+	}
+	sw := campaign.MergeSweeps(res.Cells, res.Results)[0]
+	sw.Name = name
+	return sw, nil
+}
+
 // runSpecFileSweep sweeps the spec template in path across seeds
 // seed..seed+seeds-1 with the facade's canonical trial — the same builder
 // and metric reduction satin-sim -spec uses, so per-seed samples line up
 // with single runs of the instantiated specs.
-func runSpecFileSweep(path string, seed uint64, seeds, workers int, progress bool, errOut io.Writer) (*runner.Sweep, error) {
+func runSpecFileSweep(path string, seed uint64, seeds, workers int, progress io.Writer) (*runner.Sweep, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("reading spec: %w", err)
 	}
 	tmpl, err := satin.ParseSpec(data)
+	if err == nil {
+		tmpl, err = satin.CanonicalizeSpec(tmpl)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("spec %s: %w", path, err)
 	}
-	var observer runner.Progress
-	if progress {
-		observer = func(done, total, index int, elapsed time.Duration, trialErr error) {
-			status := "ok"
-			if trialErr != nil {
-				status = "FAILED: " + trialErr.Error()
-			}
-			fmt.Fprintf(errOut, "spec: %d/%d seed %d in %v %s\n",
-				done, total, seed+uint64(index), elapsed.Truncate(time.Millisecond), status)
-		}
+	// A sweep writes no per-run artifacts, and campaign cells refuse an
+	// export section: it is checked above, then ignored.
+	tmpl.Export = nil
+	name := tmpl.Name
+	if name == "" {
+		name = "spec sweep"
 	}
-	sw, err := experiment.RunSpecSweep(context.Background(), tmpl, seed, seeds, workers, observer, satin.RunSpecTrial)
+	sw, err := runSweep(campaign.Spec{Scenario: &tmpl, Seeds: campaign.SeedRange{Base: seed, Count: seeds}},
+		name, "spec", workers, progress)
 	if err != nil {
 		return nil, fmt.Errorf("spec %s: %w", path, err)
 	}
@@ -288,9 +316,7 @@ func writeProfileSweep(out io.Writer, path string, seed uint64, seeds, workers i
 	if quick {
 		cfg.FullScans = 2
 	}
-	sw, merged, err := experiment.RunDetectionProfileSweep(context.Background(), cfg, experiment.Options{
-		Seeds: seeds, Workers: workers,
-	})
+	sw, merged, err := experiment.RunDetectionProfileSweep(context.Background(), cfg, seeds, workers)
 	if err != nil {
 		return err
 	}

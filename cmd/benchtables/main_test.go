@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -156,6 +157,11 @@ func TestRunProgressStreamsToErrOut(t *testing.T) {
 	got := errOut.String()
 	if !strings.Contains(got, "evasion: 3/3") {
 		t.Errorf("progress stream missing final notice:\n%s", got)
+	}
+	for _, seed := range []string{"1", "2", "3"} {
+		if !regexp.MustCompile(`(?m)^evasion: [1-3]/3 seed ` + seed + ` in \S+ ok$`).MatchString(got) {
+			t.Errorf("progress stream missing an ok notice for seed %s:\n%s", seed, got)
+		}
 	}
 	if strings.Contains(out.String(), "evasion: 3/3") {
 		t.Error("progress leaked into deterministic stdout")

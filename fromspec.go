@@ -172,7 +172,7 @@ func DriveSpec(sc *Scenario, s ScenarioSpec) {
 
 // RunSpecTrial builds the spec's scenario, drives it, and reduces the run to
 // sweep metrics — the canonical trial function for spec-template sweeps
-// (experiment.RunSpecSweep and `benchtables -spec`). The metric set depends
+// (campaign cells, and so `benchtables -spec`). The metric set depends
 // only on the spec's shape (defense and evader kinds), never on outcomes, so
 // every seed of a sweep reports the same columns.
 func RunSpecTrial(s ScenarioSpec) (SweepMetrics, error) {

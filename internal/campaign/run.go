@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -39,7 +40,9 @@ type GroupResult struct {
 // it, and forking one continuation per member — and returns one result per
 // member, in order. The contract is equivalence: metrics and failures must
 // be exactly what running the spec trial per member would produce (the
-// campaign result file is byte-identical either way once finalized).
+// campaign result file is byte-identical either way once finalized). The one
+// exception is a panic: the campaign then fails every member of the group,
+// where per-member trials would fail only the members that panic.
 // Injected (satin.RunCheckpointGroup in the CLIs).
 type GroupTrialFunc func(ctx context.Context, members []spec.Spec) []GroupResult
 
@@ -75,7 +78,8 @@ type RunOptions struct {
 	// one unit through GroupTrial instead of cell-by-cell through SpecTrial.
 	// Grouping is disabled under MaxCells (a truncated session must complete
 	// exactly the first pending cells, not a group's worth); the finalized
-	// result file is byte-identical with grouping on or off.
+	// result file is byte-identical with grouping on or off, unless a group
+	// trial panics (that fails every member of the group).
 	GroupKey   GroupKeyFunc
 	GroupTrial GroupTrialFunc
 	// CellDone, when non-nil, observes each newly checkpointed cell's
@@ -168,19 +172,9 @@ func Run(ctx context.Context, c Spec, resultPath string, opt RunOptions) (RunRes
 			func(ctx context.Context, ui int) (struct{}, error) {
 				unit := units[ui]
 				unitStart := time.Now()
-				var results []GroupResult
-				if len(unit) == 1 {
-					metrics, trialErr := runCell(ctx, unit[0], opt.SpecTrial)
-					results = []GroupResult{{Metrics: metrics, Err: trialErr}}
-				} else {
-					members := make([]spec.Spec, len(unit))
-					for i, cell := range unit {
-						members[i] = *cell.Scenario
-					}
-					results = opt.GroupTrial(ctx, members)
-					if len(results) != len(unit) {
-						return struct{}{}, fmt.Errorf("campaign: group trial returned %d results for %d members", len(results), len(unit))
-					}
+				results, err := runUnit(ctx, unit, opt)
+				if err != nil {
+					return struct{}{}, err
 				}
 				cellWall := time.Since(unitStart) / time.Duration(len(unit))
 				var firstErr error
@@ -303,6 +297,35 @@ func cellProgress(units [][]Cell, totalCells int, p runner.Progress) runner.Prog
 			p(done, totalCells, cell.Index, elapsed, err)
 		}
 	}
+}
+
+// runUnit executes one unit and returns one result per member. A panic in
+// the trial fails every member with a *runner.PanicError — the failure a
+// runner.RunSweep trial records — so the cells are checkpointed like any
+// other failure instead of vanishing with the unit.
+func runUnit(ctx context.Context, unit []Cell, opt RunOptions) (results []GroupResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			perr := &runner.PanicError{Value: r, Stack: debug.Stack()}
+			results, err = make([]GroupResult, len(unit)), nil
+			for i := range results {
+				results[i].Err = perr
+			}
+		}
+	}()
+	if len(unit) == 1 {
+		metrics, trialErr := runCell(ctx, unit[0], opt.SpecTrial)
+		return []GroupResult{{Metrics: metrics, Err: trialErr}}, nil
+	}
+	members := make([]spec.Spec, len(unit))
+	for i, cell := range unit {
+		members[i] = *cell.Scenario
+	}
+	results = opt.GroupTrial(ctx, members)
+	if len(results) != len(unit) {
+		return nil, fmt.Errorf("campaign: group trial returned %d results for %d members", len(results), len(unit))
+	}
+	return results, nil
 }
 
 // runCell dispatches one cell: registry experiments through their trial

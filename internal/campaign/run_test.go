@@ -143,43 +143,79 @@ func TestResultFileIdentity(t *testing.T) {
 
 // TestFailedCellsCheckpointAndRender: deterministic trial failures are
 // results — checkpointed, not rerun on resume, rendered as sweep failures.
+// A panic is such a failure too, and a panicking group trial fails every
+// member of its group.
 func TestFailedCellsCheckpointAndRender(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "f.result")
+	failsAt := func(s spec.Spec) bool { return s.Seed == 2 && s.Evader.Kind == spec.EvaderNone }
 	failing := func(s spec.Spec) (runner.Metrics, error) {
-		if s.Seed == 2 && s.Evader.Kind == spec.EvaderNone {
+		if failsAt(s) {
 			return nil, fmt.Errorf("synthetic failure")
 		}
 		return fakeTrial(s)
 	}
-	res := runToFile(t, path, campaign.RunOptions{Workers: 1, SpecTrial: failing})
-	if !res.Finalized {
-		t.Fatalf("failures must not block finalization")
-	}
-	failures := 0
-	for _, r := range res.Results {
-		if r.Failed() {
-			failures++
+	panicking := func(s spec.Spec) (runner.Metrics, error) {
+		if failsAt(s) {
+			panic("synthetic panic")
 		}
+		return fakeTrial(s)
 	}
-	if failures != 4 {
-		t.Fatalf("got %d failed cells, want 4 (evader=none × 2 round counts × 2 fault plans at seed 2)", failures)
+	groupPanicking := func(_ context.Context, members []spec.Spec) []campaign.GroupResult {
+		out := make([]campaign.GroupResult, len(members))
+		for i, m := range members {
+			metrics, err := panicking(m)
+			out[i] = campaign.GroupResult{Metrics: metrics, Err: err}
+		}
+		return out
 	}
-	sweeps := campaign.MergeSweeps(res.Cells, res.Results)
-	if len(sweeps) != 8 {
-		t.Fatalf("got %d sweeps, want 8 combos", len(sweeps))
+	bySeed := func(s spec.Spec) (string, bool) { return fmt.Sprint(s.Seed), true }
+	cases := []struct {
+		name   string
+		opt    campaign.RunOptions
+		failed int
+		err    string
+	}{
+		// evader=none × 2 round counts × 2 fault plans at seed 2.
+		{"error", campaign.RunOptions{Workers: 1, SpecTrial: failing}, 4, "synthetic failure"},
+		{"panic", campaign.RunOptions{Workers: 2, SpecTrial: panicking}, 4, "trial panicked: synthetic panic"},
+		// Grouped by seed, the panic takes all 8 cells of seed 2 with it.
+		{"group panic", campaign.RunOptions{Workers: 2, GroupKey: bySeed, GroupTrial: groupPanicking}, 8, "trial panicked: synthetic panic"},
 	}
-	rendered := 0
-	for _, sw := range sweeps {
-		rendered += len(sw.Failures)
-	}
-	if rendered != failures {
-		t.Fatalf("sweeps render %d failures, want %d", rendered, failures)
-	}
-	// Resume reruns nothing: failures are checkpointed results.
-	res2 := runToFile(t, path, campaign.RunOptions{Workers: 1, SpecTrial: failing})
-	if res2.NewlyDone != 0 {
-		t.Fatalf("resume after failures reran %d cells", res2.NewlyDone)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "f.result")
+			res := runToFile(t, path, tc.opt)
+			if !res.Finalized {
+				t.Fatalf("failures must not block finalization: %d/%d cells checkpointed", len(res.Results), len(res.Cells))
+			}
+			failures := 0
+			for _, r := range res.Results {
+				if !r.Failed() {
+					continue
+				}
+				failures++
+				if r.Seed != 2 || !strings.HasPrefix(r.Err, tc.err) {
+					t.Errorf("cell %d (seed %d) failed with %q, want %q at seed 2", r.Index, r.Seed, r.Err, tc.err)
+				}
+			}
+			if failures != tc.failed {
+				t.Fatalf("got %d failed cells, want %d", failures, tc.failed)
+			}
+			sweeps := campaign.MergeSweeps(res.Cells, res.Results)
+			if len(sweeps) != 8 {
+				t.Fatalf("got %d sweeps, want 8 combos", len(sweeps))
+			}
+			rendered := 0
+			for _, sw := range sweeps {
+				rendered += len(sw.Failures)
+			}
+			if rendered != failures {
+				t.Fatalf("sweeps render %d failures, want %d", rendered, failures)
+			}
+			// Resume reruns nothing: failures are checkpointed results.
+			if again := runToFile(t, path, tc.opt); again.NewlyDone != 0 {
+				t.Fatalf("resume after failures reran %d cells", again.NewlyDone)
+			}
+		})
 	}
 }
 

@@ -53,4 +53,14 @@
 // Every driver returns a typed result with a Render method producing the
 // paper-layout text table; cmd/benchtables prints them all and
 // EXPERIMENTS.md records paper-vs-measured.
+//
+// # Multi-seed form
+//
+// The sweepable experiments (detection, evasion, race) register a per-seed
+// trial (TrialDetection, TrialEvasion, TrialRace) that flattens one seed's
+// run to named metrics. The trial is their only multi-seed form: a sweep is
+// a campaign over it (internal/campaign), which is what `benchtables
+// -seeds N` runs. Sweeps over Go values rather than data — RunSensitivity's
+// per-magnitude DetectionConfig, RunDetectionProfileSweep's per-seed
+// profile summaries — stay on the runner's pool.
 package experiment

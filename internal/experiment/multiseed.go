@@ -7,31 +7,15 @@ import (
 	"satin/internal/runner"
 )
 
-// Multi-seed sweeps. The paper reports its headline results from one run of
+// Per-seed trials. The paper reports its headline results from one run of
 // one universe (10/10 detections, 0 FP/FN in §VI-B1; ~90% evasion in
 // §IV-C) — statistical claims about a timing race, asserted from a single
-// Monte Carlo sample. These variants rerun each experiment across N
-// independent seeds on a worker pool and aggregate per-seed metrics into
-// distributions, so the reproduction can state detection and evasion
-// *rates* with spread. Aggregation is in seed order and byte-identical for
-// any worker count.
-
-// Options configures the multi-seed form of an experiment: how many
-// independent seeds to run, how wide the worker pool is, and an optional
-// live completion observer. One struct instead of the historical
-// Run*Sweep/Run*SweepObserved pairs: every sweep entry point takes a ctx
-// and an Options, so the registry and the campaign engine can dispatch any
-// experiment uniformly.
-type Options struct {
-	// Seeds is the number of independent seeds (trials); must be >= 1.
-	Seeds int
-	// Workers bounds the worker pool (0 or negative = GOMAXPROCS).
-	Workers int
-	// Progress, when non-nil, observes per-trial completions live. Notices
-	// arrive in completion order with wall-clock durations — diagnostics
-	// only, never part of deterministic output.
-	Progress runner.Progress
-}
+// Monte Carlo sample. Each sweepable experiment therefore has a trial: one
+// seed's run flattened to named metrics. Rerun across N seeds — as the
+// cells of a one-combination campaign, see internal/campaign — the trials
+// aggregate into distributions, so the reproduction can state detection
+// and evasion *rates* with spread. Aggregation is in seed order and
+// byte-identical for any worker count.
 
 // DetectionMetrics flattens one seed's DetectionResult into sweep samples.
 func DetectionMetrics(r DetectionResult) runner.Metrics {
@@ -57,22 +41,6 @@ func TrialDetection(_ context.Context, seed uint64) (runner.Metrics, error) {
 	return DetectionMetrics(res), nil
 }
 
-// RunDetectionSweep runs the §VI-B1 detection experiment for seeds
-// cfg.Seed..cfg.Seed+opt.Seeds-1 across the worker pool.
-func RunDetectionSweep(ctx context.Context, cfg DetectionConfig, opt Options) (*runner.Sweep, error) {
-	base := cfg.Seed
-	return runner.RunSweepObserved(ctx, "SATIN detection (§VI-B1)", base, opt.Seeds, opt.Workers, opt.Progress,
-		func(_ context.Context, seed uint64) (runner.Metrics, error) {
-			c := cfg
-			c.Seed = seed
-			res, err := RunDetection(c)
-			if err != nil {
-				return nil, err
-			}
-			return DetectionMetrics(res), nil
-		})
-}
-
 // EvasionMetrics flattens one seed's EvasionResult into sweep samples.
 func EvasionMetrics(r EvasionResult) runner.Metrics {
 	m := runner.Metrics{}.Add("evasion rate", r.EvasionRate)
@@ -93,19 +61,6 @@ func TrialEvasion(_ context.Context, seed uint64) (runner.Metrics, error) {
 	return EvasionMetrics(res), nil
 }
 
-// RunEvasionSweep runs the §IV TZ-Evader-vs-baseline experiment for seeds
-// base..base+opt.Seeds-1 across the worker pool.
-func RunEvasionSweep(ctx context.Context, base uint64, rounds int, period time.Duration, opt Options) (*runner.Sweep, error) {
-	return runner.RunSweepObserved(ctx, "TZ-Evader vs baseline (§IV)", base, opt.Seeds, opt.Workers, opt.Progress,
-		func(_ context.Context, seed uint64) (runner.Metrics, error) {
-			res, err := RunEvasion(seed, rounds, period)
-			if err != nil {
-				return nil, err
-			}
-			return EvasionMetrics(res), nil
-		})
-}
-
 // RaceMetrics flattens one seed's RaceResult into sweep samples.
 func RaceMetrics(r RaceResult) runner.Metrics {
 	m := runner.Metrics{}.Add("unprotected (empirical)", r.UnprotectedEmpirical)
@@ -121,15 +76,6 @@ func TrialRace(_ context.Context, seed uint64) (runner.Metrics, error) {
 		return nil, err
 	}
 	return RaceMetrics(res), nil
-}
-
-// RunRaceSweep runs the §IV-C race analysis for seeds
-// base..base+opt.Seeds-1 across the worker pool.
-func RunRaceSweep(ctx context.Context, base uint64, opt Options) (*runner.Sweep, error) {
-	return runner.RunSweepObserved(ctx, "race-condition analysis (§IV-C)", base, opt.Seeds, opt.Workers, opt.Progress,
-		func(_ context.Context, seed uint64) (runner.Metrics, error) {
-			return TrialRace(ctx, seed)
-		})
 }
 
 // ratio divides, reporting 0 for an empty denominator.

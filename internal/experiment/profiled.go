@@ -49,12 +49,13 @@ func ProfileMetrics(s profile.Summary) runner.Metrics {
 }
 
 // RunDetectionProfileSweep runs the §VI-B1 detection experiment with the
-// profiler attached for seeds cfg.Seed..cfg.Seed+opt.Seeds-1 across the
-// worker pool. It returns the per-seed metric sweep plus the merged
-// attribution summary over every successful seed, both deterministic in the
-// worker count.
-func RunDetectionProfileSweep(ctx context.Context, cfg DetectionConfig, opt Options) (*runner.Sweep, profile.Summary, error) {
-	seeds := opt.Seeds
+// profiler attached for seeds cfg.Seed..cfg.Seed+seeds-1 across the worker
+// pool. It returns the per-seed metric sweep plus the merged attribution
+// summary over every successful seed, both deterministic in the worker
+// count. It stays a runner sweep over a closure rather than a campaign: it
+// needs each seed's profile.Summary, which a campaign result file does not
+// hold.
+func RunDetectionProfileSweep(ctx context.Context, cfg DetectionConfig, seeds, workers int) (*runner.Sweep, profile.Summary, error) {
 	if seeds < 1 {
 		return nil, profile.Summary{}, fmt.Errorf("experiment: profile sweep needs at least 1 seed, got %d", seeds)
 	}
@@ -63,7 +64,7 @@ func RunDetectionProfileSweep(ctx context.Context, cfg DetectionConfig, opt Opti
 	// trial) and read only after the sweep returns.
 	perSeed := make([]*profile.Summary, seeds)
 	var mu sync.Mutex
-	sweep, err := runner.RunSweepObserved(ctx, "SATIN detection, profiled (§VI-B1)", base, seeds, opt.Workers, opt.Progress,
+	sweep, err := runner.RunSweep(ctx, "SATIN detection, profiled (§VI-B1)", base, seeds, workers,
 		func(_ context.Context, seed uint64) (runner.Metrics, error) {
 			c := cfg
 			c.Seed = seed

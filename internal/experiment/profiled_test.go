@@ -47,11 +47,11 @@ func TestProfileDoesNotPerturbRun(t *testing.T) {
 func TestProfileSweepWorkerInvariance(t *testing.T) {
 	cfg := quickProfileCfg(1)
 	const seeds = 3
-	sw1, m1, err := RunDetectionProfileSweep(context.Background(), cfg, Options{Seeds: seeds, Workers: 1})
+	sw1, m1, err := RunDetectionProfileSweep(context.Background(), cfg, seeds, 1)
 	if err != nil {
 		t.Fatalf("1-worker sweep: %v", err)
 	}
-	sw8, m8, err := RunDetectionProfileSweep(context.Background(), cfg, Options{Seeds: seeds, Workers: 8})
+	sw8, m8, err := RunDetectionProfileSweep(context.Background(), cfg, seeds, 8)
 	if err != nil {
 		t.Fatalf("8-worker sweep: %v", err)
 	}

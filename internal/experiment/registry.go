@@ -30,19 +30,21 @@ type RunConfig struct {
 }
 
 // Definition is one registry entry. Run renders the paper's single-seed
-// form (section header included). Sweep, when non-nil, runs the multi-seed
-// distribution form and returns the sweep plus its section title. Trial,
-// when non-nil, runs one seed and flattens it to sweep metrics — the form
-// the campaign cell executor dispatches through.
+// form (section header included). Trial, when non-nil, runs one seed and
+// flattens it to sweep metrics — the form campaign cells dispatch through,
+// and the experiment's only multi-seed form: `benchtables -seeds N` runs it
+// as a one-combination campaign and renders the sweep as SweepName under
+// the section title SweepTitle.
 type Definition struct {
-	Name  string
-	Run   func(out io.Writer, rc RunConfig) error
-	Sweep func(ctx context.Context, seed uint64, opt Options) (*runner.Sweep, string, error)
-	Trial func(ctx context.Context, seed uint64) (runner.Metrics, error)
+	Name       string
+	Run        func(out io.Writer, rc RunConfig) error
+	Trial      func(ctx context.Context, seed uint64) (runner.Metrics, error)
+	SweepName  string
+	SweepTitle string
 }
 
 // Sweepable reports whether the experiment has a multi-seed form.
-func (d Definition) Sweepable() bool { return d.Sweep != nil }
+func (d Definition) Sweepable() bool { return d.Trial != nil }
 
 // Registry returns every registered experiment in presentation order — the
 // order `benchtables` (no flags) runs them in.
@@ -157,10 +159,9 @@ var registry = []Definition{
 		section(out, "Race-condition analysis (§IV-C; paper: S ≤ 1,218,351 B, ≈90% unprotected)")
 		fmt.Fprint(out, res.Render())
 		return nil
-	}, Sweep: func(ctx context.Context, seed uint64, opt Options) (*runner.Sweep, string, error) {
-		sw, err := RunRaceSweep(ctx, seed, opt)
-		return sw, "Race-condition analysis, multi-seed (§IV-C; paper: ≈90% unprotected)", err
-	}, Trial: TrialRace},
+	}, Trial: TrialRace,
+		SweepName:  "race-condition analysis (§IV-C)",
+		SweepTitle: "Race-condition analysis, multi-seed (§IV-C; paper: ≈90% unprotected)"},
 	{Name: "evasion", Run: func(out io.Writer, rc RunConfig) error {
 		res, err := RunEvasion(rc.Seed, 10, 8*time.Second)
 		if err != nil {
@@ -169,10 +170,9 @@ var registry = []Definition{
 		section(out, "TZ-Evader vs baseline introspection (§IV premise; expected: 100% evasion)")
 		fmt.Fprint(out, res.Render())
 		return nil
-	}, Sweep: func(ctx context.Context, seed uint64, opt Options) (*runner.Sweep, string, error) {
-		sw, err := RunEvasionSweep(ctx, seed, 10, 8*time.Second, opt)
-		return sw, "TZ-Evader vs baseline, multi-seed (§IV premise; expected: 100% evasion)", err
-	}, Trial: TrialEvasion},
+	}, Trial: TrialEvasion,
+		SweepName:  "TZ-Evader vs baseline (§IV)",
+		SweepTitle: "TZ-Evader vs baseline, multi-seed (§IV premise; expected: 100% evasion)"},
 	{Name: "detection", Run: func(out io.Writer, rc RunConfig) error {
 		cfg := DefaultDetectionConfig()
 		cfg.Seed = rc.Seed
@@ -183,12 +183,9 @@ var registry = []Definition{
 		section(out, "SATIN detection experiment (§VI-B1)")
 		fmt.Fprint(out, res.Render())
 		return nil
-	}, Sweep: func(ctx context.Context, seed uint64, opt Options) (*runner.Sweep, string, error) {
-		cfg := DefaultDetectionConfig()
-		cfg.Seed = seed
-		sw, err := RunDetectionSweep(ctx, cfg, opt)
-		return sw, "SATIN detection experiment, multi-seed (§VI-B1; paper: 10/10, 0 FP/FN at seed 1)", err
-	}, Trial: TrialDetection},
+	}, Trial: TrialDetection,
+		SweepName:  "SATIN detection (§VI-B1)",
+		SweepTitle: "SATIN detection experiment, multi-seed (§VI-B1; paper: 10/10, 0 FP/FN at seed 1)"},
 	{Name: "fig7", Run: func(out io.Writer, rc RunConfig) error {
 		cfg := DefaultFig7Config()
 		cfg.Seed = rc.Seed

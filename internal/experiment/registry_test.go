@@ -2,7 +2,6 @@ package experiment_test
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 
@@ -45,14 +44,21 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
-// TestRegistrySweepablesHaveTrials: every experiment with a multi-seed form
-// also has the per-seed trial form the campaign executor dispatches.
+// TestRegistrySweepablesHaveTrials: the multi-seed form is the per-seed
+// trial, and exactly the experiments that have one name the sweep and the
+// section title their -seeds table renders under.
 func TestRegistrySweepablesHaveTrials(t *testing.T) {
+	sweepable := 0
 	for _, d := range experiment.Registry() {
-		if d.Sweepable() != (d.Trial != nil) {
-			t.Errorf("experiment %q: sweep %v but trial %v — campaign cells and -seeds sweeps must agree",
-				d.Name, d.Sweepable(), d.Trial != nil)
+		if named := d.SweepName != "" && d.SweepTitle != ""; named != d.Sweepable() {
+			t.Errorf("experiment %q: sweepable %v but sweep name %q, title %q", d.Name, d.Sweepable(), d.SweepName, d.SweepTitle)
 		}
+		if d.Sweepable() {
+			sweepable++
+		}
+	}
+	if sweepable == 0 {
+		t.Fatal("no experiment has a multi-seed form")
 	}
 }
 
@@ -73,31 +79,5 @@ func TestRegistryRunRendersSection(t *testing.T) {
 	}
 	if !strings.Contains(out, "A53") {
 		t.Fatalf("output missing the rendered table:\n%s", out)
-	}
-}
-
-// TestRegistryTrialMatchesSweep: one seed through the trial form produces
-// the same metrics the sweep aggregates for that seed.
-func TestRegistryTrialMatchesSweep(t *testing.T) {
-	def, ok := experiment.Lookup("race")
-	if !ok {
-		t.Fatal("race not registered")
-	}
-	metrics, err := def.Trial(context.Background(), 1)
-	if err != nil {
-		t.Fatalf("Trial: %v", err)
-	}
-	sw, _, err := def.Sweep(context.Background(), 1, experiment.Options{Seeds: 1, Workers: 1})
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
-	var csv bytes.Buffer
-	if err := sw.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range metrics {
-		if !strings.Contains(csv.String(), m.Name) {
-			t.Errorf("sweep CSV missing trial metric %q", m.Name)
-		}
 	}
 }

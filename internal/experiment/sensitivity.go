@@ -64,7 +64,9 @@ type SensitivityResult struct {
 // RunSensitivity runs the detection experiment across cfg.Magnitudes ×
 // cfg.Seeds. Magnitudes run serially (each is itself a multi-seed sweep on
 // the worker pool); points aggregate in magnitude order, so output is
-// byte-identical for any worker count.
+// byte-identical for any worker count. The per-magnitude sweeps are runner
+// closures, not campaigns: each cell is a Go DetectionConfig (FullScans 4
+// under -quick, for one), which no campaign cell can carry.
 func RunSensitivity(ctx context.Context, cfg SensitivityConfig, progress runner.Progress) (SensitivityResult, error) {
 	if len(cfg.Magnitudes) == 0 {
 		return SensitivityResult{}, fmt.Errorf("experiment: sensitivity needs at least one magnitude")

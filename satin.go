@@ -269,7 +269,9 @@ type (
 // metrics. Each trial typically builds its own Scenario from its seed —
 // scenarios are single-threaded internally, so trials are embarrassingly
 // parallel. A trial that errors or panics becomes a Failure in the sweep
-// rather than aborting it.
+// rather than aborting it. The trial is the caller's closure, so this runs
+// on the runner's pool, not as a campaign (which executes only runs that
+// data describes).
 //
 //	sw, err := satin.RunSeeds("detection", 1, 32, 0, func(seed uint64) (satin.SweepMetrics, error) {
 //	    sc, err := satin.NewScenario(satin.WithSeed(seed), ...)
