@@ -28,7 +28,8 @@ race:
 # The determinism regression: multi-seed sweeps must produce byte-identical
 # output with workers=1 and workers=8. Sweeps described as data run as
 # campaigns, so the campaign engine's worker-count and kill/resume
-# invariance tests are part of it. Run under -race so the worker pool
+# invariance tests are part of it, boot and fork groups included
+# (TestWorkerCountInvarianceBootGroups). Run under -race so the worker pool
 # itself is exercised, not just its output.
 determinism:
 	$(GO) test -race -run 'TestDeterminism|TestWorkerCountInvariance|TestKillResumeByteIdentical' ./internal/runner ./internal/campaign . ./cmd/benchtables
@@ -103,14 +104,19 @@ spec-fuzz-smoke:
 # at 8 workers, killed after 7 cells (-campaign-max-cells, the deterministic
 # kill), and resumed at 3 workers. This is the ISSUE acceptance gate for the
 # checkpoint format: completion order never leaks into the finalized file.
+# Grouped runs put each seed's smoke cells in one boot group, so the same
+# campaign also runs with grouping off (-campaign-fork=false, every cell
+# booting from its seed) and must match too.
 campaign-smoke:
 	$(GO) build -o /tmp/benchtables ./cmd/benchtables
-	rm -f /tmp/campaign_serial.result /tmp/campaign_resumed.result
+	rm -f /tmp/campaign_serial.result /tmp/campaign_resumed.result /tmp/campaign_ungrouped.result
 	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_serial.result -workers 1 > /dev/null
 	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_resumed.result -workers 8 -campaign-max-cells 7 > /dev/null
 	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_resumed.result -workers 3 > /dev/null
 	cmp /tmp/campaign_serial.result /tmp/campaign_resumed.result
-	@echo "campaign result is worker-count invariant and kill/resume lands on the same bytes"
+	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_ungrouped.result -workers 2 -campaign-fork=false > /dev/null
+	cmp /tmp/campaign_serial.result /tmp/campaign_ungrouped.result
+	@echo "campaign result is worker-count invariant, kill/resume lands on the same bytes, and grouping off matches grouping on"
 
 # Campaign corpus through the binary: the committed smoke campaign must
 # reproduce its committed result file byte for byte. The same contract runs

@@ -9,9 +9,12 @@ package satin
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"satin/internal/campaign"
 )
@@ -38,25 +41,47 @@ func smokeGolden(t *testing.T) []byte {
 	return want
 }
 
+// TestCampaignCorpusReproducesGolden runs the smoke campaign cell by cell
+// and grouped. Every smoke cell runs to completion, which the checkpoint
+// protocol does not cover, so grouped cells share their seed's boot and
+// none reports a fork.
 func TestCampaignCorpusReproducesGolden(t *testing.T) {
-	c := smokeCampaign(t)
-	path := filepath.Join(t.TempDir(), "smoke.result")
-	res, err := campaign.Run(context.Background(), c, path, campaign.RunOptions{
-		Workers:   4,
-		SpecTrial: RunSpecTrial,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !res.Finalized {
-		t.Fatal("smoke campaign did not finalize")
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, smokeGolden(t)) {
-		t.Errorf("campaign run drifted from testdata/campaigns/smoke.result.golden (%d bytes vs %d); regenerate with benchtables -campaign if the drift is intentional", len(got), len(smokeGolden(t)))
+	for _, grouped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("grouped=%v", grouped), func(t *testing.T) {
+			c := smokeCampaign(t)
+			path := filepath.Join(t.TempDir(), "smoke.result")
+			var forked atomic.Int64
+			opt := campaign.RunOptions{
+				Workers:   4,
+				SpecTrial: RunSpecTrial,
+				CellDone: func(_ int, _ time.Duration, f bool) {
+					if f {
+						forked.Add(1)
+					}
+				},
+			}
+			if grouped {
+				opt.GroupKey = CheckpointGroupKey
+				opt.GroupTrial = RunCheckpointGroup
+			}
+			res, err := campaign.Run(context.Background(), c, path, opt)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if !res.Finalized {
+				t.Fatal("smoke campaign did not finalize")
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, smokeGolden(t)) {
+				t.Errorf("campaign run drifted from testdata/campaigns/smoke.result.golden (%d bytes vs %d); regenerate with benchtables -campaign if the drift is intentional", len(got), len(smokeGolden(t)))
+			}
+			if n := forked.Load(); n != 0 {
+				t.Errorf("%d smoke cells report a fork, want 0", n)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"satin/internal/core"
 	"satin/internal/faultinject"
 	"satin/internal/hw"
+	"satin/internal/mem"
 	"satin/internal/simclock"
 	"satin/internal/spec"
 )
@@ -57,6 +58,11 @@ func CheckpointSupported(s ScenarioSpec, at time.Duration) error {
 	if err != nil {
 		return err
 	}
+	return checkpointSupported(c, at)
+}
+
+// checkpointSupported is CheckpointSupported for a canonical spec.
+func checkpointSupported(c ScenarioSpec, at time.Duration) error {
 	if at <= 0 {
 		return fmt.Errorf("satin: checkpoint instant %v is not after boot", at)
 	}
@@ -95,6 +101,11 @@ func CheckpointKey(s ScenarioSpec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return checkpointKey(c)
+}
+
+// checkpointKey is CheckpointKey for a canonical spec.
+func checkpointKey(c ScenarioSpec) ([]byte, error) {
 	k := c.Clone()
 	k.Faults = ""
 	k.Run = spec.Run{}
@@ -460,10 +471,10 @@ func ValidateResume(snap *Snapshot, member ScenarioSpec) (ScenarioSpec, error) {
 	if err != nil {
 		return c, err
 	}
-	if err := CheckpointSupported(c, snap.State.Now.Duration()); err != nil {
+	if err := checkpointSupported(c, snap.State.Now.Duration()); err != nil {
 		return c, err
 	}
-	key, err := CheckpointKey(c)
+	key, err := checkpointKey(c)
 	if err != nil {
 		return c, err
 	}
@@ -481,22 +492,35 @@ func RunRemaining(sc *Scenario, s ScenarioSpec) {
 	}
 }
 
-// Campaign integration: shared-prefix sweeps. A campaign crossing one
-// scenario with a fault axis produces cells that differ only in their fault
-// plans — and a forkable plan's effects all land late in the run, so the
-// cells share a long fault-free prefix. CheckpointGroupKey identifies such
-// groups and RunCheckpointGroup executes one: prefix once, one fork per
-// member, O(prefix + K×suffix) instead of O(K×(prefix+suffix)). Wire both
-// into campaign.RunOptions (benchtables does, behind -campaign-fork).
+// Campaign integration: cells that share boot work run as one group. A
+// campaign crossing one scenario with a fault axis produces cells that
+// differ only in their fault plans — and a forkable plan's effects all land
+// late in the run, so the cells share a long fault-free prefix: the group
+// runs it once and forks one continuation per member, O(prefix + K×suffix)
+// instead of O(K×(prefix+suffix)). Cells the checkpoint protocol does not
+// cover still share their seed's kernel boot, the stage in which SATIN
+// hashes its golden table (§V-B): the group fills the kernel and hashes the
+// table once, and every other member copies the boot bytes.
+// CheckpointGroupKey identifies the groups and RunCheckpointGroup executes
+// one. Wire both into campaign.RunOptions (benchtables does, behind
+// -campaign-fork).
 
-// CheckpointGroupKey is the campaign.GroupKeyFunc for shared-prefix forking:
-// it reports the spec's checkpoint key when the checkpoint protocol covers
-// the spec's shape, and ok=false for shapes that must run cell-by-cell.
+// CheckpointGroupKey is the campaign.GroupKeyFunc for boot sharing. A spec
+// the checkpoint protocol covers keys by its checkpoint key, so cells with
+// equal keys share a forkable prefix. Any other spec keys by a boot key
+// naming only its seed, the one input the kernel boot reads, so the cells
+// of a seed share one boot. A boot key never equals a checkpoint key (those
+// are canonical JSON). ok=false marks a spec that does not canonicalize: it
+// runs alone, and its trial reports the error.
 func CheckpointGroupKey(s ScenarioSpec) (string, bool) {
-	if err := CheckpointSupported(s, time.Nanosecond); err != nil {
+	c, err := spec.Canonicalize(s)
+	if err != nil {
 		return "", false
 	}
-	key, err := CheckpointKey(s)
+	if checkpointSupported(c, time.Nanosecond) != nil {
+		return fmt.Sprintf("boot seed=%d", c.Seed), true
+	}
+	key, err := checkpointKey(c)
 	if err != nil {
 		return "", false
 	}
@@ -543,66 +567,87 @@ func forkBarrier(members []ScenarioSpec) (time.Duration, bool) {
 	return b, true
 }
 
-// RunCheckpointGroup is the campaign.GroupTrialFunc for shared-prefix
-// forking: run the members' common fault-free prefix once, checkpoint it at
-// the latest shared barrier, and fork one continuation per member. Every
-// result is byte-equivalent to RunSpecTrial on the same member — guaranteed
-// by the fork-identity property and enforced by falling back to from-scratch
-// runs whenever the prefix cannot be checkpointed.
+// RunCheckpointGroup is the campaign.GroupTrialFunc for boot sharing. When
+// the members are checkpointable and share a long enough prefix, it runs
+// their fault-free prefix once, checkpoints it at the latest shared barrier
+// and forks one continuation per member, reporting those members Forked.
+// Every member that does not fork (all of a boot group, a fork group whose
+// prefix is too short or cannot be checkpointed, a member that fails to
+// resume) runs from scratch on one shared boot state: the first boots from
+// the seed unless the prefix already did, and the rest copy its bytes and
+// read its memoized golden sums, as ResumeScenario's members do. The boot
+// state lives for this call only. Every result is byte-equivalent to
+// RunSpecTrial on the same member.
 func RunCheckpointGroup(ctx context.Context, members []ScenarioSpec) []campaign.GroupResult {
 	out := make([]campaign.GroupResult, len(members))
-	fallback := func() []campaign.GroupResult {
-		for i := range members {
-			if err := ctx.Err(); err != nil {
-				out[i] = campaign.GroupResult{Err: err}
-				continue
-			}
-			m, err := RunSpecTrial(members[i])
-			out[i] = campaign.GroupResult{Metrics: m, Err: err}
-		}
-		return out
-	}
 	canon := make([]ScenarioSpec, len(members))
+	errs := make([]error, len(members))
+	valid := true
 	for i := range members {
-		c, err := spec.Canonicalize(members[i])
-		if err != nil {
-			return fallback()
-		}
-		canon[i] = c
+		canon[i], errs[i] = spec.Canonicalize(members[i])
+		valid = valid && errs[i] == nil
 	}
-	barrier, ok := forkBarrier(canon)
-	if !ok {
-		return fallback()
+	var snap *Snapshot
+	var boot *mem.BootState
+	if valid {
+		snap, boot = forkPrefix(canon)
 	}
-	prefix := canon[0].Clone()
-	prefix.Faults = ""
-	psc, err := FromSpec(prefix)
-	if err != nil {
-		return fallback()
-	}
-	key, err := CheckpointKey(canon[0])
-	if err != nil {
-		return fallback()
-	}
-	snap, err := psc.Checkpoint(barrier, key)
-	if err != nil {
-		return fallback()
-	}
-	for i := range canon {
+	for i, c := range canon {
 		if err := ctx.Err(); err != nil {
 			out[i] = campaign.GroupResult{Err: err}
 			continue
 		}
-		sc, c, err := ResumeScenario(snap, canon[i])
-		if err != nil {
-			// The key matched at grouping time, so this is unexpected — run
-			// the member from scratch rather than failing its cell.
-			m, terr := RunSpecTrial(canon[i])
-			out[i] = campaign.GroupResult{Metrics: m, Err: terr}
+		if errs[i] != nil {
+			out[i] = campaign.GroupResult{Err: errs[i]}
 			continue
 		}
-		RunRemaining(sc, c)
-		out[i] = campaign.GroupResult{Metrics: specTrialMetrics(c, sc.Report())}
+		if snap != nil {
+			// The key matched at grouping time, so a failed resume is
+			// unexpected: the member runs from scratch rather than failing
+			// its cell.
+			if sc, rc, err := ResumeScenario(snap, c); err == nil {
+				RunRemaining(sc, rc)
+				out[i] = campaign.GroupResult{Metrics: specTrialMetrics(rc, sc.Report()), Forked: true}
+				continue
+			}
+		}
+		if boot != nil && boot.Seed() != c.Seed {
+			// Only a caller grouping by something other than
+			// CheckpointGroupKey mixes seeds; such a member boots its own.
+			boot = nil
+		}
+		m, b, err := runSpecTrial(c, boot)
+		if b != nil {
+			boot = b
+		}
+		out[i] = campaign.GroupResult{Metrics: m, Err: err}
 	}
 	return out
+}
+
+// forkPrefix runs the canonical members' shared fault-free prefix and
+// checkpoints it at their barrier. The snapshot is nil when the group
+// cannot fork: its members are not checkpointable, their barrier is too
+// short, or the capture fails. The boot state is the prefix's whenever the
+// prefix was built.
+func forkPrefix(canon []ScenarioSpec) (*Snapshot, *mem.BootState) {
+	barrier, ok := forkBarrier(canon)
+	if !ok || checkpointSupported(canon[0], barrier) != nil {
+		return nil, nil
+	}
+	prefix := canon[0].Clone()
+	prefix.Faults = ""
+	psc, err := fromSpec(prefix, nil)
+	if err != nil {
+		return nil, nil
+	}
+	key, err := checkpointKey(canon[0])
+	if err != nil {
+		return nil, psc.image.Boot()
+	}
+	snap, err := psc.Checkpoint(barrier, key)
+	if err != nil {
+		return nil, psc.image.Boot()
+	}
+	return snap, snap.Boot
 }

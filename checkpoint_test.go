@@ -352,6 +352,7 @@ func TestCampaignForkInvariance(t *testing.T) {
 	var mu sync.Mutex
 	groups := 0
 	largest := 0
+	forkedCells := 0
 	forked := runBytes(campaign.RunOptions{
 		Workers:   4,
 		SpecTrial: RunSpecTrial,
@@ -363,12 +364,22 @@ func TestCampaignForkInvariance(t *testing.T) {
 			mu.Unlock()
 			return RunCheckpointGroup(ctx, members)
 		},
+		CellDone: func(_ int, _ time.Duration, f bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			if f {
+				forkedCells++
+			}
+		},
 	})
 	if groups == 0 {
 		t.Fatal("forking enabled but no group was ever executed")
 	}
 	if largest != len(c.Faults) {
 		t.Errorf("largest group has %d members, want %d (one per fault-axis value)", largest, len(c.Faults))
+	}
+	if want := len(c.Faults) * c.Seeds.Count; forkedCells != want {
+		t.Errorf("%d cells report a fork, want all %d", forkedCells, want)
 	}
 	if !bytes.Equal(plain, forked) {
 		t.Errorf("finalized campaign bytes differ between forking off (%d bytes) and on (%d bytes)", len(plain), len(forked))

@@ -42,9 +42,10 @@ func runCampaignFile(out, errOut io.Writer, path, outPath string, workers, maxCe
 		SpecTrial: satin.RunSpecTrial,
 	}
 	if fork {
-		// Shared-prefix forking: cells that differ only in their (post-
-		// barrier) fault plan run the common prefix once from a checkpoint.
-		// Result bytes are identical with or without it.
+		// Boot sharing: cells that differ only in their (post-barrier)
+		// fault plan run the common prefix once from a checkpoint, and the
+		// cells of a seed the checkpoint protocol does not cover share one
+		// kernel boot. Result bytes are identical with or without it.
 		opt.GroupKey = satin.CheckpointGroupKey
 		opt.GroupTrial = satin.RunCheckpointGroup
 	}

@@ -99,7 +99,7 @@ func runWith(args []string, out, errOut io.Writer) error {
 	campaignFile := fs.String("campaign", "", "execute this campaign spec file (grid × faults × seeds) with checkpointed resume")
 	campaignOut := fs.String("campaign-out", "", "campaign result/checkpoint file (default: <campaign>.result)")
 	campaignMaxCells := fs.Int("campaign-max-cells", 0, "stop the campaign after N newly completed cells (checkpointed; 0 = run to completion)")
-	campaignFork := fs.Bool("campaign-fork", true, "fork shared-prefix cell groups from one checkpoint instead of running each from scratch (identical results either way)")
+	campaignFork := fs.Bool("campaign-fork", true, "group cells that share boot work: fork shared-prefix groups from one checkpoint and run each seed's other cells on one kernel boot (identical results either way)")
 	campaignServe := fs.String("campaign-serve", "", "submit -campaign to this satin-serve URL for sharded cross-process execution and render the merged result (byte-identical to a local run)")
 	campaignShards := fs.Int("campaign-shards", 2, "with -campaign-serve: number of shards to partition the campaign into")
 	campaignWorker := fs.String("campaign-worker", "", "run a sharded-campaign worker loop against this satin-serve URL until no work remains")

@@ -22,9 +22,10 @@
 // text or json structured logs for the server and worker modes.
 //
 // Workers execute their shard through the same campaign engine as
-// `benchtables -campaign` — checkpoint-fork acceleration included, since
-// the shard planner never splits a checkpoint-key group — so a campaign's
-// finalized bytes are invariant to how many processes computed it.
+// `benchtables -campaign` — boot sharing included, since the shard planner
+// never splits a group (a forkable prefix, or a seed's kernel boot) — so a
+// campaign's finalized bytes are invariant to how many processes computed
+// it.
 package main
 
 import (
@@ -67,7 +68,7 @@ func run(args []string, out, errOut io.Writer) error {
 	name := fs.String("name", "", "worker mode: worker name (default w<pid>)")
 	dir := fs.String("dir", "", "worker mode: scratch directory for per-shard result files (default a temp dir)")
 	pool := fs.Int("pool", 0, "worker mode: in-process worker goroutines per shard (0 = GOMAXPROCS)")
-	fork := fs.Bool("fork", true, "worker mode: fork shared-prefix cell groups from one checkpoint (identical results either way)")
+	fork := fs.Bool("fork", true, "worker mode: group cells that share boot work: fork shared-prefix groups from one checkpoint and run each seed's other cells on one kernel boot (identical results either way)")
 	watch := fs.String("watch", "", "stream this job's per-cell progress from -url until it finishes")
 	status := fs.Bool("status", false, "print every job's status from -url")
 	result := fs.String("result", "", "download this job's finalized merged result from -url into -out")

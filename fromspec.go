@@ -67,7 +67,8 @@ func FromSpec(s ScenarioSpec) (*Scenario, error) {
 }
 
 // fromSpec is FromSpec building the kernel image from boot, when it is not
-// nil, instead of booting it from the seed (see ResumeScenario).
+// nil, instead of booting it from the seed (see ResumeScenario and
+// RunCheckpointGroup).
 func fromSpec(s ScenarioSpec, boot *mem.BootState) (*Scenario, error) {
 	c, err := spec.Canonicalize(s)
 	if err != nil {
@@ -180,16 +181,25 @@ func RunSpecTrial(s ScenarioSpec) (SweepMetrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, err := FromSpec(c)
+	m, _, err := runSpecTrial(c, nil)
+	return m, err
+}
+
+// runSpecTrial is RunSpecTrial for a canonical spec, building the kernel
+// image from boot when it is not nil (see fromSpec). It also returns the
+// boot state of the scenario it built, nil when the build failed, so that
+// RunCheckpointGroup's later members of the seed can share it.
+func runSpecTrial(c ScenarioSpec, boot *mem.BootState) (SweepMetrics, *mem.BootState, error) {
+	sc, err := fromSpec(c, boot)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	DriveSpec(sc, c)
-	return specTrialMetrics(c, sc.Report()), nil
+	return specTrialMetrics(c, sc.Report()), sc.image.Boot(), nil
 }
 
 // specTrialMetrics reduces a finished run to the trial metric set. Shared by
-// RunSpecTrial and the checkpoint-forked group trial, which must produce the
+// RunSpecTrial and the group trial's forked members, which must produce the
 // identical rows for the identical spec.
 func specTrialMetrics(c ScenarioSpec, rep Report) SweepMetrics {
 	var m SweepMetrics

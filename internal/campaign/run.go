@@ -20,30 +20,34 @@ import (
 // package must not import the facade.
 type SpecTrialFunc func(spec.Spec) (runner.Metrics, error)
 
-// GroupKeyFunc classifies one scenario spec for shared-prefix grouping:
-// cells whose keys match (with ok true) share a checkpointable prefix and
-// may be executed as one forked group. ok false marks a spec the checkpoint
-// protocol does not support; it runs through the plain spec trial. Injected
+// GroupKeyFunc classifies one scenario spec for grouping: cells whose keys
+// match (with ok true) share boot work and may be executed as one group —
+// a checkpointable prefix they fork from, or their seed's kernel boot. ok
+// false marks a spec that runs alone through the plain spec trial. Injected
 // (satin.CheckpointGroupKey in the CLIs) because this package must not
 // import the facade.
 type GroupKeyFunc func(spec.Spec) (string, bool)
 
 // GroupResult is one member's outcome from a group trial, mirroring one
-// SpecTrialFunc return.
+// SpecTrialFunc return. Forked reports that the member resumed from a
+// snapshot of the group's shared prefix instead of running from its boot;
+// it feeds CellDone and nothing in the result file.
 type GroupResult struct {
 	Metrics runner.Metrics
 	Err     error
+	Forked  bool
 }
 
 // GroupTrialFunc executes a set of instantiated scenario specs that share a
-// checkpointable prefix — typically by running the prefix once, snapshotting
-// it, and forking one continuation per member — and returns one result per
-// member, in order. The contract is equivalence: metrics and failures must
-// be exactly what running the spec trial per member would produce (the
-// campaign result file is byte-identical either way once finalized). The one
-// exception is a panic: the campaign then fails every member of the group,
-// where per-member trials would fail only the members that panic.
-// Injected (satin.RunCheckpointGroup in the CLIs).
+// group key — typically by running a shared prefix once, snapshotting it,
+// and forking one continuation per member, or by booting the members' seed
+// once — and returns one result per member, in order. The contract is
+// equivalence: metrics and failures must be exactly what running the spec
+// trial per member would produce (the campaign result file is
+// byte-identical either way once finalized). A group trial that panics is
+// discarded and its members rerun alone through the spec trial, so a panic
+// fails only the members whose own trial panics. Injected
+// (satin.RunCheckpointGroup in the CLIs).
 type GroupTrialFunc func(ctx context.Context, members []spec.Spec) []GroupResult
 
 // RunOptions configures one campaign execution.
@@ -73,21 +77,21 @@ type RunOptions struct {
 	// SpecTrial executes scenario cells; required unless the campaign
 	// names a registry experiment.
 	SpecTrial SpecTrialFunc
-	// GroupKey and GroupTrial, when both non-nil, enable shared-prefix
-	// forking: pending scenario cells whose group keys match are executed as
-	// one unit through GroupTrial instead of cell-by-cell through SpecTrial.
-	// Grouping is disabled under MaxCells (a truncated session must complete
-	// exactly the first pending cells, not a group's worth); the finalized
-	// result file is byte-identical with grouping on or off, unless a group
-	// trial panics (that fails every member of the group).
+	// GroupKey and GroupTrial, when both non-nil, enable grouping: pending
+	// scenario cells whose group keys match are executed as one unit
+	// through GroupTrial instead of cell-by-cell through SpecTrial. A group
+	// runs on one worker. Grouping is disabled under MaxCells (a truncated
+	// session must complete exactly the first pending cells, not a group's
+	// worth); the finalized result file is byte-identical with grouping on
+	// or off.
 	GroupKey   GroupKeyFunc
 	GroupTrial GroupTrialFunc
 	// CellDone, when non-nil, observes each newly checkpointed cell's
-	// wall-clock cost: forked reports whether the cell ran inside a
-	// multi-cell fork group (wall is then the group's trial time split
-	// evenly across members). Telemetry side channel only — cancelled cells
-	// are not reported and nothing here touches the result bytes. Called
-	// from pool goroutines; implementations synchronize themselves.
+	// wall-clock cost: for a cell run inside a multi-cell group, wall is the
+	// group's trial time split evenly across members, and forked is the
+	// member's GroupResult.Forked. Telemetry side channel only — cancelled
+	// cells are not reported and nothing here touches the result bytes.
+	// Called from pool goroutines; implementations synchronize themselves.
 	CellDone func(index int, wall time.Duration, forked bool)
 }
 
@@ -208,7 +212,7 @@ func Run(ctx context.Context, c Spec, resultPath string, opt RunOptions) (RunRes
 						return struct{}{}, appendErr
 					}
 					if opt.CellDone != nil {
-						opt.CellDone(cell.Index, cellWall, len(unit) > 1)
+						opt.CellDone(cell.Index, cellWall, r.Forked)
 					}
 					busMu.Lock()
 					publishCell(opt.Bus, cell, res)
@@ -242,11 +246,11 @@ func Run(ctx context.Context, c Spec, resultPath string, opt RunOptions) (RunRes
 }
 
 // groupUnits partitions the cells this session will run into execution
-// units: with shared-prefix forking enabled, cells whose group keys match
-// form one multi-cell unit (in expansion order); everything else — cells the
-// checkpoint protocol does not cover, experiment cells, singleton groups —
-// runs alone. Unit boundaries only shape scheduling and the order of result-
-// file appends; the finalized file sorts by index and is invariant to them.
+// units: with grouping enabled, cells whose group keys match form one
+// multi-cell unit (in expansion order); everything else — cells without a
+// key, experiment cells, singleton groups — runs alone. Unit boundaries
+// only shape scheduling and the order of result-file appends; the
+// finalized file sorts by index and is invariant to them.
 func groupUnits(cells []Cell, opt RunOptions) [][]Cell {
 	if opt.GroupKey == nil || opt.GroupTrial == nil || opt.MaxCells > 0 {
 		units := make([][]Cell, len(cells))
@@ -299,33 +303,54 @@ func cellProgress(units [][]Cell, totalCells int, p runner.Progress) runner.Prog
 	}
 }
 
-// runUnit executes one unit and returns one result per member. A panic in
-// the trial fails every member with a *runner.PanicError — the failure a
-// runner.RunSweep trial records — so the cells are checkpointed like any
-// other failure instead of vanishing with the unit.
-func runUnit(ctx context.Context, unit []Cell, opt RunOptions) (results []GroupResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			perr := &runner.PanicError{Value: r, Stack: debug.Stack()}
-			results, err = make([]GroupResult, len(unit)), nil
-			for i := range results {
-				results[i].Err = perr
-			}
-		}
-	}()
+// runUnit executes one unit and returns one result per member. A group
+// trial that panics says nothing about which member is at fault, so its
+// members rerun alone, each failing only if its own trial panics.
+func runUnit(ctx context.Context, unit []Cell, opt RunOptions) ([]GroupResult, error) {
 	if len(unit) == 1 {
-		metrics, trialErr := runCell(ctx, unit[0], opt.SpecTrial)
-		return []GroupResult{{Metrics: metrics, Err: trialErr}}, nil
+		return []GroupResult{runAlone(ctx, unit[0], opt.SpecTrial)}, nil
 	}
-	members := make([]spec.Spec, len(unit))
-	for i, cell := range unit {
-		members[i] = *cell.Scenario
+	results, panicked := runGroup(ctx, unit, opt.GroupTrial)
+	if panicked {
+		results = make([]GroupResult, len(unit))
+		for i, cell := range unit {
+			results[i] = runAlone(ctx, cell, opt.SpecTrial)
+		}
+		return results, nil
 	}
-	results = opt.GroupTrial(ctx, members)
 	if len(results) != len(unit) {
 		return nil, fmt.Errorf("campaign: group trial returned %d results for %d members", len(results), len(unit))
 	}
 	return results, nil
+}
+
+// runGroup runs a multi-cell unit through the group trial, reporting a
+// panic instead of propagating it. The panic value is dropped: rerunning
+// the members alone decides which of them fail.
+func runGroup(ctx context.Context, unit []Cell, trial GroupTrialFunc) (results []GroupResult, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			results, panicked = nil, true
+		}
+	}()
+	members := make([]spec.Spec, len(unit))
+	for i, cell := range unit {
+		members[i] = *cell.Scenario
+	}
+	return trial(ctx, members), false
+}
+
+// runAlone runs one cell. A panic in its trial fails the cell with a
+// *runner.PanicError — the failure a runner.RunSweep trial records — so the
+// cell is checkpointed like any other failure instead of vanishing.
+func runAlone(ctx context.Context, cell Cell, specTrial SpecTrialFunc) (res GroupResult) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = GroupResult{Err: &runner.PanicError{Value: r, Stack: debug.Stack()}}
+		}
+	}()
+	res.Metrics, res.Err = runCell(ctx, cell, specTrial)
+	return res
 }
 
 // runCell dispatches one cell: registry experiments through their trial

@@ -143,8 +143,8 @@ func TestResultFileIdentity(t *testing.T) {
 
 // TestFailedCellsCheckpointAndRender: deterministic trial failures are
 // results — checkpointed, not rerun on resume, rendered as sweep failures.
-// A panic is such a failure too, and a panicking group trial fails every
-// member of its group.
+// A panic is such a failure too, and a panicking group trial fails only the
+// members whose own trial panics.
 func TestFailedCellsCheckpointAndRender(t *testing.T) {
 	failsAt := func(s spec.Spec) bool { return s.Seed == 2 && s.Evader.Kind == spec.EvaderNone }
 	failing := func(s spec.Spec) (runner.Metrics, error) {
@@ -177,8 +177,9 @@ func TestFailedCellsCheckpointAndRender(t *testing.T) {
 		// evader=none × 2 round counts × 2 fault plans at seed 2.
 		{"error", campaign.RunOptions{Workers: 1, SpecTrial: failing}, 4, "synthetic failure"},
 		{"panic", campaign.RunOptions{Workers: 2, SpecTrial: panicking}, 4, "trial panicked: synthetic panic"},
-		// Grouped by seed, the panic takes all 8 cells of seed 2 with it.
-		{"group panic", campaign.RunOptions{Workers: 2, GroupKey: bySeed, GroupTrial: groupPanicking}, 8, "trial panicked: synthetic panic"},
+		// Grouped by seed, the panicking group's members rerun alone, so
+		// the panic fails the same 4 cells as ungrouped.
+		{"group panic", campaign.RunOptions{Workers: 2, SpecTrial: panicking, GroupKey: bySeed, GroupTrial: groupPanicking}, 4, "trial panicked: synthetic panic"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

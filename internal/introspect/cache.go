@@ -6,15 +6,18 @@ import (
 
 // hashCache is the incremental hash cache: it memoizes the hash-state
 // transition of every chunk the checker reads, keyed by the chunk's start
-// address and validated by (a) the hash state entering the chunk and (b)
-// the write-generation sum of the pages the chunk spans.
+// address and validated by (a) the chunk's length, (b) the hash state
+// entering the chunk and (c) the write-generation sum of the pages the
+// chunk spans.
 //
 // Correctness argument (the determinism constraint of the hot-path
-// overhaul): a cached transition (hIn → hOut) was recorded when the chunk
-// held bytes B. Page generations increase on every Memory.Write, so an
-// unchanged generation sum at lookup time proves no write touched those
-// pages since the entry was stored — the chunk still holds B — and an equal
-// hIn means folding B in again would reproduce hOut exactly. Both checks
+// overhaul): a cached transition (hIn → hOut) was recorded when the n-byte
+// chunk held bytes B. An equal length means the lookup covers those same
+// bytes (a check that ends mid-chunk reads a shorter chunk at the same
+// start). Page generations increase on every Memory.Write, so an unchanged
+// generation sum at lookup time proves no write touched those pages since
+// the entry was stored — the chunk still holds B — and an equal hIn means
+// folding B in again would reproduce hOut exactly. Both checks
 // happen at the same virtual instant the naive path would have read the
 // bytes, so writes racing a check (the paper's Figure 3 TOCTTOU structure)
 // invalidate precisely the chunks they would have changed: cached and naive
@@ -34,6 +37,7 @@ type hashCache struct {
 
 // chunkEntry is one memoized chunk transition.
 type chunkEntry struct {
+	n      int    // chunk length in bytes
 	hIn    uint64 // hash state entering the chunk when stored
 	hOut   uint64 // resulting state after folding the chunk's bytes
 	genSum uint64 // mem.GenSum over the chunk's pages when stored
@@ -48,7 +52,7 @@ func newHashCache() *hashCache {
 // current instant.
 func (hc *hashCache) lookup(m *mem.Memory, addr uint64, n int, hIn uint64) (uint64, bool) {
 	e, ok := hc.entries[addr]
-	if !ok || e.hIn != hIn || e.genSum != m.GenSum(addr, n) {
+	if !ok || e.n != n || e.hIn != hIn || e.genSum != m.GenSum(addr, n) {
 		hc.misses++
 		return 0, false
 	}
@@ -60,5 +64,5 @@ func (hc *hashCache) lookup(m *mem.Memory, addr uint64, n int, hIn uint64) (uint
 // stamped with the pages' current generation sum. Must be called at the
 // same virtual instant the bytes were read.
 func (hc *hashCache) store(m *mem.Memory, addr uint64, n int, hIn, hOut uint64) {
-	hc.entries[addr] = chunkEntry{hIn: hIn, hOut: hOut, genSum: m.GenSum(addr, n)}
+	hc.entries[addr] = chunkEntry{n: n, hIn: hIn, hOut: hOut, genSum: m.GenSum(addr, n)}
 }

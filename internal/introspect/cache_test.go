@@ -58,6 +58,43 @@ func TestCacheDifferentialRandomWrites(t *testing.T) {
 	}
 }
 
+// TestCacheKeysChunkLength: checks that start at one address but end at
+// different lengths each read their own bytes, and an entry restored from a
+// checkpoint without its length never matches.
+func TestCacheKeysChunkLength(t *testing.T) {
+	r := newRig(t)
+	addr := r.image.Layout().Base + 0x10000
+	check := func(n int) {
+		t.Helper()
+		view, err := r.image.Mem().View(addr, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := djb2UpdateRef(Djb2Seed, view)
+		if got := r.checkOn(t, 4, DirectHash, addr, n).Sum; got != want {
+			t.Fatalf("check of %d bytes at %#x: sum %#x, want %#x", n, addr, got, want)
+		}
+	}
+	check(100)
+	check(200)
+
+	st, err := r.checker.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range st.CacheEntries {
+		st.CacheEntries[i].N = 0
+	}
+	if err := r.checker.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	_, missesBefore := r.checker.CacheStats()
+	check(200)
+	if hits, misses := r.checker.CacheStats(); misses != missesBefore+1 {
+		t.Errorf("check over a length-less restored entry: %d hits / %d misses, want one more miss than %d", hits, misses, missesBefore)
+	}
+}
+
 // TestCacheTransparentUnderRacingWrites runs the Figure 3 TOCTTOU race —
 // writes landing mid-check, both before and after the scan touches them — on
 // two identical rigs, cache on and cache off. Sums AND virtual timings must

@@ -16,9 +16,11 @@ import (
 // the round record.
 
 // CacheEntry is one memoized chunk transition in serialized form, keyed by
-// the chunk's start address.
+// the chunk's start address. N is the chunk's length; an entry restored
+// without one (N zero) never matches a lookup.
 type CacheEntry struct {
 	Addr   uint64 `json:"addr"`
+	N      int    `json:"n"`
 	HIn    uint64 `json:"h_in"`
 	HOut   uint64 `json:"h_out"`
 	GenSum uint64 `json:"gen_sum"`
@@ -47,7 +49,7 @@ func (c *Checker) CheckpointState() (CheckerState, error) {
 		st.CacheMisses = c.cache.misses
 		st.CacheEntries = make([]CacheEntry, 0, len(c.cache.entries))
 		for addr, e := range c.cache.entries {
-			st.CacheEntries = append(st.CacheEntries, CacheEntry{Addr: addr, HIn: e.hIn, HOut: e.hOut, GenSum: e.genSum})
+			st.CacheEntries = append(st.CacheEntries, CacheEntry{Addr: addr, N: e.n, HIn: e.hIn, HOut: e.hOut, GenSum: e.genSum})
 		}
 		sort.Slice(st.CacheEntries, func(i, j int) bool { return st.CacheEntries[i].Addr < st.CacheEntries[j].Addr })
 	}
@@ -71,7 +73,7 @@ func (c *Checker) RestoreState(st CheckerState) error {
 		c.cache.misses = st.CacheMisses
 		c.cache.entries = make(map[uint64]chunkEntry, len(st.CacheEntries))
 		for _, e := range st.CacheEntries {
-			c.cache.entries[e.Addr] = chunkEntry{hIn: e.HIn, hOut: e.HOut, genSum: e.GenSum}
+			c.cache.entries[e.Addr] = chunkEntry{n: e.N, hIn: e.HIn, hOut: e.HOut, genSum: e.GenSum}
 		}
 	}
 	return nil

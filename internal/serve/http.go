@@ -75,7 +75,8 @@ type ProgressReport struct {
 	Detail string `json:"detail"`
 	// CellNs is the cell's wall-clock duration in nanoseconds (0 = untimed).
 	CellNs int64 `json:"cell_ns,omitempty"`
-	// Forked marks a cell executed inside a checkpoint-fork group.
+	// Forked marks a cell that resumed from its group's shared-prefix
+	// snapshot (campaign.GroupResult.Forked).
 	Forked bool `json:"forked,omitempty"`
 }
 

@@ -1,7 +1,7 @@
 // Package serve is the cross-process half of the campaign engine: a
 // long-lived HTTP/JSON server that accepts campaign specs, partitions each
-// into shards (internal/shard — checkpoint-key groups stay intact, so fork
-// acceleration applies within a shard exactly as in one process), leases
+// into shards (internal/shard — groups stay intact, so boot sharing
+// applies within a shard exactly as in one process), leases
 // shards to pull-based workers with an expiry so a dead worker's shard is
 // reassigned, streams per-cell progress as the same trace.KindCell events
 // the in-process executor publishes, and merges the uploaded per-shard
@@ -58,9 +58,10 @@ type Options struct {
 	LeaseTTL time.Duration
 	// Now is the clock (default time.Now). Injected for lease-expiry tests.
 	Now func() time.Time
-	// GroupKey, when non-nil, keeps checkpoint-key groups intact within a
-	// shard (satin.CheckpointGroupKey in the binaries — injected because
-	// this package must not import the facade).
+	// GroupKey, when non-nil, keeps each group — cells sharing a forkable
+	// prefix or a seed's kernel boot — intact within a shard
+	// (satin.CheckpointGroupKey in the binaries — injected because this
+	// package must not import the facade).
 	GroupKey campaign.GroupKeyFunc
 	// Bus, when non-nil, receives every progress event the server accepts,
 	// for in-process taps; HTTP event streams work without it.

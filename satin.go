@@ -669,7 +669,8 @@ func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
 
 // bootImage boots the scenario's kernel image from the seed, or builds it
 // from boot — the boot state of the prefix an in-process fork resumes from,
-// which has already filled the kernel and hashed its golden table.
+// or of an earlier member of the same campaign group, which has already
+// filled the kernel and hashed its golden table.
 func bootImage(seed uint64, boot *mem.BootState) (*mem.Image, error) {
 	if boot == nil {
 		return mem.NewJunoImage(seed)
