@@ -19,9 +19,10 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# The whole suite under the race detector: the runner's worker pool is the
-# only concurrent code in the repository, but everything it fans out must
-# stay race-free too.
+# The whole suite under the race detector. The concurrent code is the
+# runner's worker pool, the campaign executor's append and CellDone locks,
+# the boot state a group's members share, and the satin-serve coordinator;
+# everything the pool fans out must stay race-free too.
 race:
 	$(GO) test -race ./...
 
@@ -106,17 +107,21 @@ spec-fuzz-smoke:
 # checkpoint format: completion order never leaks into the finalized file.
 # Grouped runs put each seed's smoke cells in one boot group, so the same
 # campaign also runs with grouping off (-campaign-fork=false, every cell
-# booting from its seed) and must match too.
+# booting from its seed) and must match too. The killed session runs with
+# -progress: its CellDone hook must print exactly 7 cell lines and end on
+# a 7/7 count.
 campaign-smoke:
 	$(GO) build -o /tmp/benchtables ./cmd/benchtables
-	rm -f /tmp/campaign_serial.result /tmp/campaign_resumed.result /tmp/campaign_ungrouped.result
+	rm -f /tmp/campaign_serial.result /tmp/campaign_resumed.result /tmp/campaign_ungrouped.result /tmp/campaign_killed.progress
 	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_serial.result -workers 1 > /dev/null
-	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_resumed.result -workers 8 -campaign-max-cells 7 > /dev/null
+	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_resumed.result -workers 8 -campaign-max-cells 7 -progress > /dev/null 2> /tmp/campaign_killed.progress
+	@test "$$(grep -c '^campaign: cell ' /tmp/campaign_killed.progress)" -eq 7 || { echo "killed session did not report exactly 7 cells:"; cat /tmp/campaign_killed.progress; exit 1; }
+	@grep '^campaign: [0-9]*/[0-9]* in ' /tmp/campaign_killed.progress | tail -n 1 | grep -q '^campaign: 7/7 in ' || { echo "killed session's last progress line is not 7/7:"; cat /tmp/campaign_killed.progress; exit 1; }
 	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_resumed.result -workers 3 > /dev/null
 	cmp /tmp/campaign_serial.result /tmp/campaign_resumed.result
 	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_ungrouped.result -workers 2 -campaign-fork=false > /dev/null
 	cmp /tmp/campaign_serial.result /tmp/campaign_ungrouped.result
-	@echo "campaign result is worker-count invariant, kill/resume lands on the same bytes, and grouping off matches grouping on"
+	@echo "campaign result is worker-count invariant, kill/resume lands on the same bytes (the kill reporting its 7 cells), and grouping off matches grouping on"
 
 # Campaign corpus through the binary: the committed smoke campaign must
 # reproduce its committed result file byte for byte. The same contract runs

@@ -387,7 +387,7 @@ func BenchmarkSensitivitySweep(b *testing.B) {
 	var res experiment.SensitivityResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiment.RunSensitivity(context.Background(), cfg, nil)
+		res, err = experiment.RunSensitivity(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

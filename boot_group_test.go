@@ -201,8 +201,8 @@ func TestWorkerCountInvarianceBootGroups(t *testing.T) {
 	want := read(plain)
 
 	for _, workers := range []int{1, 3} {
-		// Groups and cells complete on several workers at once, so the
-		// counters are locked.
+		// Groups run on several workers at once, so largest is locked;
+		// CellDone calls are serialized by the executor.
 		var mu sync.Mutex
 		forked, largest := 0, 0
 		path := filepath.Join(dir, fmt.Sprintf("grouped-%d.result", workers))
@@ -215,10 +215,8 @@ func TestWorkerCountInvarianceBootGroups(t *testing.T) {
 				mu.Unlock()
 				return RunCheckpointGroup(ctx, members)
 			},
-			CellDone: func(_ int, _ time.Duration, f bool) {
-				mu.Lock()
-				defer mu.Unlock()
-				if f {
+			CellDone: func(e campaign.CellEvent) {
+				if e.Forked {
 					forked++
 				}
 			},

@@ -12,9 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"satin/internal/campaign"
 )
@@ -50,13 +48,13 @@ func TestCampaignCorpusReproducesGolden(t *testing.T) {
 		t.Run(fmt.Sprintf("grouped=%v", grouped), func(t *testing.T) {
 			c := smokeCampaign(t)
 			path := filepath.Join(t.TempDir(), "smoke.result")
-			var forked atomic.Int64
+			forked := 0
 			opt := campaign.RunOptions{
 				Workers:   4,
 				SpecTrial: RunSpecTrial,
-				CellDone: func(_ int, _ time.Duration, f bool) {
-					if f {
-						forked.Add(1)
+				CellDone: func(e campaign.CellEvent) {
+					if e.Forked {
+						forked++
 					}
 				},
 			}
@@ -78,8 +76,8 @@ func TestCampaignCorpusReproducesGolden(t *testing.T) {
 			if !bytes.Equal(got, smokeGolden(t)) {
 				t.Errorf("campaign run drifted from testdata/campaigns/smoke.result.golden (%d bytes vs %d); regenerate with benchtables -campaign if the drift is intentional", len(got), len(smokeGolden(t)))
 			}
-			if n := forked.Load(); n != 0 {
-				t.Errorf("%d smoke cells report a fork, want 0", n)
+			if forked != 0 {
+				t.Errorf("%d smoke cells report a fork, want 0", forked)
 			}
 		})
 	}

@@ -347,8 +347,8 @@ func TestCampaignForkInvariance(t *testing.T) {
 
 	plain := runBytes(campaign.RunOptions{Workers: 4, SpecTrial: RunSpecTrial})
 
-	// Group trials run on the campaign's workers at once, so the counters
-	// are locked.
+	// Group trials run on the campaign's workers at once, so their counters
+	// are locked; CellDone calls are serialized by the executor.
 	var mu sync.Mutex
 	groups := 0
 	largest := 0
@@ -364,10 +364,8 @@ func TestCampaignForkInvariance(t *testing.T) {
 			mu.Unlock()
 			return RunCheckpointGroup(ctx, members)
 		},
-		CellDone: func(_ int, _ time.Duration, f bool) {
-			mu.Lock()
-			defer mu.Unlock()
-			if f {
+		CellDone: func(e campaign.CellEvent) {
+			if e.Forked {
 				forkedCells++
 			}
 		},

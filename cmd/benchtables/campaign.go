@@ -7,11 +7,8 @@ import (
 	"os"
 	"time"
 
-	"sync"
-
 	"satin"
 	"satin/internal/campaign"
-	"satin/internal/obs"
 	"satin/internal/serve"
 	"satin/internal/telemetry"
 	"satin/internal/trace"
@@ -49,33 +46,21 @@ func runCampaignFile(out, errOut io.Writer, path, outPath string, workers, maxCe
 		opt.GroupKey = satin.CheckpointGroupKey
 		opt.GroupTrial = satin.RunCheckpointGroup
 	}
-	var timingMu sync.Mutex
 	var cellTimes []telemetry.CellTiming
 	if progress {
-		// Progress rides the same obs bus the simulators publish on: the
-		// executor emits one KindCell event per completion and this sink
-		// renders it — so any other subscriber (a TUI, a log shipper) sees
-		// the identical stream.
-		bus := obs.NewBus()
-		bus.Subscribe(func(e trace.Event) {
-			if e.Kind == trace.KindCell {
-				fmt.Fprintf(errOut, "campaign: cell %d %s\n", e.Area, e.Detail)
-			}
-		})
-		opt.Bus = bus
-		opt.Progress = func(done, total, index int, elapsed time.Duration, trialErr error) {
+		// T in "d/t in T" is the time since the session started. Each cell's
+		// own wall time feeds the post-run straggler report (Shard -1: a
+		// local run has no shards).
+		start := time.Now()
+		opt.CellDone = func(e campaign.CellEvent) {
+			elapsed := time.Since(start)
+			fmt.Fprintf(errOut, "campaign: cell %d %s\n", e.Cell.Index, e.Detail())
 			fmt.Fprintf(errOut, "campaign: %d/%d in %v%s\n",
-				done, total, elapsed.Truncate(time.Millisecond), rateETA(done, total, elapsed))
-		}
-		// Wall-clock per-cell timings feed the post-run straggler report
-		// (Shard -1: a local run has no shards).
-		opt.CellDone = func(index int, wall time.Duration, forked bool) {
-			timingMu.Lock()
+				e.Done, e.Total, elapsed.Truncate(time.Millisecond), rateETA(e.Done, e.Total, elapsed))
 			cellTimes = append(cellTimes, telemetry.CellTiming{
-				Index: index, Shard: -1,
-				Ms: float64(wall) / float64(time.Millisecond),
+				Index: e.Cell.Index, Shard: -1,
+				Ms: float64(e.Wall) / float64(time.Millisecond),
 			})
-			timingMu.Unlock()
 		}
 	}
 

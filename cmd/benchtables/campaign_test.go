@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +142,40 @@ func TestCampaignProgressShowsThroughput(t *testing.T) {
 	text := progress.String()
 	if !strings.Contains(text, "campaign: 2/2 in ") || !strings.Contains(text, "cells/s") {
 		t.Fatalf("progress output lacks throughput:\n%s", text)
+	}
+}
+
+// TestCampaignProgressElapsedIsSessionTime: T in "campaign: d/t in T" is
+// the time since the session started, not one cell's wall time, so it
+// never decreases and the last line covers most of a serial run.
+func TestCampaignProgressElapsedIsSessionTime(t *testing.T) {
+	campaignPath := filepath.Join("..", "..", "testdata", "campaigns", "smoke.json")
+	resultPath := filepath.Join(t.TempDir(), "smoke.result")
+	var out, progress bytes.Buffer
+	start := time.Now()
+	err := runWith([]string{"-campaign", campaignPath, "-campaign-out", resultPath,
+		"-workers", "1", "-campaign-fork=false", "-progress"}, &out, &progress)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	lines := regexp.MustCompile(`(?m)^campaign: \d+/16 in (\S+)`).FindAllStringSubmatch(progress.String(), -1)
+	if len(lines) != 16 {
+		t.Fatalf("got %d progress lines, want 16:\n%s", len(lines), progress.String())
+	}
+	var prev time.Duration
+	for _, m := range lines {
+		elapsed, err := time.ParseDuration(m[1])
+		if err != nil {
+			t.Fatalf("progress line %q: %v", m[0], err)
+		}
+		if elapsed < prev {
+			t.Fatalf("elapsed went %v -> %v at %q", prev, elapsed, m[0])
+		}
+		prev = elapsed
+	}
+	if prev < wall/2 {
+		t.Fatalf("last progress line says %v of a %v run", prev, wall)
 	}
 }
 

@@ -257,13 +257,13 @@ func runSweep(c campaign.Spec, name, label string, workers int, progress io.Writ
 	defer os.RemoveAll(dir)
 	opt := campaign.RunOptions{Workers: workers, SpecTrial: satin.RunSpecTrial}
 	if progress != nil {
-		opt.Progress = func(done, total, index int, elapsed time.Duration, trialErr error) {
+		opt.CellDone = func(e campaign.CellEvent) {
 			status := "ok"
-			if trialErr != nil {
-				status = "FAILED: " + trialErr.Error()
+			if e.Result.Failed() {
+				status = "FAILED: " + e.Result.Err
 			}
 			fmt.Fprintf(progress, "%s: %d/%d seed %d in %v %s\n",
-				label, done, total, c.Seeds.Base+uint64(index), elapsed.Truncate(time.Millisecond), status)
+				label, e.Done, e.Total, e.Cell.Seed, e.Wall.Truncate(time.Millisecond), status)
 		}
 	}
 	res, err := campaign.Run(context.Background(), c, filepath.Join(dir, "sweep.result"), opt)

@@ -262,8 +262,8 @@ func serveMode(l net.Listener, dataDir string, leaseTTL time.Duration, errOut io
 }
 
 // watchJob streams the job's per-cell progress and prints the final
-// verdict. The stream is the same trace.KindCell events an in-process
-// campaign publishes on its bus.
+// verdict. Each trace.KindCell event's Detail is the reporting worker's
+// campaign.CellEvent.Detail().
 func watchJob(ctx context.Context, client *serve.Client, jobID string, out io.Writer) error {
 	err := client.StreamEvents(ctx, jobID, 0, func(e trace.Event) error {
 		if e.Kind == trace.KindCell {

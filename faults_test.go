@@ -7,7 +7,6 @@ package satin
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,7 +118,7 @@ func TestDeterminismFaultedAcrossWorkers(t *testing.T) {
 		const seeds = 4
 		traces = make([]string, seeds)
 		metrics = make([]string, seeds)
-		_, err := RunSeedsObserved(context.Background(), "fault-determinism", 1, seeds, workers, nil,
+		_, err := RunSeeds("fault-determinism", 1, seeds, workers,
 			func(seed uint64) (SweepMetrics, error) {
 				cfg := DefaultConfig()
 				cfg.Tgoal = 19 * time.Second
@@ -145,7 +144,7 @@ func TestDeterminismFaultedAcrossWorkers(t *testing.T) {
 				return SweepMetrics{}.Add("injected", float64(sc.Faults().Injected())), nil
 			})
 		if err != nil {
-			t.Fatalf("RunSeedsObserved(workers=%d): %v", workers, err)
+			t.Fatalf("RunSeeds(workers=%d): %v", workers, err)
 		}
 		return traces, metrics
 	}

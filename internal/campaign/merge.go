@@ -71,27 +71,6 @@ func Merge(outPath string, shardPaths ...string) (int, error) {
 	return len(cells), nil
 }
 
-// MergeCheck verifies, without writing anything, that data is a finalized
-// result file for the campaign whose canonical spec is specBytes. Servers
-// use it to sanity-check a merge target; it is also handy in tests.
-func MergeCheck(data, specBytes []byte) error {
-	gotSpec, rest, err := decodeHeader(data)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(gotSpec, specBytes) {
-		return fmt.Errorf("campaign: merged file embeds a different campaign")
-	}
-	_, _, finalized, err := decodeRecords(rest, true)
-	if err != nil {
-		return err
-	}
-	if !finalized {
-		return fmt.Errorf("campaign: merged file has no footer")
-	}
-	return nil
-}
-
 // ReadFile is ReadResults on an in-memory image — the upload-validation
 // form. It returns the embedded canonical spec and the cells in index order.
 func ReadFile(data []byte) (specBytes []byte, results []CellResult, finalized bool, err error) {

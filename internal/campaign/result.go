@@ -100,10 +100,6 @@ func CreateOrResume(path string, specBytes []byte) (*ResultFile, error) {
 // mutate it.
 func (r *ResultFile) Done() map[int]CellResult { return r.done }
 
-// Finalized reports whether the file carries the footer (every cell done,
-// records in index order).
-func (r *ResultFile) Finalized() bool { return r.finalized }
-
 // Append checkpoints one completed cell. Safe to call from the completion
 // path of concurrent workers only under the caller's lock.
 func (r *ResultFile) Append(res CellResult) error {

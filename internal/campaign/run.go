@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"satin/internal/experiment"
-	"satin/internal/obs"
 	"satin/internal/runner"
 	"satin/internal/spec"
-	"satin/internal/trace"
 )
 
 // SpecTrialFunc runs one instantiated scenario spec and reduces it to sweep
@@ -31,7 +29,7 @@ type GroupKeyFunc func(spec.Spec) (string, bool)
 // GroupResult is one member's outcome from a group trial, mirroring one
 // SpecTrialFunc return. Forked reports that the member resumed from a
 // snapshot of the group's shared prefix instead of running from its boot;
-// it feeds CellDone and nothing in the result file.
+// it feeds CellEvent.Forked and nothing in the result file.
 type GroupResult struct {
 	Metrics runner.Metrics
 	Err     error
@@ -66,14 +64,6 @@ type RunOptions struct {
 	// expansion is an error. A nil slice means every cell; an empty
 	// non-nil slice is a valid (empty) shard.
 	Only []int
-	// Progress, when non-nil, observes per-cell completions live (done and
-	// total count cells pending in THIS session). Completion order —
-	// diagnostics only.
-	Progress runner.Progress
-	// Bus, when non-nil, receives one trace.KindCell event per completed
-	// cell (Area = cell index, At always zero: campaigns span universes,
-	// so there is no shared virtual clock).
-	Bus *obs.Bus
 	// SpecTrial executes scenario cells; required unless the campaign
 	// names a registry experiment.
 	SpecTrial SpecTrialFunc
@@ -86,13 +76,38 @@ type RunOptions struct {
 	// or off.
 	GroupKey   GroupKeyFunc
 	GroupTrial GroupTrialFunc
-	// CellDone, when non-nil, observes each newly checkpointed cell's
-	// wall-clock cost: for a cell run inside a multi-cell group, wall is the
-	// group's trial time split evenly across members, and forked is the
-	// member's GroupResult.Forked. Telemetry side channel only — cancelled
-	// cells are not reported and nothing here touches the result bytes.
-	// Called from pool goroutines; implementations synchronize themselves.
-	CellDone func(index int, wall time.Duration, forked bool)
+	// CellDone, when non-nil, is called once per cell this session
+	// checkpoints, right after its record is appended, in completion order.
+	// Calls are serialized under the executor's own lock (never the append
+	// lock, so a slow observer delays no other cell's checkpoint), and
+	// CellEvent.Done rises by one per call. A cell cancelled with the
+	// context is not reported. Wall-clock side channel only: nothing it is
+	// given or does reaches the result bytes.
+	CellDone func(CellEvent)
+}
+
+// CellEvent reports one newly checkpointed cell to RunOptions.CellDone.
+type CellEvent struct {
+	Cell   Cell
+	Result CellResult
+	// Done counts the cells reported so far in this session, this one
+	// included; Total is the number of cells the session set out to run.
+	Done, Total int
+	// Wall is the cell's wall-clock cost. A cell run inside a multi-cell
+	// group is charged the group's trial time split evenly across members.
+	Wall time.Duration
+	// Forked is the member's GroupResult.Forked.
+	Forked bool
+}
+
+// Detail renders the cell's outcome as "<label> ok" or
+// "<label> FAILED: <err>", the text of progress lines and of the
+// coordinator's event stream.
+func (e CellEvent) Detail() string {
+	if e.Result.Failed() {
+		return e.Cell.Label() + " FAILED: " + e.Result.Err
+	}
+	return e.Cell.Label() + " ok"
 }
 
 // RunResult summarizes one campaign execution.
@@ -165,14 +180,20 @@ func Run(ctx context.Context, c Spec, resultPath string, opt RunOptions) (RunRes
 	result := RunResult{Cells: cells}
 	if len(toRun) > 0 {
 		units := groupUnits(toRun, opt)
-		progress := cellProgress(units, len(toRun), opt.Progress)
 		var mu sync.Mutex
-		// busMu serializes KindCell publishes: the bus is a single-threaded
-		// structure (and sinks — a progress renderer, an HTTP reporter — are
-		// written as such), but completions arrive from pool goroutines.
-		var busMu sync.Mutex
 		var checkpointErr error
-		_, runErr := runner.RunObserved(ctx, len(units), opt.Workers, progress,
+		// hookMu serializes CellDone calls and guards done. It is taken
+		// after mu is released, so observers never hold up an append.
+		var hookMu sync.Mutex
+		done := 0
+		report := func(e CellEvent) {
+			hookMu.Lock()
+			defer hookMu.Unlock()
+			done++
+			e.Done, e.Total = done, len(toRun)
+			opt.CellDone(e)
+		}
+		_, runErr := runner.Run(ctx, len(units), opt.Workers,
 			func(ctx context.Context, ui int) (struct{}, error) {
 				unit := units[ui]
 				unitStart := time.Now()
@@ -181,25 +202,18 @@ func Run(ctx context.Context, c Spec, resultPath string, opt RunOptions) (RunRes
 					return struct{}{}, err
 				}
 				cellWall := time.Since(unitStart) / time.Duration(len(unit))
-				var firstErr error
 				for i, r := range results {
 					cell := unit[i]
 					if r.Err != nil && isCancellation(ctx, r.Err) {
 						// The trial died with the context, not on its own
 						// merits: leave the cell unchecked so resume reruns
 						// it.
-						if firstErr == nil {
-							firstErr = r.Err
-						}
 						continue
 					}
 					res := CellResult{Index: cell.Index, Seed: cell.Seed, Metrics: r.Metrics}
 					if r.Err != nil {
 						res.Err = r.Err.Error()
 						res.Metrics = nil
-						if firstErr == nil {
-							firstErr = r.Err
-						}
 					}
 					mu.Lock()
 					appendErr := rf.Append(res)
@@ -212,13 +226,10 @@ func Run(ctx context.Context, c Spec, resultPath string, opt RunOptions) (RunRes
 						return struct{}{}, appendErr
 					}
 					if opt.CellDone != nil {
-						opt.CellDone(cell.Index, cellWall, r.Forked)
+						report(CellEvent{Cell: cell, Result: res, Wall: cellWall, Forked: r.Forked})
 					}
-					busMu.Lock()
-					publishCell(opt.Bus, cell, res)
-					busMu.Unlock()
 				}
-				return struct{}{}, firstErr
+				return struct{}{}, nil
 			})
 		if checkpointErr != nil {
 			return RunResult{}, checkpointErr
@@ -284,23 +295,6 @@ func groupUnits(cells []Cell, opt RunOptions) [][]Cell {
 		}
 	}
 	return units
-}
-
-// cellProgress adapts a per-cell progress observer to per-unit completions:
-// a finished unit reports each of its cells, so done/total keep counting
-// cells pending in this session. The reported index is the cell's campaign
-// index (diagnostic, like everything else about progress).
-func cellProgress(units [][]Cell, totalCells int, p runner.Progress) runner.Progress {
-	if p == nil {
-		return nil
-	}
-	done := 0
-	return func(_, _, ui int, elapsed time.Duration, err error) {
-		for _, cell := range units[ui] {
-			done++
-			p(done, totalCells, cell.Index, elapsed, err)
-		}
-	}
 }
 
 // runUnit executes one unit and returns one result per member. A group
@@ -371,18 +365,6 @@ func runCell(ctx context.Context, cell Cell, specTrial SpecTrialFunc) (runner.Me
 func isCancellation(ctx context.Context, err error) bool {
 	return ctx.Err() != nil &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-}
-
-// publishCell streams one completed cell over the bus.
-func publishCell(bus *obs.Bus, cell Cell, res CellResult) {
-	if bus.Subscribers() == 0 {
-		return
-	}
-	detail := cell.Label() + " ok"
-	if res.Failed() {
-		detail = cell.Label() + " FAILED: " + res.Err
-	}
-	bus.Publish(trace.Event{Kind: trace.KindCell, Core: -1, Area: cell.Index, Detail: detail})
 }
 
 // MergeSweeps folds checkpointed cell results back into per-combination

@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"satin/internal/campaign"
-	"satin/internal/obs"
 	"satin/internal/runner"
 	"satin/internal/spec"
-	"satin/internal/trace"
 )
 
 // fakeTrial is a deterministic stand-in for the real simulation trial: a
@@ -167,7 +166,6 @@ func TestFailedCellsCheckpointAndRender(t *testing.T) {
 		}
 		return out
 	}
-	bySeed := func(s spec.Spec) (string, bool) { return fmt.Sprint(s.Seed), true }
 	cases := []struct {
 		name   string
 		opt    campaign.RunOptions
@@ -220,29 +218,131 @@ func TestFailedCellsCheckpointAndRender(t *testing.T) {
 	}
 }
 
-// TestCellEventsOnBus: every completed cell publishes one KindCell event.
-func TestCellEventsOnBus(t *testing.T) {
-	dir := t.TempDir()
-	bus := obs.NewBus()
-	var events []trace.Event
-	bus.Subscribe(func(e trace.Event) { events = append(events, e) })
-	res := runToFile(t, filepath.Join(dir, "bus.result"), campaign.RunOptions{Workers: 1, Bus: bus})
-	if len(events) != len(res.Cells) {
-		t.Fatalf("got %d bus events, want %d", len(events), len(res.Cells))
+// bySeed groups scenario cells by seed; with perMember it runs every cell
+// of a seed as one unit.
+func bySeed(s spec.Spec) (string, bool) { return fmt.Sprint(s.Seed), true }
+
+// perMember is a group trial that runs each member through fakeTrial.
+func perMember(_ context.Context, members []spec.Spec) []campaign.GroupResult {
+	out := make([]campaign.GroupResult, len(members))
+	for i, m := range members {
+		metrics, err := fakeTrial(m)
+		out[i] = campaign.GroupResult{Metrics: metrics, Err: err}
+	}
+	return out
+}
+
+// checkCellEvents requires one CellDone event per cell from..to-1: Done
+// counts 1..N in call order, Total is N, and each event carries exactly the
+// result checkpointed for its cell.
+func checkCellEvents(t *testing.T, events []campaign.CellEvent, res campaign.RunResult, from, to int) {
+	t.Helper()
+	n := to - from
+	if len(events) != n {
+		t.Fatalf("got %d cell events, want %d", len(events), n)
+	}
+	checkpointed := map[int]campaign.CellResult{}
+	for _, r := range res.Results {
+		checkpointed[r.Index] = r
 	}
 	seen := map[int]bool{}
-	for _, e := range events {
-		if e.Kind != trace.KindCell {
-			t.Fatalf("event kind %q, want %q", e.Kind, trace.KindCell)
+	for i, e := range events {
+		if e.Done != i+1 || e.Total != n {
+			t.Fatalf("event %d reports %d/%d, want %d/%d", i, e.Done, e.Total, i+1, n)
 		}
-		if e.Core != -1 || e.At != 0 {
-			t.Fatalf("cell event has core %d at %v; campaigns have no virtual clock", e.Core, e.At)
+		if e.Result.Index != e.Cell.Index {
+			t.Fatalf("event for cell %d carries the result of cell %d", e.Cell.Index, e.Result.Index)
 		}
-		if seen[e.Area] {
-			t.Fatalf("cell %d published twice", e.Area)
+		if seen[e.Cell.Index] {
+			t.Fatalf("cell %d reported twice", e.Cell.Index)
 		}
-		seen[e.Area] = true
+		seen[e.Cell.Index] = true
+		if !reflect.DeepEqual(e.Result, checkpointed[e.Cell.Index]) {
+			t.Fatalf("cell %d: event result %+v, checkpointed %+v", e.Cell.Index, e.Result, checkpointed[e.Cell.Index])
+		}
 	}
+	for idx := from; idx < to; idx++ {
+		if !seen[idx] {
+			t.Fatalf("cell %d was not reported", idx)
+		}
+	}
+}
+
+// TestCellDoneReportsEachCellOnce: a parallel session, cell by cell or in
+// groups, reports every checkpointed cell exactly once.
+func TestCellDoneReportsEachCellOnce(t *testing.T) {
+	for _, grouped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("grouped=%v", grouped), func(t *testing.T) {
+			var events []campaign.CellEvent
+			opt := campaign.RunOptions{Workers: 3, CellDone: func(e campaign.CellEvent) { events = append(events, e) }}
+			if grouped {
+				opt.GroupKey, opt.GroupTrial = bySeed, perMember
+			}
+			res := runToFile(t, filepath.Join(t.TempDir(), "hook.result"), opt)
+			checkCellEvents(t, events, res, 0, len(res.Cells))
+		})
+	}
+}
+
+// TestCellDoneReportsEachMembersOwnFailure: in a group whose second member
+// fails, only that member's event reports the failure.
+func TestCellDoneReportsEachMembersOwnFailure(t *testing.T) {
+	secondFails := func(ctx context.Context, members []spec.Spec) []campaign.GroupResult {
+		out := perMember(ctx, members)
+		out[1] = campaign.GroupResult{Err: fmt.Errorf("second member failed")}
+		return out
+	}
+	var events []campaign.CellEvent
+	res := runToFile(t, filepath.Join(t.TempDir(), "group.result"), campaign.RunOptions{
+		Workers: 2, GroupKey: bySeed, GroupTrial: secondFails,
+		CellDone: func(e campaign.CellEvent) { events = append(events, e) },
+	})
+	checkCellEvents(t, events, res, 0, len(res.Cells))
+	// A group lists its members in expansion order.
+	perSeed := map[uint64]int{}
+	wantFailed := map[int]bool{}
+	for _, c := range res.Cells {
+		perSeed[c.Seed]++
+		wantFailed[c.Index] = perSeed[c.Seed] == 2
+	}
+	for _, e := range events {
+		if e.Result.Failed() != wantFailed[e.Cell.Index] {
+			t.Errorf("cell %d: failed %v, want %v (%s)", e.Cell.Index, e.Result.Failed(), wantFailed[e.Cell.Index], e.Detail())
+		}
+	}
+}
+
+// TestCellEventDetail pins the text satin-serve's event stream and -watch
+// print for a cell.
+func TestCellEventDetail(t *testing.T) {
+	e := campaign.CellEvent{
+		Cell:   campaign.Cell{Index: 5, ComboLabel: "evader.kind=fast faults=-", Seed: 2},
+		Result: campaign.CellResult{Index: 5, Seed: 2},
+	}
+	if got, want := e.Detail(), "evader.kind=fast faults=- seed=2 ok"; got != want {
+		t.Errorf("Detail() = %q, want %q", got, want)
+	}
+	e.Result.Err = "trial panicked: boom"
+	if got, want := e.Detail(), "evader.kind=fast faults=- seed=2 FAILED: trial panicked: boom"; got != want {
+		t.Errorf("Detail() = %q, want %q", got, want)
+	}
+}
+
+// TestCellDoneAcrossKillAndResume: a MaxCells session reports exactly its
+// MaxCells cells, and the resumed session reports the rest.
+func TestCellDoneAcrossKillAndResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kill.result")
+	var killed, resumed []campaign.CellEvent
+	first := runToFile(t, path, campaign.RunOptions{
+		Workers: 3, MaxCells: 5,
+		CellDone: func(e campaign.CellEvent) { killed = append(killed, e) },
+	})
+	checkCellEvents(t, killed, first, 0, 5)
+	last := runToFile(t, path, campaign.RunOptions{
+		Workers:  3,
+		CellDone: func(e campaign.CellEvent) { resumed = append(resumed, e) },
+	})
+	checkCellEvents(t, resumed, last, 5, len(last.Cells))
 }
 
 // TestExperimentCampaignRuns: registry-experiment campaigns dispatch

@@ -285,7 +285,7 @@ var registry = []Definition{
 			cfg.Magnitudes = []float64{0, 2, 6}
 			cfg.Detection.FullScans = 4
 		}
-		res, err := RunSensitivity(context.Background(), cfg, nil)
+		res, err := RunSensitivity(context.Background(), cfg)
 		if err != nil {
 			return err
 		}

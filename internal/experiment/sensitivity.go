@@ -67,7 +67,7 @@ type SensitivityResult struct {
 // byte-identical for any worker count. The per-magnitude sweeps are runner
 // closures, not campaigns: each cell is a Go DetectionConfig (FullScans 4
 // under -quick, for one), which no campaign cell can carry.
-func RunSensitivity(ctx context.Context, cfg SensitivityConfig, progress runner.Progress) (SensitivityResult, error) {
+func RunSensitivity(ctx context.Context, cfg SensitivityConfig) (SensitivityResult, error) {
 	if len(cfg.Magnitudes) == 0 {
 		return SensitivityResult{}, fmt.Errorf("experiment: sensitivity needs at least one magnitude")
 	}
@@ -79,8 +79,8 @@ func RunSensitivity(ctx context.Context, cfg SensitivityConfig, progress runner.
 		mag := mag
 		dc := cfg.Detection
 		dc.Faults = faultinject.ScaledPlan(mag)
-		sw, err := runner.RunSweepObserved(ctx,
-			fmt.Sprintf("sensitivity mag=%g", mag), dc.Seed, cfg.Seeds, cfg.Workers, progress,
+		sw, err := runner.RunSweep(ctx,
+			fmt.Sprintf("sensitivity mag=%g", mag), dc.Seed, cfg.Seeds, cfg.Workers,
 			func(_ context.Context, seed uint64) (runner.Metrics, error) {
 				c := dc
 				c.Seed = seed

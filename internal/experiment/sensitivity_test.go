@@ -20,7 +20,7 @@ func smallSensitivityConfig() SensitivityConfig {
 // probability must degrade monotonically (non-strictly) as the perturbation
 // magnitude rises, and must actually fall across the charted range.
 func TestSensitivityMonotoneDegradation(t *testing.T) {
-	res, err := RunSensitivity(context.Background(), smallSensitivityConfig(), nil)
+	res, err := RunSensitivity(context.Background(), smallSensitivityConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSensitivityMonotoneDegradation(t *testing.T) {
 
 // TestSensitivityRender checks the chart includes every magnitude row.
 func TestSensitivityRender(t *testing.T) {
-	res, err := RunSensitivity(context.Background(), smallSensitivityConfig(), nil)
+	res, err := RunSensitivity(context.Background(), smallSensitivityConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestSensitivityRender(t *testing.T) {
 
 // TestSensitivityValidation rejects empty sweeps.
 func TestSensitivityValidation(t *testing.T) {
-	if _, err := RunSensitivity(context.Background(), SensitivityConfig{Seeds: 1}, nil); err == nil {
+	if _, err := RunSensitivity(context.Background(), SensitivityConfig{Seeds: 1}); err == nil {
 		t.Error("no magnitudes accepted")
 	}
 	cfg := DefaultSensitivityConfig()
 	cfg.Seeds = 0
-	if _, err := RunSensitivity(context.Background(), cfg, nil); err == nil {
+	if _, err := RunSensitivity(context.Background(), cfg); err == nil {
 		t.Error("zero seeds accepted")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Result is the outcome of one trial. Exactly one of Value and Err is
@@ -54,27 +53,12 @@ func Workers(workers, trials int) int {
 	return workers
 }
 
-// Progress receives a live completion notice for each finished trial:
-// how many trials are done so far out of total, which trial index just
-// finished, its wall-clock duration, and its error (nil on success).
-// Notices arrive from worker goroutines, serialized under a lock, but in
-// COMPLETION order, which depends on scheduling — route progress output to
-// a side channel (stderr, a TUI), never into deterministic results. The
-// wall-clock duration is diagnostic only and is deliberately absent from
-// Sweep aggregates, which must stay byte-identical across worker counts.
-type Progress func(done, total, index int, elapsed time.Duration, err error)
-
 // Run executes trials 0..n-1 across at most `workers` goroutines (< 1 means
 // GOMAXPROCS) and returns one Result per trial, ordered by index. A trial
 // that panics reports a *PanicError in its Result; the sweep continues.
 // When ctx is cancelled, running trials finish, unstarted trials report
 // ctx's error, and Run returns ctx's error alongside the partial results.
 func Run[T any](ctx context.Context, n, workers int, trial func(ctx context.Context, i int) (T, error)) ([]Result[T], error) {
-	return RunObserved(ctx, n, workers, nil, trial)
-}
-
-// RunObserved is Run with a live progress observer; progress may be nil.
-func RunObserved[T any](ctx context.Context, n, workers int, progress Progress, trial func(ctx context.Context, i int) (T, error)) ([]Result[T], error) {
 	if n < 0 {
 		return nil, fmt.Errorf("runner: negative trial count %d", n)
 	}
@@ -93,18 +77,6 @@ func RunObserved[T any](ctx context.Context, n, workers int, progress Progress, 
 	}
 	workers = Workers(workers, n)
 
-	var progressMu sync.Mutex
-	done := 0
-	report := func(i int, elapsed time.Duration, err error) {
-		if progress == nil {
-			return
-		}
-		progressMu.Lock()
-		done++
-		progress(done, n, i, elapsed, err)
-		progressMu.Unlock()
-	}
-
 	indices := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -112,9 +84,7 @@ func RunObserved[T any](ctx context.Context, n, workers int, progress Progress, 
 		go func() {
 			defer wg.Done()
 			for i := range indices {
-				start := time.Now()
 				results[i].Value, results[i].Err = runTrial(ctx, i, trial)
-				report(i, time.Since(start), results[i].Err)
 			}
 		}()
 	}
@@ -145,15 +115,4 @@ func runTrial[T any](ctx context.Context, i int, trial func(ctx context.Context,
 		}
 	}()
 	return trial(ctx, i)
-}
-
-// FirstErr returns the lowest-index trial error, or nil if every trial
-// succeeded. Use it when one failure should fail the whole sweep.
-func FirstErr[T any](results []Result[T]) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("runner: trial %d: %w", r.Index, r.Err)
-		}
-	}
-	return nil
 }

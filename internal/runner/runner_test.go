@@ -84,9 +84,6 @@ func TestRunCapturesPanicsAsFailedTrials(t *testing.T) {
 			t.Errorf("healthy trial %d = %+v", i, results[i])
 		}
 	}
-	if ferr := FirstErr(results); ferr == nil || !strings.Contains(ferr.Error(), "trial 3") {
-		t.Errorf("FirstErr = %v, want trial 3's panic", ferr)
-	}
 }
 
 func TestRunHonorsCancellation(t *testing.T) {

@@ -88,16 +88,10 @@ func (s *Sweep) AddFailure(seed uint64, err error) {
 // panics become Failures rather than failing the sweep; only a configuration
 // error (n < 1) or context cancellation fails the call.
 func RunSweep(ctx context.Context, name string, baseSeed uint64, n, workers int, trial func(ctx context.Context, seed uint64) (Metrics, error)) (*Sweep, error) {
-	return RunSweepObserved(ctx, name, baseSeed, n, workers, nil, trial)
-}
-
-// RunSweepObserved is RunSweep with a live progress observer (may be nil);
-// the observer's trial index i corresponds to seed baseSeed+i.
-func RunSweepObserved(ctx context.Context, name string, baseSeed uint64, n, workers int, progress Progress, trial func(ctx context.Context, seed uint64) (Metrics, error)) (*Sweep, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("runner: sweep %q needs at least 1 seed, got %d", name, n)
 	}
-	results, err := RunObserved(ctx, n, workers, progress, func(ctx context.Context, i int) (Metrics, error) {
+	results, err := Run(ctx, n, workers, func(ctx context.Context, i int) (Metrics, error) {
 		return trial(ctx, baseSeed+uint64(i))
 	})
 	if err != nil {

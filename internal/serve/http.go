@@ -308,9 +308,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams the job's progress as JSONL trace.Events — one
-// trace.KindCell line per completed cell, exactly the events an in-process
-// bus subscriber sees — flushing after every batch, until the job finishes
-// or the client goes away.
+// trace.KindCell line per cell a worker reported, in arrival order —
+// flushing after every batch, until the job finishes or the client goes
+// away.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	from := 0
 	if q := r.URL.Query().Get("from"); q != "" {

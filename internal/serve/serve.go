@@ -3,12 +3,12 @@
 // into shards (internal/shard — groups stay intact, so boot sharing
 // applies within a shard exactly as in one process), leases
 // shards to pull-based workers with an expiry so a dead worker's shard is
-// reassigned, streams per-cell progress as the same trace.KindCell events
-// the in-process executor publishes, and merges the uploaded per-shard
-// result files into one finalized file whose bytes are identical to a
-// single-process campaign.Run — for any shard count and any lease or kill
-// history (campaign.Merge carries that invariant; the server only
-// orchestrates).
+// reassigned, streams per-cell progress as trace.KindCell events (one per
+// cell a worker reports through its campaign.RunOptions.CellDone hook),
+// and merges the uploaded per-shard result files into one finalized file
+// whose bytes are identical to a single-process campaign.Run — for any
+// shard count and any lease or kill history (campaign.Merge carries that
+// invariant; the server only orchestrates).
 //
 // The package is deliberately split along trust lines: Server holds all
 // state under one lock and is pure orchestration (no simulation imports),
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"satin/internal/campaign"
-	"satin/internal/obs"
 	"satin/internal/shard"
 	"satin/internal/telemetry"
 	"satin/internal/trace"
@@ -63,9 +62,6 @@ type Options struct {
 	// (satin.CheckpointGroupKey in the binaries — injected because this
 	// package must not import the facade).
 	GroupKey campaign.GroupKeyFunc
-	// Bus, when non-nil, receives every progress event the server accepts,
-	// for in-process taps; HTTP event streams work without it.
-	Bus *obs.Bus
 	// Logger, when non-nil, receives structured protocol logs (lease
 	// grants, expiries, stale rejections, uploads, merges) with job/shard/
 	// worker/token fields. Nil means silent.
@@ -291,10 +287,10 @@ func (s *Server) Lease(worker string) (*Lease, bool, error) {
 }
 
 // Progress records one completed cell from a shard worker and renews its
-// lease. The report's event is appended to the job's stream (and the
-// server bus, when configured) exactly as the in-process executor would
-// have published it. The report's wall-clock fields (CellNs, Forked) feed
-// telemetry only — the protocol ignores them.
+// lease. The report becomes one trace.KindCell event on the job's stream,
+// carrying the cell index and the worker's detail text. The report's
+// wall-clock fields (CellNs, Forked) feed telemetry only — the protocol
+// ignores them.
 func (s *Server) Progress(jobID string, shardIdx int, rep ProgressReport) error {
 	s.mu.Lock()
 	j, st, err := s.shardLocked(jobID, shardIdx)
@@ -352,11 +348,7 @@ func (s *Server) Progress(jobID string, shardIdx int, rep ProgressReport) error 
 		"worker", st.worker, "token", rep.Token, "cell", index)
 
 	j.changed()
-	bus := s.opt.Bus
 	s.mu.Unlock()
-	// The in-process tap runs outside the lock: a slow sink must not stall
-	// lease handouts.
-	bus.Publish(e)
 	return nil
 }
 

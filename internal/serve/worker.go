@@ -7,13 +7,10 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"satin/internal/campaign"
-	"satin/internal/obs"
 	"satin/internal/telemetry"
-	"satin/internal/trace"
 )
 
 // WorkerOptions configures RunWorker.
@@ -110,55 +107,36 @@ func runLease(ctx context.Context, client *Client, opt WorkerOptions, lease *Lea
 	// was done in case the shard comes back to us.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// CellDone calls are serialized, so lost needs no lock of its own; Run
+	// has returned by the time it is read below.
 	var lost bool
-	// Wall-clock cell stats, stashed by the CellDone hook and attached to
-	// the progress report the bus subscriber sends anyway. CellDone for a
-	// cell runs before its bus publish (same goroutine), so the lookup
-	// always hits.
-	type cellStat struct {
-		wall   time.Duration
-		forked bool
-	}
-	var statMu sync.Mutex
-	stats := map[int]cellStat{}
-	bus := obs.NewBus()
-	bus.Subscribe(func(e trace.Event) {
-		if e.Kind != trace.KindCell || lost {
-			return
-		}
-		statMu.Lock()
-		stat := stats[e.Area]
-		statMu.Unlock()
-		rep := ProgressReport{
-			Token:  lease.Token,
-			Index:  e.Area,
-			Detail: e.Detail,
-			CellNs: stat.wall.Nanoseconds(),
-			Forked: stat.forked,
-		}
-		if err := client.Progress(ctx, lease.Job, lease.Shard, rep); err != nil {
-			if errors.Is(err, ErrLeaseLost) {
-				lost = true
-				cancel()
-			}
-			// Other report failures are tolerable: progress is advisory and
-			// the lease has TTLs worth of slack; the upload is the real
-			// commit point.
-		}
-	})
-
 	path := filepath.Join(opt.Dir, fmt.Sprintf("%s-shard-%d.result", lease.Job, lease.Shard))
 	_, err = campaign.Run(runCtx, c, path, campaign.RunOptions{
 		Workers:    opt.Workers,
 		Only:       append([]int(nil), lease.Cells...),
-		Bus:        bus,
 		SpecTrial:  opt.Trial,
 		GroupKey:   opt.GroupKey,
 		GroupTrial: opt.GroupTrial,
-		CellDone: func(index int, wall time.Duration, forked bool) {
-			statMu.Lock()
-			stats[index] = cellStat{wall: wall, forked: forked}
-			statMu.Unlock()
+		CellDone: func(e campaign.CellEvent) {
+			if lost {
+				return
+			}
+			rep := ProgressReport{
+				Token:  lease.Token,
+				Index:  e.Cell.Index,
+				Detail: e.Detail(),
+				CellNs: e.Wall.Nanoseconds(),
+				Forked: e.Forked,
+			}
+			if err := client.Progress(ctx, lease.Job, lease.Shard, rep); err != nil {
+				if errors.Is(err, ErrLeaseLost) {
+					lost = true
+					cancel()
+				}
+				// Other report failures are tolerable: progress is advisory
+				// and the lease has TTLs worth of slack; the upload is the
+				// real commit point.
+			}
 		},
 	})
 	if lost {

@@ -33,8 +33,9 @@ const (
 	// system's reaction to one (a SATIN round re-routed off an offline
 	// core). Detail carries the specifics.
 	KindFault Kind = "fault"
-	// KindCell marks one completed campaign cell. Unlike every other kind
-	// it is wall-clock territory: campaigns run across universes, so At is
+	// KindCell marks one completed campaign cell on a satin-serve job's
+	// event stream, the only place it appears. Unlike every other kind it
+	// is wall-clock territory: campaigns run across universes, so At is
 	// always zero, Area carries the cell index, and Detail the cell label
 	// and outcome.
 	KindCell Kind = "cell"

@@ -7,7 +7,6 @@ package satin
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -125,7 +124,7 @@ func runSeedExports(t *testing.T, workers int) (traces, metrics []string) {
 	const seeds = 4
 	traces = make([]string, seeds)
 	metrics = make([]string, seeds)
-	_, err := RunSeedsObserved(context.Background(), "determinism", 1, seeds, workers, nil,
+	_, err := RunSeeds("determinism", 1, seeds, workers,
 		func(seed uint64) (SweepMetrics, error) {
 			cfg := DefaultConfig()
 			cfg.Tgoal = 19 * time.Second
@@ -150,7 +149,7 @@ func runSeedExports(t *testing.T, workers int) (traces, metrics []string) {
 			return SweepMetrics{}.Add("alarms", float64(len(sc.SATIN().Alarms()))), nil
 		})
 	if err != nil {
-		t.Fatalf("RunSeedsObserved(workers=%d): %v", workers, err)
+		t.Fatalf("RunSeeds(workers=%d): %v", workers, err)
 	}
 	return traces, metrics
 }

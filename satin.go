@@ -280,19 +280,7 @@ type (
 //	    return satin.SweepMetrics{}.Add("alarms", float64(len(sc.SATIN().Alarms()))), nil
 //	})
 func RunSeeds(name string, baseSeed uint64, seeds, workers int, trial func(seed uint64) (SweepMetrics, error)) (*Sweep, error) {
-	return RunSeedsObserved(context.Background(), name, baseSeed, seeds, workers, nil, trial)
-}
-
-// SweepProgress observes trial completions live: done/total counts, the
-// finished trial's index (its seed is baseSeed+index), wall-clock duration,
-// and error. Notices arrive in completion order, which depends on
-// scheduling — route them to stderr or a TUI, never into results.
-type SweepProgress = runner.Progress
-
-// RunSeedsObserved is RunSeeds with a context and a live progress observer
-// (either may be nil/background).
-func RunSeedsObserved(ctx context.Context, name string, baseSeed uint64, seeds, workers int, progress SweepProgress, trial func(seed uint64) (SweepMetrics, error)) (*Sweep, error) {
-	return runner.RunSweepObserved(ctx, name, baseSeed, seeds, workers, progress,
+	return runner.RunSweep(context.Background(), name, baseSeed, seeds, workers,
 		func(_ context.Context, seed uint64) (runner.Metrics, error) {
 			return trial(seed)
 		})
