@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke checkpoint-smoke serve-smoke docs-check cover bench bench-json bench-smoke bench-compare profile ci
+.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke checkpoint-smoke serve-smoke paper-check docs-check cover profile ci
 
 all: build test
 
@@ -200,10 +200,23 @@ serve-smoke:
 campaign-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign$$' -fuzztime 20s ./internal/campaign
 
+# The paper, pinned: the no-flag benchtables run (every table and figure at
+# seed 1, about 45 s on one core) must print exactly the committed golden.
+# A driver error exits non-zero and fails the target too. Regenerate the
+# golden only when a change means to move the paper's numbers:
+#   go run ./cmd/benchtables > cmd/benchtables/testdata/paper.stdout.golden
+paper-check:
+	$(GO) build -o /tmp/benchtables ./cmd/benchtables
+	/tmp/benchtables > /tmp/paper.stdout
+	cmp /tmp/paper.stdout cmd/benchtables/testdata/paper.stdout.golden || { echo "the paper run drifted from cmd/benchtables/testdata/paper.stdout.golden"; exit 1; }
+	@echo "the paper run reproduces its golden byte for byte"
+
 # Docs stay in sync with the code: every internal package opens with a
 # '// Package <name>' doc comment (so `go doc` gives a real answer at each
-# layer), appears in ARCHITECTURE.md's package map, and every CLI flag the
-# markdown docs show next to a binary name actually exists in that binary.
+# layer), appears in ARCHITECTURE.md's package map, every CLI flag the
+# markdown docs show next to a binary name actually exists in that binary,
+# and every number in a "Measured" column of EXPERIMENTS.md's E-sections is
+# one the paper golden prints (TestExperimentsMeasuredCells).
 docs-check:
 	@fail=0; for d in internal/*/; do \
 		grep -qs '^// Package' $$d*.go || { echo "missing '// Package' doc comment in $$d"; fail=1; }; \
@@ -223,81 +236,23 @@ docs-check:
 		done; \
 	done; exit $$fail
 	@echo "every documented CLI flag exists in its binary"
+	@$(GO) test -run '^TestExperimentsMeasuredCells$$' ./cmd/benchtables
+	@echo "every Measured cell of EXPERIMENTS.md's E-sections is a number the paper golden prints"
 
 # Coverage summary across all packages.
 cover:
 	$(GO) test -cover ./...
 
-# Full benchmark suite with allocation counts.
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# Regenerate BENCH_PR4.json: run the hot-path benchmarks on the current
-# tree and merge them with the committed pre-overhaul baseline
-# (testdata/bench_baseline_pr4.txt, captured at the parent commit of the
-# hot-path PR on the same benchmark definitions).
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkDetection$$|BenchmarkSensitivitySweep$$|BenchmarkSteadyStateRounds$$' -benchtime 5x -count 1 . | tee /tmp/bench_current_pr4.txt
-	$(GO) run ./tools/benchjson -baseline testdata/bench_baseline_pr4.txt -current /tmp/bench_current_pr4.txt \
-		-desc "hot-path overhaul: incremental hash cache + word-wide kernels + allocation-free scheduling vs pre-overhaul baseline" \
-		-out BENCH_PR4.json
-	@echo "wrote BENCH_PR4.json"
-	# BENCH_PR5.json: the span profiler's attached overhead. Baseline is the
-	# detection benchmark with the profiler detached
-	# (testdata/bench_baseline_pr5.txt); current is the same workload with a
-	# profiler attached, renamed so benchjson pairs the two rows.
-	$(GO) test -run '^$$' -bench 'BenchmarkDetectionProfiled$$' -benchtime 5x -count 1 . \
-		| sed 's/BenchmarkDetectionProfiled/BenchmarkDetection/' | tee /tmp/bench_current_pr5.txt
-	$(GO) run ./tools/benchjson -baseline testdata/bench_baseline_pr5.txt -current /tmp/bench_current_pr5.txt \
-		-desc "span profiler attached vs detached on the detection experiment (block span storage; detached profiler is 0 allocs/op by AllocsPerRun lock)" \
-		-out BENCH_PR5.json
-	@echo "wrote BENCH_PR5.json"
-	# BENCH_PR8.json: shared-prefix sweep forking. Baseline runs all 16
-	# cells of the sweep from scratch; current forks them from one prefix
-	# checkpoint. Both sides run on the current tree (the toggle is
-	# campaign.RunOptions grouping), renamed so benchjson pairs the rows.
-	$(GO) test -run '^$$' -bench 'BenchmarkSharedPrefixSweepScratch$$' -benchtime 3x -count 1 . \
-		| sed 's/BenchmarkSharedPrefixSweepScratch/BenchmarkSharedPrefixSweep/' | tee /tmp/bench_baseline_pr8.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkSharedPrefixSweepForked$$' -benchtime 3x -count 1 . \
-		| sed 's/BenchmarkSharedPrefixSweepForked/BenchmarkSharedPrefixSweep/' | tee /tmp/bench_current_pr8.txt
-	$(GO) run ./tools/benchjson -baseline /tmp/bench_baseline_pr8.txt -current /tmp/bench_current_pr8.txt \
-		-desc "16-cell shared-prefix sweep forked from one checkpoint vs every cell from scratch (hash cache off so the prefix carries real per-round work; identical result bytes either way)" \
-		-out BENCH_PR8.json
-	@echo "wrote BENCH_PR8.json"
-	# BENCH_PR9.json: sharded cross-process campaign execution. Baseline
-	# drains the campaign with one worker OS process over the satin-serve
-	# lease protocol; current uses four. Both rows are renamed so benchjson
-	# pairs them; the speedup is the machine's core headroom (≈4× with four
-	# free cores, ≈1× on one — the merged bytes are identical either way).
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedCampaignWorkers1$$' -benchtime 3x -count 1 . \
-		| sed 's/BenchmarkShardedCampaignWorkers1/BenchmarkShardedCampaign/' | tee /tmp/bench_baseline_pr9.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedCampaignWorkers4$$' -benchtime 3x -count 1 . \
-		| sed 's/BenchmarkShardedCampaignWorkers4/BenchmarkShardedCampaign/' | tee /tmp/bench_current_pr9.txt
-	$(GO) run ./tools/benchjson -baseline /tmp/bench_baseline_pr9.txt -current /tmp/bench_current_pr9.txt \
-		-desc "8-cell campaign drained by 4 worker OS processes vs 1 over the satin-serve lease protocol (byte-identical merged result; speedup tracks free cores, so regenerate on multi-core hardware for the headline number)" \
-		-out BENCH_PR9.json
-	@echo "wrote BENCH_PR9.json"
-
-# Quick non-blocking benchmark smoke for CI: one short iteration of every
-# benchmark, checking they still run — not their numbers.
-bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Diff a fresh 1x bench sweep against every committed BENCH_*.json:
-# per-benchmark ns/op deltas, with growth past the threshold flagged as a
-# regression. Wired into the non-blocking CI bench job — numbers vary with
-# runner hardware, so this is a look-here signal, never a merge gate.
-bench-compare:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./... | tee /tmp/bench_fresh.txt
-	$(GO) run ./tools/benchjson -current /tmp/bench_fresh.txt \
-		-compare $$(ls BENCH_*.json | paste -sd, -) -threshold 100
-
-# CPU and heap profiles of the detection sweep benchmark, for digging into
-# the simulator's hot path. Writes /tmp/satin_cpu.prof, /tmp/satin_mem.prof
-# and the test binary /tmp/satin.test (pprof needs it to symbolize).
+# CPU and heap profiles of the detection experiment (the test that drives
+# it at reduced scale), for digging into the simulator's hot path. Writes
+# /tmp/satin_cpu.prof, /tmp/satin_mem.prof and the test binary
+# /tmp/satin.test (pprof needs it to symbolize).
 profile:
-	$(GO) test -run '^$$' -bench 'BenchmarkDetection$$' -benchtime 5x -count 1 \
-		-cpuprofile /tmp/satin_cpu.prof -memprofile /tmp/satin_mem.prof -o /tmp/satin.test .
+	$(GO) test -run '^TestDetectionReproducesPaper$$' -count 5 \
+		-cpuprofile /tmp/satin_cpu.prof -memprofile /tmp/satin_mem.prof -o /tmp/satin.test ./internal/experiment
 	@echo "inspect with: $(GO) tool pprof /tmp/satin.test /tmp/satin_cpu.prof"
 
-ci: vet fmt-check build test race determinism spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke docs-check
+# Every blocking gate of the workflow's test job, in its order, so a local
+# `make ci` pass means they all pass. Only the workflow runs the two 20 s
+# fuzz smokes (spec-fuzz-smoke, campaign-fuzz-smoke) and cover.
+ci: vet fmt-check build test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke paper-check docs-check

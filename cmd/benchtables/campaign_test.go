@@ -69,7 +69,8 @@ func TestCampaignRunsAndResumes(t *testing.T) {
 	}
 }
 
-// TestCampaignFlagValidation: the campaign-shaping flags demand -campaign.
+// TestCampaignFlagValidation: the campaign-shaping flags demand -campaign,
+// and a campaign run rejects every experiment and sweep flag by name.
 func TestCampaignFlagValidation(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-campaign-out", "x.result"}, &out)
@@ -79,6 +80,38 @@ func TestCampaignFlagValidation(t *testing.T) {
 	err = run([]string{"-campaign-max-cells", "3"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "need -campaign") {
 		t.Fatalf("error = %v, want a need-campaign rejection", err)
+	}
+
+	// The reverse: a campaign run reads no experiment or sweep flag, so
+	// setting one is an error naming it, and nothing runs or is written.
+	campaignPath, resultPath := writeMiniCampaign(t)
+	csvPath := filepath.Join(t.TempDir(), "m.csv")
+	err = run([]string{"-campaign", campaignPath, "-campaign-out", resultPath,
+		"-seeds", "2", "-metrics-out", csvPath, "-only", "detection"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-metrics-out, -only, -seeds: experiment and sweep flags that -campaign does not read") {
+		t.Fatalf("error = %v, want -metrics-out, -only and -seeds named", err)
+	}
+	for _, path := range []string{csvPath, resultPath} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("rejected campaign run wrote %s (stat: %v)", path, err)
+		}
+	}
+	runFlags := [][]string{
+		{"-seed", "7"}, {"-seeds", "2"}, {"-only", "detection"}, {"-detection"}, {"-quick"},
+		{"-spec", "clean.json"}, {"-metrics-out", csvPath}, {"-profile-out", "p.txt"},
+	}
+	for _, mode := range [][]string{{"-campaign", campaignPath}, {"-campaign-worker", "http://127.0.0.1:1"}} {
+		for _, flagArgs := range runFlags {
+			err := run(append(append([]string{}, mode...), flagArgs...), &out)
+			want := flagArgs[0] + ": experiment and sweep flags that " + mode[0] + " does not read"
+			if err == nil || err.Error() != want {
+				t.Errorf("%v %v: error = %v, want %q", mode, flagArgs, err, want)
+			}
+		}
+	}
+	err = run([]string{"-campaign", campaignPath, "-campaign-worker", "http://127.0.0.1:1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "does not combine with -campaign") {
+		t.Fatalf("error = %v, want -campaign-worker rejected next to -campaign", err)
 	}
 }
 

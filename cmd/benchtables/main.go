@@ -52,6 +52,10 @@
 // "Campaigns") into its cell grid and executes it with checkpointed resume:
 //
 //	benchtables -campaign grid.json -campaign-out grid.result -progress
+//
+// A campaign run (-campaign or -campaign-worker) reads none of the
+// experiment and sweep flags; setting one beside it is an error that names
+// the flag.
 package main
 
 import (
@@ -112,6 +116,9 @@ func runWith(args []string, out, errOut io.Writer) error {
 		shorthand[def.Name] = fs.Bool(def.Name, false, fmt.Sprintf("run the %s experiment (shorthand for -only %s)", def.Name, def.Name))
 	}
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := rejectRunFlags(fs, shorthand, *campaignFile, *campaignWorker); err != nil {
 		return err
 	}
 	if *seeds < 1 {
@@ -213,6 +220,34 @@ func runWith(args []string, out, errOut io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "\nmetrics: %d sweeps exported to %s\n", len(sweeps), *metricsOut)
+	}
+	return nil
+}
+
+// rejectRunFlags fails a -campaign or -campaign-worker invocation that also
+// sets a flag only experiment and sweep runs read, naming each such flag, so
+// that none is silently dropped. The two campaign modes exclude each other.
+func rejectRunFlags(fs *flag.FlagSet, shorthand map[string]*bool, campaignFile, workerURL string) error {
+	var mode string
+	switch {
+	case campaignFile != "" && workerURL != "":
+		return fmt.Errorf("-campaign-worker runs a worker loop for a satin-serve coordinator; it does not combine with -campaign")
+	case campaignFile != "":
+		mode = "-campaign"
+	case workerURL != "":
+		mode = "-campaign-worker"
+	default:
+		return nil
+	}
+	runFlags := map[string]bool{"seed": true, "seeds": true, "only": true, "quick": true, "spec": true, "metrics-out": true, "profile-out": true}
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		if runFlags[f.Name] || shorthand[f.Name] != nil {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	if len(stray) > 0 {
+		return fmt.Errorf("%s: experiment and sweep flags that %s does not read", strings.Join(stray, ", "), mode)
 	}
 	return nil
 }

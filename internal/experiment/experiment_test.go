@@ -281,7 +281,7 @@ func TestDetectionReproducesPaper(t *testing.T) {
 
 func TestFig7ShapeSmall(t *testing.T) {
 	// A reduced Fig 7: three representative workloads, short window. The
-	// full-scale run is the benchmark harness's job.
+	// full-scale run is pinned byte for byte by `make paper-check`.
 	specs := workload.UnixBench()
 	cfg := Fig7Config{
 		Specs:  []workload.Spec{specs[0], specs[4], specs[7]}, // dhrystone, file_copy_256B, context_switching

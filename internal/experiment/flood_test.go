@@ -10,7 +10,7 @@ import (
 
 func TestFloodAblationShape(t *testing.T) {
 	cfg := DefaultFloodConfig()
-	cfg.Depths = 4 // keep CI fast; the bench runs the default sweep
+	cfg.Depths = 4 // keep CI fast; `make paper-check` pins the default sweep
 	res, err := RunFlood(cfg)
 	if err != nil {
 		t.Fatal(err)

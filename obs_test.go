@@ -258,6 +258,9 @@ func TestObservabilityDisabled(t *testing.T) {
 		t.Errorf("Metrics has %d rows with observability disabled", n)
 	}
 	// The simulation must not notice the difference.
+	if got := len(on.SATIN().Rounds()); got != 19 {
+		t.Errorf("rounds = %d with observability on, want 19", got)
+	}
 	if got, want := len(off.SATIN().Rounds()), len(on.SATIN().Rounds()); got != want {
 		t.Errorf("rounds differ with observability off: %d vs %d", got, want)
 	}

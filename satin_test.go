@@ -73,6 +73,33 @@ func TestScenarioThreadEvader(t *testing.T) {
 	}
 }
 
+// TestScenarioRunAdvancesUnboundedSATIN: with MaxRounds 0 SATIN activates
+// itself forever, so the scenario is driven in spans with Run. A booted,
+// warm scenario must keep completing rounds in every later span.
+func TestScenarioRunAdvancesUnboundedSATIN(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Tgoal = 19 * time.Second
+	cfg.MaxRounds = 0
+	cfg.Seed = 3
+	sc, err := NewScenario(WithSeed(1), WithSATIN(cfg), WithObservability(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Run(40 * time.Second) // two full scans
+	done := len(sc.SATIN().Rounds())
+	if done == 0 {
+		t.Fatal("no rounds completed during warm-up")
+	}
+	for span := 1; span <= 3; span++ {
+		sc.Run(19 * time.Second)
+		n := len(sc.SATIN().Rounds())
+		if n == done {
+			t.Fatalf("span %d: no rounds completed after warm-up", span)
+		}
+		done = n
+	}
+}
+
 func TestScenarioValidation(t *testing.T) {
 	if _, err := NewScenario(WithSATIN(DefaultConfig()), WithBaseline(BaselineConfig{})); err == nil {
 		t.Error("SATIN+baseline accepted")
