@@ -59,7 +59,7 @@ profile-smoke:
 		-profile-out /tmp/profile_smoke_attribution.txt > /dev/null
 	$(GO) run ./cmd/satin-sim -lint-trace /tmp/profile_smoke.jsonl
 	$(GO) run ./cmd/satin-sim -lint-chrome /tmp/profile_smoke_chrome.json
-	$(GO) run ./tools/tracediff /tmp/profile_smoke.jsonl /tmp/profile_smoke.jsonl
+	$(GO) run ./cmd/satin-sim -diff /tmp/profile_smoke.jsonl /tmp/profile_smoke.jsonl
 	@echo "profiler artifacts validate; self-diff has zero divergence"
 
 # Fault-injection sensitivity smoke: a reduced sweep (3 magnitudes,
@@ -103,25 +103,24 @@ spec-fuzz-smoke:
 # (2 evaders × 2 round counts × 2 fault plans × 2 seeds = 16 cells) run
 # uninterrupted at 1 worker must be byte-identical to the same campaign run
 # at 8 workers, killed after 7 cells (-campaign-max-cells, the deterministic
-# kill), and resumed at 3 workers. This is the ISSUE acceptance gate for the
+# kill), and resumed at 3 workers. This is the acceptance gate for the
 # checkpoint format: completion order never leaks into the finalized file.
-# Grouped runs put each seed's smoke cells in one boot group, so the same
-# campaign also runs with grouping off (-campaign-fork=false, every cell
-# booting from its seed) and must match too. The killed session runs with
-# -progress: its CellDone hook must print exactly 7 cell lines and end on
-# a 7/7 count.
+# The killed session runs with -progress: its CellDone hook must print
+# exactly 7 cell lines and end on a 7/7 count. Every -campaign run groups
+# cells that share boot work (each seed's smoke cells share one kernel
+# boot); the ungrouped path those groups must match is checked in-process
+# by TestCampaignCorpusReproducesGolden/grouped=false (make test) and
+# TestWorkerCountInvarianceBootGroups (make determinism, under -race).
 campaign-smoke:
 	$(GO) build -o /tmp/benchtables ./cmd/benchtables
-	rm -f /tmp/campaign_serial.result /tmp/campaign_resumed.result /tmp/campaign_ungrouped.result /tmp/campaign_killed.progress
+	rm -f /tmp/campaign_serial.result /tmp/campaign_resumed.result /tmp/campaign_killed.progress
 	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_serial.result -workers 1 > /dev/null
 	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_resumed.result -workers 8 -campaign-max-cells 7 -progress > /dev/null 2> /tmp/campaign_killed.progress
 	@test "$$(grep -c '^campaign: cell ' /tmp/campaign_killed.progress)" -eq 7 || { echo "killed session did not report exactly 7 cells:"; cat /tmp/campaign_killed.progress; exit 1; }
 	@grep '^campaign: [0-9]*/[0-9]* in ' /tmp/campaign_killed.progress | tail -n 1 | grep -q '^campaign: 7/7 in ' || { echo "killed session's last progress line is not 7/7:"; cat /tmp/campaign_killed.progress; exit 1; }
 	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_resumed.result -workers 3 > /dev/null
 	cmp /tmp/campaign_serial.result /tmp/campaign_resumed.result
-	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_ungrouped.result -workers 2 -campaign-fork=false > /dev/null
-	cmp /tmp/campaign_serial.result /tmp/campaign_ungrouped.result
-	@echo "campaign result is worker-count invariant, kill/resume lands on the same bytes (the kill reporting its 7 cells), and grouping off matches grouping on"
+	@echo "campaign result is worker-count invariant, and kill/resume lands on the same bytes (the kill reporting its 7 cells)"
 
 # Campaign corpus through the binary: the committed smoke campaign must
 # reproduce its committed result file byte for byte. The same contract runs
@@ -137,17 +136,16 @@ campaign-corpus-check:
 # Checkpoint/fork smoke through the CLIs: snapshot the committed fault-free
 # prefix at its horizon, fork four members off it (unfaulted, two DVFS
 # factors, a hotplug window), and require each forked trace byte-identical
-# to its from-scratch twin — tracediff for the structural verdict, cmp for
-# the byte-level one. See docs/CHECKPOINT.md.
+# to its from-scratch twin — satin-sim -diff for the structural verdict, cmp
+# for the byte-level one. See docs/CHECKPOINT.md.
 checkpoint-smoke:
 	$(GO) build -o /tmp/satin-sim ./cmd/satin-sim
-	$(GO) build -o /tmp/satin-tracediff ./tools/tracediff
 	rm -rf /tmp/satin_ckpt_smoke && mkdir -p /tmp/satin_ckpt_smoke
 	/tmp/satin-sim -spec testdata/checkpoint/prefix.json -checkpoint-out /tmp/satin_ckpt_smoke/prefix.ckpt > /dev/null
 	@fail=0; for m in clean dvfs-slow dvfs-fast hotplug; do \
 		/tmp/satin-sim -spec testdata/checkpoint/member-$$m.json -resume-from /tmp/satin_ckpt_smoke/prefix.ckpt -trace-out /tmp/satin_ckpt_smoke/fork-$$m.jsonl > /dev/null || exit 1; \
 		/tmp/satin-sim -spec testdata/checkpoint/member-$$m.json -trace-out /tmp/satin_ckpt_smoke/scratch-$$m.jsonl > /dev/null || exit 1; \
-		/tmp/satin-tracediff /tmp/satin_ckpt_smoke/fork-$$m.jsonl /tmp/satin_ckpt_smoke/scratch-$$m.jsonl > /dev/null || { echo "member $$m: forked trace diverges from from-scratch"; fail=1; }; \
+		/tmp/satin-sim -diff /tmp/satin_ckpt_smoke/fork-$$m.jsonl /tmp/satin_ckpt_smoke/scratch-$$m.jsonl > /dev/null || { echo "member $$m: forked trace diverges from from-scratch"; fail=1; }; \
 		cmp /tmp/satin_ckpt_smoke/fork-$$m.jsonl /tmp/satin_ckpt_smoke/scratch-$$m.jsonl || { echo "member $$m: forked trace bytes differ"; fail=1; }; \
 	done; exit $$fail
 	@echo "four forked members reproduce their from-scratch traces byte for byte"

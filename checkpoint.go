@@ -502,8 +502,8 @@ func RunRemaining(sc *Scenario, s ScenarioSpec) {
 // hashes its golden table (§V-B): the group fills the kernel and hashes the
 // table once, and every other member copies the boot bytes.
 // CheckpointGroupKey identifies the groups and RunCheckpointGroup executes
-// one. Wire both into campaign.RunOptions (benchtables does, behind
-// -campaign-fork).
+// one. Wire both into campaign.RunOptions (benchtables -campaign and the
+// satin-serve worker always do).
 
 // CheckpointGroupKey is the campaign.GroupKeyFunc for boot sharing. A spec
 // the checkpoint protocol covers keys by its checkpoint key, so cells with

@@ -2,7 +2,8 @@ package main
 
 import (
 	"bytes"
-	"net/http/httptest"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,7 +12,7 @@ import (
 	"time"
 
 	"satin"
-	"satin/internal/serve"
+	"satin/internal/campaign"
 )
 
 // miniCampaign is a fast real-simulation campaign: 2 evaders × 1 seed, four
@@ -100,18 +101,12 @@ func TestCampaignFlagValidation(t *testing.T) {
 		{"-seed", "7"}, {"-seeds", "2"}, {"-only", "detection"}, {"-detection"}, {"-quick"},
 		{"-spec", "clean.json"}, {"-metrics-out", csvPath}, {"-profile-out", "p.txt"},
 	}
-	for _, mode := range [][]string{{"-campaign", campaignPath}, {"-campaign-worker", "http://127.0.0.1:1"}} {
-		for _, flagArgs := range runFlags {
-			err := run(append(append([]string{}, mode...), flagArgs...), &out)
-			want := flagArgs[0] + ": experiment and sweep flags that " + mode[0] + " does not read"
-			if err == nil || err.Error() != want {
-				t.Errorf("%v %v: error = %v, want %q", mode, flagArgs, err, want)
-			}
+	for _, flagArgs := range runFlags {
+		err := run(append([]string{"-campaign", campaignPath}, flagArgs...), &out)
+		want := flagArgs[0] + ": experiment and sweep flags that -campaign does not read"
+		if err == nil || err.Error() != want {
+			t.Errorf("-campaign %v: error = %v, want %q", flagArgs, err, want)
 		}
-	}
-	err = run([]string{"-campaign", campaignPath, "-campaign-worker", "http://127.0.0.1:1"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "does not combine with -campaign") {
-		t.Fatalf("error = %v, want -campaign-worker rejected next to -campaign", err)
 	}
 }
 
@@ -187,7 +182,7 @@ func TestCampaignProgressElapsedIsSessionTime(t *testing.T) {
 	var out, progress bytes.Buffer
 	start := time.Now()
 	err := runWith([]string{"-campaign", campaignPath, "-campaign-out", resultPath,
-		"-workers", "1", "-campaign-fork=false", "-progress"}, &out, &progress)
+		"-workers", "1", "-progress"}, &out, &progress)
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -212,59 +207,63 @@ func TestCampaignProgressElapsedIsSessionTime(t *testing.T) {
 	}
 }
 
-// TestCampaignServeRoundTrip: -campaign-serve submits to a coordinator,
-// -campaign-worker drains it, and the merged result is byte-identical to
-// the local -campaign path.
-func TestCampaignServeRoundTrip(t *testing.T) {
-	s, err := serve.New(serve.Options{DataDir: t.TempDir(), GroupKey: satin.CheckpointGroupKey})
-	if err != nil {
-		t.Fatalf("serve.New: %v", err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	campaignPath, _ := writeMiniCampaign(t)
-	dir := t.TempDir()
-	localPath := filepath.Join(dir, "local.result")
-	servePath := filepath.Join(dir, "served.result")
+// TestCampaignRendersFinalizedFile: -campaign over a finalized file that
+// campaign.Merge built from two shard sessions — what satin-serve -result
+// downloads — runs no cell, prints what the local run printed, and leaves
+// the file byte-identical.
+func TestCampaignRendersFinalizedFile(t *testing.T) {
+	campaignPath, localPath := writeMiniCampaign(t)
 	var localOut bytes.Buffer
 	if err := run([]string{"-campaign", campaignPath, "-campaign-out", localPath}, &localOut); err != nil {
 		t.Fatalf("local run: %v", err)
 	}
 
-	done := make(chan error, 1)
-	var out, progress bytes.Buffer
-	go func() {
-		done <- runWith([]string{
-			"-campaign", campaignPath, "-campaign-serve", ts.URL,
-			"-campaign-shards", "2", "-campaign-out", servePath, "-progress",
-		}, &out, &progress)
-	}()
-	for len(s.List()) == 0 {
-		time.Sleep(5 * time.Millisecond)
+	c, err := campaign.Parse([]byte(miniCampaign))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var workerOut bytes.Buffer
-	if err := run([]string{"-campaign-worker", ts.URL}, &workerOut); err != nil {
-		t.Fatalf("worker: %v", err)
+	dir := t.TempDir()
+	var shards []string
+	for i := 0; i < 2; i++ {
+		shard := filepath.Join(dir, fmt.Sprintf("shard%d.result", i))
+		if _, err := campaign.Run(context.Background(), c, shard, campaign.RunOptions{
+			SpecTrial: satin.RunSpecTrial, Only: []int{i},
+		}); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		shards = append(shards, shard)
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("campaign-serve: %v", err)
+	mergedPath := filepath.Join(dir, "merged.result")
+	if _, err := campaign.Merge(mergedPath, shards...); err != nil {
+		t.Fatalf("merge: %v", err)
 	}
-	if !strings.Contains(out.String(), "campaign complete: 2 cells finalized") {
-		t.Fatalf("serve output:\n%s", out.String())
-	}
-	if !strings.Contains(progress.String(), "cells/s") {
-		t.Fatalf("serve progress lacks throughput:\n%s", progress.String())
+	merged, err := os.ReadFile(mergedPath)
+	if err != nil {
+		t.Fatal(err)
 	}
 	local, err := os.ReadFile(localPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, err := os.ReadFile(servePath)
+	if !bytes.Equal(merged, local) {
+		t.Fatal("merged shard result differs from the local run's bytes")
+	}
+
+	var out, progress bytes.Buffer
+	if err := runWith([]string{"-campaign", campaignPath, "-campaign-out", mergedPath, "-progress"}, &out, &progress); err != nil {
+		t.Fatalf("render: %v", err)
+	}
+	if want := strings.ReplaceAll(localOut.String(), localPath, mergedPath); out.String() != want {
+		t.Fatalf("render output:\n%s\nwant the local run's:\n%s", out.String(), want)
+	}
+	if strings.Contains(progress.String(), "campaign: cell ") {
+		t.Fatalf("rendering a finalized file ran cells:\n%s", progress.String())
+	}
+	after, err := os.ReadFile(mergedPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(local, served) {
-		t.Fatal("sharded-serve result differs from local run bytes")
+	if !bytes.Equal(after, merged) {
+		t.Fatal("rendering rewrote the finalized file")
 	}
 }

@@ -53,9 +53,15 @@
 //
 //	benchtables -campaign grid.json -campaign-out grid.result -progress
 //
-// A campaign run (-campaign or -campaign-worker) reads none of the
-// experiment and sweep flags; setting one beside it is an error that names
-// the flag.
+// A finalized result file renders without running a cell, so the tables of
+// a campaign a satin-serve fleet computed (see EXPERIMENTS.md "Sharded
+// campaigns") are one download and one render away:
+//
+//	satin-serve -url URL -result c1 -out merged.result
+//	benchtables -campaign grid.json -campaign-out merged.result
+//
+// A campaign run reads none of the experiment and sweep flags; setting one
+// beside -campaign is an error that names the flag.
 package main
 
 import (
@@ -103,10 +109,6 @@ func runWith(args []string, out, errOut io.Writer) error {
 	campaignFile := fs.String("campaign", "", "execute this campaign spec file (grid × faults × seeds) with checkpointed resume")
 	campaignOut := fs.String("campaign-out", "", "campaign result/checkpoint file (default: <campaign>.result)")
 	campaignMaxCells := fs.Int("campaign-max-cells", 0, "stop the campaign after N newly completed cells (checkpointed; 0 = run to completion)")
-	campaignFork := fs.Bool("campaign-fork", true, "group cells that share boot work: fork shared-prefix groups from one checkpoint and run each seed's other cells on one kernel boot (identical results either way)")
-	campaignServe := fs.String("campaign-serve", "", "submit -campaign to this satin-serve URL for sharded cross-process execution and render the merged result (byte-identical to a local run)")
-	campaignShards := fs.Int("campaign-shards", 2, "with -campaign-serve: number of shards to partition the campaign into")
-	campaignWorker := fs.String("campaign-worker", "", "run a sharded-campaign worker loop against this satin-serve URL until no work remains")
 
 	defs := experiment.Registry()
 	// Every experiment name is also a boolean shorthand flag:
@@ -118,7 +120,7 @@ func runWith(args []string, out, errOut io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := rejectRunFlags(fs, shorthand, *campaignFile, *campaignWorker); err != nil {
+	if err := rejectRunFlags(fs, shorthand, *campaignFile); err != nil {
 		return err
 	}
 	if *seeds < 1 {
@@ -127,20 +129,11 @@ func runWith(args []string, out, errOut io.Writer) error {
 	if *metricsOut != "" && *seeds < 2 {
 		return fmt.Errorf("-metrics-out exports per-seed sweep samples; it needs -seeds N > 1")
 	}
-	if *campaignWorker != "" {
-		return runCampaignWorker(errOut, *campaignWorker, *workers, *campaignFork)
-	}
 	if *campaignFile != "" {
-		if *campaignServe != "" {
-			if *campaignMaxCells != 0 {
-				return fmt.Errorf("-campaign-max-cells is a local-run control; it does not combine with -campaign-serve")
-			}
-			return runCampaignServe(out, errOut, *campaignFile, *campaignOut, *campaignServe, *campaignShards, *progress)
-		}
-		return runCampaignFile(out, errOut, *campaignFile, *campaignOut, *workers, *campaignMaxCells, *progress, *campaignFork)
+		return runCampaignFile(out, errOut, *campaignFile, *campaignOut, *workers, *campaignMaxCells, *progress)
 	}
-	if *campaignOut != "" || *campaignMaxCells != 0 || *campaignServe != "" {
-		return fmt.Errorf("-campaign-out/-campaign-max-cells/-campaign-serve configure a campaign run; they need -campaign FILE")
+	if *campaignOut != "" || *campaignMaxCells != 0 {
+		return fmt.Errorf("-campaign-out/-campaign-max-cells configure a campaign run; they need -campaign FILE")
 	}
 
 	want := map[string]bool{}
@@ -224,19 +217,11 @@ func runWith(args []string, out, errOut io.Writer) error {
 	return nil
 }
 
-// rejectRunFlags fails a -campaign or -campaign-worker invocation that also
-// sets a flag only experiment and sweep runs read, naming each such flag, so
-// that none is silently dropped. The two campaign modes exclude each other.
-func rejectRunFlags(fs *flag.FlagSet, shorthand map[string]*bool, campaignFile, workerURL string) error {
-	var mode string
-	switch {
-	case campaignFile != "" && workerURL != "":
-		return fmt.Errorf("-campaign-worker runs a worker loop for a satin-serve coordinator; it does not combine with -campaign")
-	case campaignFile != "":
-		mode = "-campaign"
-	case workerURL != "":
-		mode = "-campaign-worker"
-	default:
+// rejectRunFlags fails a -campaign invocation that also sets a flag only
+// experiment and sweep runs read, naming each such flag, so that none is
+// silently dropped.
+func rejectRunFlags(fs *flag.FlagSet, shorthand map[string]*bool, campaignFile string) error {
+	if campaignFile == "" {
 		return nil
 	}
 	runFlags := map[string]bool{"seed": true, "seeds": true, "only": true, "quick": true, "spec": true, "metrics-out": true, "profile-out": true}
@@ -247,7 +232,7 @@ func rejectRunFlags(fs *flag.FlagSet, shorthand map[string]*bool, campaignFile, 
 		}
 	})
 	if len(stray) > 0 {
-		return fmt.Errorf("%s: experiment and sweep flags that %s does not read", strings.Join(stray, ", "), mode)
+		return fmt.Errorf("%s: experiment and sweep flags that -campaign does not read", strings.Join(stray, ", "))
 	}
 	return nil
 }

@@ -17,6 +17,11 @@
 //	satin-serve -url URL -metrics                           # health probe + /metrics text
 //	satin-serve -merge -out merged.result shard-*.result    # offline merge, no server
 //
+// Each invocation runs one mode. Two mode flags together, or a flag that
+// only another mode reads (-shards, -name, -dir, -pool, -json,
+// -timeline-out, -out, and the server's -listen, -data, -lease-ttl), is an
+// error that names them.
+//
 // The server additionally exposes GET /metrics (Prometheus text), /healthz,
 // /readyz, and per-job GET /v1/campaigns/{id}/timeline; -log-format selects
 // text or json structured logs for the server and worker modes.
@@ -39,6 +44,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"satin"
@@ -58,28 +65,33 @@ func main() {
 func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("satin-serve", flag.ContinueOnError)
 	fs.SetOutput(out)
+	// The boolean mode flags (-worker, -status, -merge, -metrics) are read
+	// only through selectMode.
 	listen := fs.String("listen", "127.0.0.1:8373", "serve mode: address to listen on")
 	dataDir := fs.String("data", "satin-serve.data", "serve mode: directory for shard uploads and merged results")
 	leaseTTL := fs.Duration("lease-ttl", serve.DefaultLeaseTTL, "serve mode: shard lease expiry (renewed by every progress report)")
 	urlFlag := fs.String("url", "", "client modes: server base URL, e.g. http://127.0.0.1:8373")
 	submit := fs.String("submit", "", "submit this campaign spec file to -url and print the job status")
 	shards := fs.Int("shards", 1, "submit mode: number of shards to partition the campaign into")
-	worker := fs.Bool("worker", false, "run the pull worker loop against -url until no work remains")
+	fs.Bool("worker", false, "run the pull worker loop against -url until no work remains")
 	name := fs.String("name", "", "worker mode: worker name (default w<pid>)")
 	dir := fs.String("dir", "", "worker mode: scratch directory for per-shard result files (default a temp dir)")
 	pool := fs.Int("pool", 0, "worker mode: in-process worker goroutines per shard (0 = GOMAXPROCS)")
-	fork := fs.Bool("fork", true, "worker mode: group cells that share boot work: fork shared-prefix groups from one checkpoint and run each seed's other cells on one kernel boot (identical results either way)")
 	watch := fs.String("watch", "", "stream this job's per-cell progress from -url until it finishes")
-	status := fs.Bool("status", false, "print every job's status from -url")
+	fs.Bool("status", false, "print every job's status from -url")
 	result := fs.String("result", "", "download this job's finalized merged result from -url into -out")
 	outFile := fs.String("out", "", "result/merge modes: output file path")
-	merge := fs.Bool("merge", false, "offline: merge the positional shard result files into -out (no server involved)")
+	fs.Bool("merge", false, "offline: merge the positional shard result files into -out (no server involved)")
 	logFormat := fs.String("log-format", "text", "serve/worker modes: structured log format, text or json")
 	statusJSON := fs.Bool("json", false, "status mode: emit the job statuses as JSON instead of text")
 	timeline := fs.String("timeline", "", "download this job's wall-clock Chrome trace from -url")
 	timelineOut := fs.String("timeline-out", "", "timeline mode: write the trace to this file (default stdout)")
-	metrics := fs.Bool("metrics", false, "probe /healthz and /readyz on -url, then print the /metrics exposition")
+	fs.Bool("metrics", false, "probe /healthz and /readyz on -url, then print the /metrics exposition")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	mode, err := selectMode(fs)
+	if err != nil {
 		return err
 	}
 	logger, err := telemetry.NewLogger(errOut, *logFormat)
@@ -87,15 +99,12 @@ func run(args []string, out, errOut io.Writer) error {
 		return err
 	}
 
-	client := &serve.Client{BaseURL: *urlFlag}
-	needURL := func(mode string) error {
-		if *urlFlag == "" {
-			return fmt.Errorf("%s needs -url", mode)
-		}
-		return nil
+	if mode != serverMode && mode != "-merge" && *urlFlag == "" {
+		return fmt.Errorf("%s needs -url", mode)
 	}
-	switch {
-	case *merge:
+	client := &serve.Client{BaseURL: *urlFlag}
+	switch mode {
+	case "-merge":
 		if *outFile == "" {
 			return fmt.Errorf("-merge needs -out FILE")
 		}
@@ -109,10 +118,7 @@ func run(args []string, out, errOut io.Writer) error {
 		fmt.Fprintf(out, "merged %d cells from %d shard file(s) into %s\n", n, fs.NArg(), *outFile)
 		return nil
 
-	case *submit != "":
-		if err := needURL("-submit"); err != nil {
-			return err
-		}
+	case "-submit":
 		data, err := os.ReadFile(*submit)
 		if err != nil {
 			return fmt.Errorf("reading campaign: %w", err)
@@ -124,10 +130,7 @@ func run(args []string, out, errOut io.Writer) error {
 		printStatus(out, st)
 		return nil
 
-	case *worker:
-		if err := needURL("-worker"); err != nil {
-			return err
-		}
+	case "-worker":
 		if *name == "" {
 			*name = fmt.Sprintf("w%d", os.Getpid())
 		}
@@ -139,29 +142,20 @@ func run(args []string, out, errOut io.Writer) error {
 			defer os.RemoveAll(tmp)
 			*dir = tmp
 		}
-		opt := serve.WorkerOptions{
-			Name:    *name,
-			Dir:     *dir,
-			Trial:   satin.RunSpecTrial,
-			Workers: *pool,
-			Logger:  logger,
-		}
-		if *fork {
-			opt.GroupKey = satin.CheckpointGroupKey
-			opt.GroupTrial = satin.RunCheckpointGroup
-		}
-		return serve.RunWorker(context.Background(), client, opt)
+		return serve.RunWorker(context.Background(), client, serve.WorkerOptions{
+			Name:       *name,
+			Dir:        *dir,
+			Trial:      satin.RunSpecTrial,
+			GroupKey:   satin.CheckpointGroupKey,
+			GroupTrial: satin.RunCheckpointGroup,
+			Workers:    *pool,
+			Logger:     logger,
+		})
 
-	case *watch != "":
-		if err := needURL("-watch"); err != nil {
-			return err
-		}
+	case "-watch":
 		return watchJob(context.Background(), client, *watch, out)
 
-	case *status:
-		if err := needURL("-status"); err != nil {
-			return err
-		}
+	case "-status":
 		jobs, err := client.List(context.Background())
 		if err != nil {
 			return err
@@ -182,10 +176,7 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 		return nil
 
-	case *timeline != "":
-		if err := needURL("-timeline"); err != nil {
-			return err
-		}
+	case "-timeline":
 		data, err := client.Timeline(context.Background(), *timeline)
 		if err != nil {
 			return err
@@ -200,10 +191,7 @@ func run(args []string, out, errOut io.Writer) error {
 		fmt.Fprintf(out, "job %s: %d timeline bytes written to %s\n", *timeline, len(data), *timelineOut)
 		return nil
 
-	case *metrics:
-		if err := needURL("-metrics"); err != nil {
-			return err
-		}
+	case "-metrics":
 		if err := client.Healthz(context.Background()); err != nil {
 			return err
 		}
@@ -214,10 +202,7 @@ func run(args []string, out, errOut io.Writer) error {
 		_, err = out.Write(data)
 		return err
 
-	case *result != "":
-		if err := needURL("-result"); err != nil {
-			return err
-		}
+	case "-result":
 		if *outFile == "" {
 			return fmt.Errorf("-result needs -out FILE")
 		}
@@ -238,6 +223,51 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 		return serveMode(l, *dataDir, *leaseTTL, errOut, logger)
 	}
+}
+
+// serverMode names the mode that runs when no mode flag is set.
+const serverMode = "server mode"
+
+// modeFlags are the flags that each select one mode.
+var modeFlags = map[string]bool{
+	"merge": true, "submit": true, "worker": true, "watch": true,
+	"status": true, "timeline": true, "metrics": true, "result": true,
+}
+
+// modeOnlyFlags maps each flag that only some modes read to those modes.
+var modeOnlyFlags = map[string][]string{
+	"shards": {"-submit"}, "name": {"-worker"}, "dir": {"-worker"}, "pool": {"-worker"},
+	"json": {"-status"}, "timeline-out": {"-timeline"}, "out": {"-result", "-merge"},
+	"listen": {serverMode}, "data": {serverMode}, "lease-ttl": {serverMode},
+}
+
+// selectMode returns the mode the command line selects ("-submit", ...,
+// or serverMode). Two mode flags together, or a flag that only another
+// mode reads, is an error that names them, so that no flag is silently
+// dropped.
+func selectMode(fs *flag.FlagSet) (string, error) {
+	var modes, set []string
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case !modeFlags[f.Name]:
+			set = append(set, f.Name)
+		case f.Value.String() != f.DefValue: // -worker=false selects nothing
+			modes = append(modes, "-"+f.Name)
+		}
+	})
+	if len(modes) > 1 {
+		return "", fmt.Errorf("%s and %s select different modes; use one", modes[0], modes[1])
+	}
+	mode := serverMode
+	if len(modes) == 1 {
+		mode = modes[0]
+	}
+	for _, f := range set {
+		if owners, ok := modeOnlyFlags[f]; ok && !slices.Contains(owners, mode) {
+			return "", fmt.Errorf("-%s is read only by %s, not by %s", f, strings.Join(owners, " or "), mode)
+		}
+	}
+	return mode, nil
 }
 
 // serveMode runs the coordinator on an existing listener (split from run so

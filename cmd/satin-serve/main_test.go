@@ -235,7 +235,8 @@ func TestCLIOfflineMerge(t *testing.T) {
 }
 
 // TestCLIModeValidation: client modes without -url, and incomplete merge
-// invocations, fail with usable errors instead of panicking.
+// invocations, fail with usable errors instead of panicking; two modes
+// together, or a flag only another mode reads, fail naming the flags.
 func TestCLIModeValidation(t *testing.T) {
 	cases := [][]string{
 		{"-submit", "x.json"},
@@ -253,6 +254,35 @@ func TestCLIModeValidation(t *testing.T) {
 		var out bytes.Buffer
 		if err := run(args, &out, &out); err == nil {
 			t.Fatalf("run(%v) succeeded, want error", args)
+		}
+	}
+
+	named := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-merge", "-out", "m.result", "-submit", "x.json", "shard.result"},
+			"-merge and -submit select different modes"},
+		{[]string{"-status", "-worker"}, "-status and -worker select different modes"},
+		{[]string{"-url", "http://127.0.0.1:1", "-result", "c1", "-out", "x", "-watch", "c1"},
+			"-result and -watch select different modes"},
+		{[]string{"-worker", "-shards", "4"}, "-shards is read only by -submit, not by -worker"},
+		{[]string{"-submit", "x.json", "-name", "w"}, "-name is read only by -worker, not by -submit"},
+		{[]string{"-status", "-dir", "d"}, "-dir is read only by -worker, not by -status"},
+		{[]string{"-metrics", "-pool", "2"}, "-pool is read only by -worker, not by -metrics"},
+		{[]string{"-submit", "x.json", "-json"}, "-json is read only by -status, not by -submit"},
+		{[]string{"-status", "-timeline-out", "t.json"}, "-timeline-out is read only by -timeline, not by -status"},
+		{[]string{"-watch", "c1", "-out", "x"}, "-out is read only by -result or -merge, not by -watch"},
+		{[]string{"-shards", "4", "-listen", "bad"}, "-shards is read only by -submit, not by server mode"},
+		{[]string{"-status", "-listen", "127.0.0.1:0"}, "-listen is read only by server mode, not by -status"},
+		{[]string{"-merge", "-data", "d", "-out", "x", "shard.result"}, "-data is read only by server mode, not by -merge"},
+		{[]string{"-lease-ttl", "1s", "-metrics"}, "-lease-ttl is read only by server mode, not by -metrics"},
+	}
+	for _, c := range named {
+		var out bytes.Buffer
+		err := run(c.args, &out, &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v): error = %v, want %q", c.args, err, c.want)
 		}
 	}
 }

@@ -17,9 +17,14 @@
 //	satin-sim -chrome-trace spans.json          # causal span profile for Perfetto / chrome://tracing
 //	satin-sim -profile-out profile.txt          # per-core virtual-time attribution table
 //	satin-sim -diff a.jsonl b.jsonl             # align two trace exports, report divergence
+//	satin-sim -diff-budget 1ms -diff a.jsonl b.jsonl  # tolerate up to 1ms of skew per span
 //	satin-sim -lint-chrome spans.json           # validate a Chrome trace_event JSON file
 //	satin-sim -spec scenario.json               # run a declarative scenario spec file
 //	satin-sim -scans 1 -dump-spec               # print the flags' effective spec, don't run
+//
+// -diff, -lint-trace and -lint-chrome are tool modes: each reads only its
+// trace file(s), and -diff its -diff-budget, so any other flag beside one,
+// or two of them together, is an error that names the flags.
 //
 // A spec file is the whole scenario (seed, defense, evader, faults, run
 // horizon — see EXPERIMENTS.md "Spec files"), so scenario-shaping flags
@@ -78,6 +83,9 @@ func run(args []string, out io.Writer) error {
 	checkpointOut := fs.String("checkpoint-out", "", "run the (fault-free) scenario to its horizon, snapshot it there, and write the checkpoint to this file (see docs/CHECKPOINT.md)")
 	resumeFrom := fs.String("resume-from", "", "restore this checkpoint file into the scenario and run only the remaining horizon")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkToolFlags(fs); err != nil {
 		return err
 	}
 
@@ -345,6 +353,37 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "timeline: %d events written to %s\n", tl.Len(), exp.Timeline)
+	}
+	return nil
+}
+
+// toolModes are the flags that turn satin-sim from a simulator into a
+// trace tool: each reads its own file(s) and exits.
+var toolModes = map[string]bool{"diff": true, "lint-trace": true, "lint-chrome": true}
+
+// checkToolFlags rejects two tool modes together, any flag set beside a
+// tool mode other than -diff's -diff-budget, and -diff-budget without
+// -diff, naming the flags, so that none is silently dropped.
+func checkToolFlags(fs *flag.FlagSet) error {
+	var modes, others []string
+	budget := false
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case toolModes[f.Name]:
+			modes = append(modes, "-"+f.Name)
+		case f.Name == "diff-budget":
+			budget = true
+		default:
+			others = append(others, "-"+f.Name)
+		}
+	})
+	switch {
+	case len(modes) > 1:
+		return fmt.Errorf("%s and %s are separate tool modes; use one", modes[0], modes[1])
+	case budget && (len(modes) == 0 || modes[0] != "-diff"):
+		return fmt.Errorf("-diff-budget sets the budget of -diff; it needs -diff")
+	case len(modes) == 1 && len(others) > 0:
+		return fmt.Errorf("%s: flags that %s does not read", strings.Join(others, ", "), modes[0])
 	}
 	return nil
 }

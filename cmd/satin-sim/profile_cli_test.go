@@ -81,12 +81,88 @@ func TestRunDiffSelfIsIdentical(t *testing.T) {
 	}
 }
 
-// TestRunDiffNeedsTwoFiles: -diff without the positional second trace is a
-// usage error.
+// TestRunDiffNeedsTwoFiles: -diff without the positional second trace, or
+// with a file that does not exist, is an error.
 func TestRunDiffNeedsTwoFiles(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-diff", "a.jsonl"}, &out); err == nil {
 		t.Fatal("-diff with one file accepted")
+	}
+	dir := t.TempDir()
+	a := writeFile(t, dir, "a.jsonl", traceA)
+	if err := run([]string{"-diff", a, filepath.Join(dir, "missing.jsonl")}, &out); err == nil {
+		t.Fatal("-diff against a missing file accepted")
+	}
+}
+
+const traceA = `{"at_ns":1000,"kind":"round","core":0,"area":1}
+{"at_ns":2000,"kind":"round","core":0,"area":2}
+`
+
+// traceShifted is traceA with the second event 500ns late.
+const traceShifted = `{"at_ns":1000,"kind":"round","core":0,"area":1}
+{"at_ns":2500,"kind":"round","core":0,"area":2}
+`
+
+func writeFile(t *testing.T, dir, name, body string) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunDiffBudget: a 500ns shift fails -diff at the default zero budget
+// and passes with a PASS verdict at -diff-budget 1us.
+func TestRunDiffBudget(t *testing.T) {
+	dir := t.TempDir()
+	a := writeFile(t, dir, "a.jsonl", traceA)
+	b := writeFile(t, dir, "b.jsonl", traceShifted)
+	var out strings.Builder
+	if err := run([]string{"-diff", a, b}, &out); err == nil {
+		t.Fatalf("500ns shift passed a zero budget:\n%s", out.String())
+	}
+	out.Reset()
+	if err := run([]string{"-diff", a, "-diff-budget", "1us", b}, &out); err != nil {
+		t.Fatalf("500ns shift failed a 1us budget: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "PASS") {
+		t.Errorf("missing PASS verdict:\n%s", out.String())
+	}
+}
+
+// TestToolModesRejectOtherFlags: -diff, -lint-trace and -lint-chrome read
+// only their files (and -diff its -diff-budget), so any other flag beside
+// one of them, a second tool mode, or -diff-budget without -diff is an
+// error naming the flags, and nothing runs.
+func TestToolModesRejectOtherFlags(t *testing.T) {
+	dir := t.TempDir()
+	a := writeFile(t, dir, "a.jsonl", traceA)
+	written := filepath.Join(dir, "b.jsonl")
+	chrome := writeFile(t, dir, "c.json", `{"traceEvents":[]}`)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-lint-trace", a, "-trace-out", written, "-scans", "3"},
+			"-scans, -trace-out: flags that -lint-trace does not read"},
+		{[]string{"-lint-chrome", chrome, "-v"}, "-v: flags that -lint-chrome does not read"},
+		{[]string{"-diff", a, "-seed", "2", a}, "-seed: flags that -diff does not read"},
+		{[]string{"-lint-trace", a, "-diff", a, a}, "-diff and -lint-trace are separate tool modes; use one"},
+		{[]string{"-lint-chrome", chrome, "-lint-trace", a}, "-lint-chrome and -lint-trace are separate tool modes; use one"},
+		{[]string{"-lint-trace", a, "-diff-budget", "1us"}, "-diff-budget sets the budget of -diff; it needs -diff"},
+		{[]string{"-diff-budget", "1ms", "-scans", "1", "-tp", "1s", "-trace-out", written},
+			"-diff-budget sets the budget of -diff; it needs -diff"},
+	} {
+		var out strings.Builder
+		err := run(c.args, &out)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("run(%v): error = %v, want %q", c.args, err, c.want)
+		}
+		if _, err := os.Stat(written); !os.IsNotExist(err) {
+			t.Fatalf("run(%v) wrote %s (stat: %v)", c.args, written, err)
+		}
 	}
 }
 

@@ -8,13 +8,115 @@ import (
 	"sort"
 	"strconv"
 	"time"
-
-	"satin/internal/trace"
 )
 
-// chrome.go emits the span tree in the Chrome trace_event JSON format
-// (the JSON Array Format with "traceEvents", which ui.perfetto.dev and
-// chrome://tracing both load). Mapping:
+// chrome.go holds the repository's one Chrome trace_event writer (the JSON
+// Object Format with "traceEvents", which ui.perfetto.dev and
+// chrome://tracing both load) and the validator every export is checked
+// against. Two span sources write through ChromeWriter: the profiler's
+// virtual-time spans (WriteChromeTrace below) and telemetry's wall-clock
+// campaign timeline.
+
+// ChromeWriter writes one trace_event document: "M" process/thread names,
+// "X" complete events and "i" instants, in call order, then the closing
+// frame on Close. It writes by hand (no maps, fixed field order, fixed
+// 3-decimal microsecond timestamps), so a document is a pure function of
+// the calls made — byte-identical across runs and platforms.
+type ChromeWriter struct {
+	bw      *bufio.Writer
+	started bool
+}
+
+// ChromeArgs is an event's "args" object. Members are written in field
+// order: "area" when HasArea, "detail" when non-empty, and "clamped":true
+// for a span still open at export.
+type ChromeArgs struct {
+	HasArea bool
+	Area    int
+	Detail  string
+	Clamped bool
+}
+
+// NewChromeWriter opens a trace_event document on w.
+func NewChromeWriter(w io.Writer) *ChromeWriter {
+	bw := bufio.NewWriter(w)
+	bw.WriteString("{\"traceEvents\":[\n")
+	return &ChromeWriter{bw: bw}
+}
+
+// ProcessName names process pid.
+func (c *ChromeWriter) ProcessName(pid int, name string) {
+	c.event(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}}`, pid, jsonString(name))
+}
+
+// ThreadName names thread tid of process pid.
+func (c *ChromeWriter) ThreadName(pid, tid int, name string) {
+	c.event(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`, pid, tid, jsonString(name))
+}
+
+// Complete writes an "X" event that starts at ts and lasts dur.
+func (c *ChromeWriter) Complete(name, cat string, ts, dur time.Duration, pid, tid int, args ChromeArgs) {
+	c.event(`{"name":%s,"cat":%s,"ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":{`,
+		jsonString(name), jsonString(cat), usec(ts), usec(dur), pid, tid)
+	c.args(args)
+}
+
+// Instant writes a thread-scoped "i" event at ts.
+func (c *ChromeWriter) Instant(name, cat string, ts time.Duration, pid, tid int, args ChromeArgs) {
+	c.event(`{"name":%s,"cat":%s,"ph":"i","s":"t","ts":%s,"pid":%d,"tid":%d,"args":{`,
+		jsonString(name), jsonString(cat), usec(ts), pid, tid)
+	c.args(args)
+}
+
+// Close writes the closing frame and flushes the document to w.
+func (c *ChromeWriter) Close() error {
+	c.bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
+	if err := c.bw.Flush(); err != nil {
+		return fmt.Errorf("writing chrome trace: %w", err)
+	}
+	return nil
+}
+
+// event writes an array element (or its head, which args completes),
+// separated from the one before it.
+func (c *ChromeWriter) event(format string, a ...any) {
+	if c.started {
+		c.bw.WriteString(",\n")
+	}
+	c.started = true
+	fmt.Fprintf(c.bw, format, a...)
+}
+
+// args writes the event's args members and closes the event.
+func (c *ChromeWriter) args(a ChromeArgs) {
+	sep := ""
+	if a.HasArea {
+		fmt.Fprintf(c.bw, `"area":%d`, a.Area)
+		sep = ","
+	}
+	if a.Detail != "" {
+		c.bw.WriteString(sep + `"detail":` + jsonString(a.Detail))
+		sep = ","
+	}
+	if a.Clamped {
+		c.bw.WriteString(sep + `"clamped":true`)
+	}
+	c.bw.WriteString("}}")
+}
+
+// usec renders an instant or duration as trace_event microseconds with
+// fixed nanosecond precision ("1947618.933").
+func usec(d time.Duration) string {
+	return strconv.FormatFloat(float64(d)/float64(time.Microsecond), 'f', 3, 64)
+}
+
+// jsonString quotes s as a JSON string, escaping as encoding/json does.
+func jsonString(s string) string {
+	b, _ := json.Marshal(s)
+	return string(b)
+}
+
+// The profiler's mapping onto the trace_event model:
 //
 //   - pid <core>      = one process per core, named "Core N"
 //   - pid cores       = the evader's own process, named "TZ-Evader"
@@ -22,96 +124,46 @@ import (
 //   - "X" events      = spans (ts/dur in microseconds of virtual time)
 //   - "i" events      = bus instants (alarms, suspects, faults, ...)
 //   - "M" events      = process_name / thread_name metadata
-//
-// The file is written by hand (no maps, fixed field order, fixed float
-// formatting) so an export is byte-identical across runs and platforms.
 
 const (
 	tidNormal = 0
 	tidSecure = 1
 )
 
-// usec renders a virtual instant as trace_event microseconds with fixed
-// millinanosecond precision ("1947618.933").
-func usec(d time.Duration) string {
-	return strconv.FormatFloat(float64(d)/float64(time.Microsecond), 'f', 3, 64)
-}
-
-func jsonString(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
-}
-
 // WriteChromeTrace writes the run's spans and instants as trace_event
 // JSON. Still-open spans are clamped to elapsed. Safe on a nil profiler
 // (writes an empty but valid trace).
 func (p *Profiler) WriteChromeTrace(w io.Writer, elapsed time.Duration) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"traceEvents\":[\n")
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.WriteString(line)
-	}
-
-	cores := 0
-	if p != nil {
-		cores = p.cores
-	}
-	for c := 0; c < cores; c++ {
-		emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":"Core %d"}}`, c, c))
-		emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"normal"}}`, c, tidNormal))
-		emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"secure"}}`, c, tidSecure))
-	}
+	cw := NewChromeWriter(w)
 	if p != nil {
 		ev := p.evaderTrack()
-		emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":"TZ-Evader"}}`, ev))
-		emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":%d,"tid":0,"args":{"name":"evader"}}`, ev))
-	}
-
-	if p != nil {
+		for c := 0; c < p.cores; c++ {
+			cw.ProcessName(c, fmt.Sprintf("Core %d", c))
+			cw.ThreadName(c, tidNormal, "normal")
+			cw.ThreadName(c, tidSecure, "secure")
+		}
+		cw.ProcessName(ev, "TZ-Evader")
+		cw.ThreadName(ev, tidNormal, "evader")
 		for _, sp := range p.Spans() {
-			pid := sp.Core
-			tid := tidSecure
-			if t := p.trackFor(sp.Kind, sp.Core); t == p.evaderTrack() {
-				pid, tid = p.evaderTrack(), tidNormal
+			pid, tid := sp.Core, tidSecure
+			if p.trackFor(sp.Kind, sp.Core) == ev {
+				pid, tid = ev, tidNormal
 			}
-			dur := sp.Duration(elapsed)
-			line := fmt.Sprintf(`{"name":%s,"cat":"span","ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":{"area":%d`,
-				jsonString(sp.Kind.String()), usec(sp.Begin), usec(dur), pid, tid, sp.Area)
-			if sp.Detail != "" {
-				line += `,"detail":` + jsonString(sp.Detail)
-			}
-			if sp.End == OpenEnd {
-				line += `,"clamped":true`
-			}
-			line += "}}"
-			emit(line)
+			cw.Complete(sp.Kind.String(), "span", sp.Begin, sp.Duration(elapsed), pid, tid, ChromeArgs{
+				HasArea: true, Area: sp.Area, Detail: sp.Detail, Clamped: sp.End == OpenEnd,
+			})
 		}
 		for _, e := range p.instants {
 			pid := e.Core
-			tid := tidNormal
 			if pid < 0 || pid >= p.cores {
-				pid = p.evaderTrack()
+				pid = ev
 			}
-			line := fmt.Sprintf(`{"name":%s,"cat":"event","ph":"i","s":"t","ts":%s,"pid":%d,"tid":%d,"args":{"area":%d`,
-				jsonString(string(e.Kind)), usec(e.At), pid, tid, e.Area)
-			if e.Detail != "" {
-				line += `,"detail":` + jsonString(e.Detail)
-			}
-			line += "}}"
-			emit(line)
+			cw.Instant(string(e.Kind), "event", e.At, pid, tidNormal, ChromeArgs{
+				HasArea: true, Area: e.Area, Detail: e.Detail,
+			})
 		}
 	}
-
-	bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("profile: writing chrome trace: %w", err)
-	}
-	return nil
+	return cw.Close()
 }
 
 // chromeEvent mirrors the trace_event fields ValidateChromeTrace checks.
@@ -198,16 +250,3 @@ func ValidateChromeTrace(r io.Reader) (int, error) {
 	}
 	return len(f.TraceEvents), nil
 }
-
-// instantKinds documents which bus kinds the exporter forwards as "i"
-// events; used by tests to assert coverage.
-var instantKinds = func() []trace.Kind {
-	var out []trace.Kind
-	for _, k := range trace.Kinds() {
-		if k == trace.KindWorldEnter || k == trace.KindRound {
-			continue
-		}
-		out = append(out, k)
-	}
-	return out
-}()

@@ -230,6 +230,66 @@ func TestChromeTraceNilProfiler(t *testing.T) {
 	}
 }
 
+// TestChromeTraceBytes pins the exporter's bytes on a small hand-built run:
+// core spans, an evader-track span, an open span, instants with and
+// without detail, and characters JSON escapes; and on a nil profiler.
+func TestChromeTraceBytes(t *testing.T) {
+	p := NewProfiler(2)
+	p.Begin(SpanWorldSwitch, 0, -1, 10*ms, "secure-timer")
+	p.Begin(SpanSecureDispatch, 0, -1, 10*ms, "")
+	p.End(SpanSecureDispatch, 0, 10*ms+3*us)
+	p.Begin(SpanRound, 0, 14, 10*ms+3*us, "")
+	p.Complete(SpanHashChunk, 0, -1, 10*ms+3*us, 10*ms+5*us+7)
+	p.End(SpanRound, 0, 11*ms)
+	p.End(SpanWorldSwitch, 0, 11*ms+2*us)
+	p.Begin(SpanEvaderWindow, 1, -1, 12*ms, "")
+	p.Begin(SpanEvaderHide, 1, -1, 12*ms, "")
+	p.End(SpanEvaderHide, 1, 13*ms+1)
+	p.End(SpanEvaderWindow, 1, 25*ms)
+	p.Begin(SpanWorldSwitch, 1, -1, 20*ms+1, `smc "probe"`) // still open at export
+	p.OnEvent(trace.Event{At: 11 * ms, Kind: trace.KindAlarm, Core: -1, Area: 14, Detail: "area 14 <dirty>"})
+	p.OnEvent(trace.Event{At: 12*ms + 500, Kind: trace.KindSuspect, Core: 1, Area: -1})
+
+	var nilProfiler *Profiler
+	for _, c := range []struct {
+		name string
+		p    *Profiler
+		want string
+	}{
+		{"hand-built", p, chromeTraceGolden},
+		{"nil", nilProfiler, "{\"traceEvents\":[\n\n],\"displayTimeUnit\":\"ms\"}\n"},
+	} {
+		var buf bytes.Buffer
+		if err := c.p.WriteChromeTrace(&buf, 30*ms); err != nil {
+			t.Fatalf("%s: WriteChromeTrace: %v", c.name, err)
+		}
+		if got := buf.String(); got != c.want {
+			t.Errorf("%s: chrome trace bytes changed:\n got: %s\nwant: %s", c.name, got, c.want)
+		}
+	}
+}
+
+const chromeTraceGolden = `{"traceEvents":[
+{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"Core 0"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"normal"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"secure"}},
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"Core 1"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"normal"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"secure"}},
+{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"TZ-Evader"}},
+{"name":"thread_name","ph":"M","pid":2,"tid":0,"args":{"name":"evader"}},
+{"name":"world-switch","cat":"span","ph":"X","ts":10000.000,"dur":1002.000,"pid":0,"tid":1,"args":{"area":-1,"detail":"secure-timer"}},
+{"name":"secure-dispatch","cat":"span","ph":"X","ts":10000.000,"dur":3.000,"pid":0,"tid":1,"args":{"area":-1}},
+{"name":"round","cat":"span","ph":"X","ts":10003.000,"dur":997.000,"pid":0,"tid":1,"args":{"area":14}},
+{"name":"hash-chunk","cat":"span","ph":"X","ts":10003.000,"dur":2.007,"pid":0,"tid":1,"args":{"area":14}},
+{"name":"evader-window","cat":"span","ph":"X","ts":12000.000,"dur":13000.000,"pid":2,"tid":0,"args":{"area":-1}},
+{"name":"evader-hide","cat":"span","ph":"X","ts":12000.000,"dur":1000.001,"pid":2,"tid":0,"args":{"area":-1}},
+{"name":"world-switch","cat":"span","ph":"X","ts":20000.001,"dur":9999.999,"pid":1,"tid":1,"args":{"area":-1,"detail":"smc \"probe\"","clamped":true}},
+{"name":"alarm","cat":"event","ph":"i","s":"t","ts":11000.000,"pid":2,"tid":0,"args":{"area":14,"detail":"area 14 \u003cdirty\u003e"}},
+{"name":"suspect","cat":"event","ph":"i","s":"t","ts":12000.500,"pid":1,"tid":0,"args":{"area":-1}}
+],"displayTimeUnit":"ms"}
+`
+
 // TestValidateChromeTraceRejects: overlapping non-nested X events on one
 // thread are exactly what the span model promises never to produce.
 func TestValidateChromeTraceRejects(t *testing.T) {

@@ -13,10 +13,9 @@
 // The package is deliberately split along trust lines: Server holds all
 // state under one lock and is pure orchestration (no simulation imports),
 // Client is the typed wire interface, and RunWorker is the lease → execute
-// → upload loop both `satin-serve -worker` and `benchtables
-// -campaign-worker` run. Workers execute their shard with campaign.Run
-// (RunOptions.Only), so kill/resume inside a shard works exactly like any
-// campaign session.
+// → upload loop `satin-serve -worker` runs. Workers execute their shard
+// with campaign.Run (RunOptions.Only), so kill/resume inside a shard works
+// exactly like any campaign session.
 package serve
 
 import (

@@ -37,11 +37,10 @@ type WorkerOptions struct {
 	Logger *slog.Logger
 }
 
-// RunWorker is the pull loop both `satin-serve -worker` and `benchtables
-// -campaign-worker` run: lease a shard, execute it with campaign.Run
-// restricted to the shard's cells (posting one progress report per
-// completed cell — which is also the lease renewal), upload the shard's
-// result file, repeat. It returns nil when the server reports no open work
+// RunWorker is the pull loop `satin-serve -worker` runs: lease a shard,
+// execute it with campaign.Run restricted to the shard's cells (posting one
+// progress report per completed cell — which is also the lease renewal),
+// upload the shard's result file, repeat. It returns nil when the server reports no open work
 // left, and keeps going across lost leases (another worker inherited the
 // shard — the deterministic cells make any overlap merge-compatible).
 func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) error {

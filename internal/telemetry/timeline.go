@@ -1,20 +1,19 @@
 package telemetry
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"time"
+
+	"satin/internal/profile"
 )
 
-// timeline.go renders wall-clock spans in the Chrome trace_event JSON
-// format — the same "traceEvents" array ui.perfetto.dev and
-// chrome://tracing load, and the same structural invariants
-// profile.ValidateChromeTrace checks (`satin-sim -lint-chrome`). Where
-// internal/profile plots virtual time inside one simulated universe, this
-// writer plots real seconds across a distributed campaign: the coordinator
-// maps jobs, shards, leases, cells, and merges onto processes and tracks.
+// timeline.go renders wall-clock spans as a Chrome trace_event document
+// through profile.ChromeWriter, the writer the virtual-time profiler uses,
+// so both pass the same profile.ValidateChromeTrace (`satin-sim
+// -lint-chrome`). Where internal/profile plots virtual time inside one
+// simulated universe, this plots real seconds across a distributed
+// campaign: the coordinator maps jobs, shards, leases, cells, and merges
+// onto processes and tracks.
 //
 // Mapping:
 //
@@ -23,9 +22,6 @@ import (
 //   - "X" events = spans (ts/dur in microseconds of wall-clock time,
 //     relative to the caller's chosen zero)
 //   - "M" events = process_name / thread_name metadata
-//
-// The file is written by hand (no maps, fixed field order, fixed float
-// formatting) so an export depends only on the span list.
 
 // Span is one wall-clock interval on a named track.
 type Span struct {
@@ -45,61 +41,29 @@ type Span struct {
 	Open bool
 }
 
-// wallUsec renders a wall-clock offset as trace_event microseconds with
-// fixed millinanosecond precision, matching the profile exporter.
-func wallUsec(d time.Duration) string {
-	if d < 0 {
-		d = 0
-	}
-	return fmt.Sprintf("%.3f", float64(d)/float64(time.Microsecond))
-}
-
-func jsonEscape(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
-}
-
 // WriteChromeTrace writes the spans as trace_event JSON. Track ids are
 // assigned by first appearance, so the output is a pure function of the
-// span slice.
+// span slice. A negative Begin is written as 0, and an End before its
+// Begin as the Begin.
 func WriteChromeTrace(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"traceEvents\":[\n")
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.WriteString(line)
-	}
+	cw := profile.NewChromeWriter(w)
 
 	// Assign pids/tids by first appearance and emit the metadata up front.
 	pidOf := map[string]int{}
 	type track struct{ process, thread string }
 	tidOf := map[track]int{}
 	tidNext := map[string]int{}
-	var metaLines []string
 	for _, sp := range spans {
 		if _, ok := pidOf[sp.Process]; !ok {
-			pid := len(pidOf)
-			pidOf[sp.Process] = pid
-			metaLines = append(metaLines, fmt.Sprintf(
-				`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}}`,
-				pid, jsonEscape(sp.Process)))
+			pidOf[sp.Process] = len(pidOf)
+			cw.ProcessName(pidOf[sp.Process], sp.Process)
 		}
 		tk := track{sp.Process, sp.Thread}
 		if _, ok := tidOf[tk]; !ok {
-			tid := tidNext[sp.Process]
+			tidOf[tk] = tidNext[sp.Process]
 			tidNext[sp.Process]++
-			tidOf[tk] = tid
-			metaLines = append(metaLines, fmt.Sprintf(
-				`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`,
-				pidOf[sp.Process], tid, jsonEscape(sp.Thread)))
+			cw.ThreadName(pidOf[sp.Process], tidOf[tk], sp.Thread)
 		}
-	}
-	for _, line := range metaLines {
-		emit(line)
 	}
 
 	for _, sp := range spans {
@@ -110,24 +74,9 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		if end < begin {
 			end = begin
 		}
-		line := fmt.Sprintf(`{"name":%s,"cat":"wall","ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":{`,
-			jsonEscape(sp.Name), wallUsec(begin), wallUsec(end-begin),
-			pidOf[sp.Process], tidOf[track{sp.Process, sp.Thread}])
-		sep := ""
-		if sp.Detail != "" {
-			line += `"detail":` + jsonEscape(sp.Detail)
-			sep = ","
-		}
-		if sp.Open {
-			line += sep + `"clamped":true`
-		}
-		line += "}}"
-		emit(line)
+		cw.Complete(sp.Name, "wall", begin, end-begin,
+			pidOf[sp.Process], tidOf[track{sp.Process, sp.Thread}],
+			profile.ChromeArgs{Detail: sp.Detail, Clamped: sp.Open})
 	}
-
-	bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("telemetry: writing chrome trace: %w", err)
-	}
-	return nil
+	return cw.Close()
 }

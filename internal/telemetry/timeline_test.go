@@ -142,3 +142,42 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 		t.Fatalf("empty trace invalid: %v\n%s", err, buf.String())
 	}
 }
+
+// TestWriteChromeTraceBytes pins the exporter's bytes on six spans that
+// cover its clamps (a negative begin, an end before its begin), two open
+// spans, two processes, and characters JSON escapes.
+func TestWriteChromeTraceBytes(t *testing.T) {
+	spans := []Span{
+		{Process: "campaign c1", Thread: "job", Name: "job c1", Begin: 0, End: 100*time.Millisecond + 1234},
+		{Process: "campaign c1", Thread: "shard 0", Name: "lease #1", Detail: `worker "w1" <pid 7> & co`,
+			Begin: -5 * time.Millisecond, End: 60 * time.Millisecond, Open: true},
+		{Process: "campaign c1", Thread: "shard 0", Name: "cell\t0\n", Begin: 6 * time.Millisecond, End: 2 * time.Millisecond},
+		{Process: `campaign "c2"`, Thread: `shard\1`, Name: "cell 1", Begin: 30*time.Millisecond + 1, End: 59 * time.Millisecond, Open: true},
+		{Process: "campaign c1", Thread: "merge", Name: "merge", Detail: "ok", Begin: 90 * time.Millisecond, End: 100 * time.Millisecond},
+		{Process: `campaign "c2"`, Thread: "job", Name: "job c2 \u2028\u2713", Begin: time.Second, End: time.Second + 999},
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, spans); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != timelineGolden {
+		t.Errorf("timeline bytes changed:\n got: %s\nwant: %s", got, timelineGolden)
+	}
+}
+
+const timelineGolden = `{"traceEvents":[
+{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"campaign c1"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"job"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"shard 0"}},
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"campaign \"c2\""}},
+{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"shard\\1"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":2,"args":{"name":"merge"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"job"}},
+{"name":"job c1","cat":"wall","ph":"X","ts":0.000,"dur":100001.234,"pid":0,"tid":0,"args":{}},
+{"name":"lease #1","cat":"wall","ph":"X","ts":0.000,"dur":60000.000,"pid":0,"tid":1,"args":{"detail":"worker \"w1\" \u003cpid 7\u003e \u0026 co","clamped":true}},
+{"name":"cell\t0\n","cat":"wall","ph":"X","ts":6000.000,"dur":0.000,"pid":0,"tid":1,"args":{}},
+{"name":"cell 1","cat":"wall","ph":"X","ts":30000.001,"dur":28999.999,"pid":1,"tid":0,"args":{"clamped":true}},
+{"name":"merge","cat":"wall","ph":"X","ts":90000.000,"dur":10000.000,"pid":0,"tid":2,"args":{"detail":"ok"}},
+{"name":"job c2 \u2028✓","cat":"wall","ph":"X","ts":1000000.000,"dur":0.999,"pid":1,"tid":1,"args":{}}
+],"displayTimeUnit":"ms"}
+`

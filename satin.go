@@ -231,7 +231,7 @@ func MergeProfiles(sums []ProfileSummary) ProfileSummary { return profile.Merge(
 
 // DiffTraces aligns two exported event streams by (kind, core, area) and
 // reports first divergence plus per-group latency deltas — the regression
-// gate behind `satin-sim -diff` and tools/tracediff.
+// gate behind `satin-sim -diff`.
 func DiffTraces(a, b []TimelineEvent) TraceDiffReport { return trace.Diff(a, b) }
 
 // CheckTraceOrdered verifies a stream's timestamps are non-decreasing, as
