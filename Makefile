@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke checkpoint-smoke serve-smoke paper-check docs-check cover profile ci
+.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke checkpoint-smoke serve-smoke paper-check examples-check docs-check cover profile ci
 
 all: build test
 
@@ -199,7 +199,8 @@ campaign-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign$$' -fuzztime 20s ./internal/campaign
 
 # The paper, pinned: the no-flag benchtables run (every table and figure at
-# seed 1, about 45 s on one core) must print exactly the committed golden.
+# seed 1, about 20 s on one core of a 2-vCPU Xeon) must print exactly the
+# committed golden.
 # A driver error exits non-zero and fails the target too. Regenerate the
 # golden only when a change means to move the paper's numbers:
 #   go run ./cmd/benchtables > cmd/benchtables/testdata/paper.stdout.golden
@@ -208,6 +209,16 @@ paper-check:
 	/tmp/benchtables > /tmp/paper.stdout
 	cmp /tmp/paper.stdout cmd/benchtables/testdata/paper.stdout.golden || { echo "the paper run drifted from cmd/benchtables/testdata/paper.stdout.golden"; exit 1; }
 	@echo "the paper run reproduces its golden byte for byte"
+
+# The example programs, run end to end: `go build ./...` only compiles them.
+# Each must exit 0. examples/overhead drives the rich OS's scheduling path
+# and examples/evasion the thread-level evader.
+examples-check:
+	@set -e; for ex in examples/*/; do \
+		echo "go run ./$$ex"; \
+		$(GO) run ./$$ex > /dev/null || { echo "$$ex exited non-zero"; exit 1; }; \
+	done
+	@echo "every example runs to exit status 0"
 
 # Docs stay in sync with the code: every internal package opens with a
 # '// Package <name>' doc comment (so `go doc` gives a real answer at each
@@ -253,4 +264,4 @@ profile:
 # Every blocking gate of the workflow's test job, in its order, so a local
 # `make ci` pass means they all pass. Only the workflow runs the two 20 s
 # fuzz smokes (spec-fuzz-smoke, campaign-fuzz-smoke) and cover.
-ci: vet fmt-check build test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke paper-check docs-check
+ci: vet fmt-check build test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke paper-check examples-check docs-check

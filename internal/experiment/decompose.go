@@ -111,14 +111,16 @@ func RunDecomposition(seed uint64, window time.Duration) (DecompositionResult, e
 }
 
 // startFig7SATIN installs SATIN with the overhead experiment's schedule
-// (each core waking every 8 s).
+// (each core waking every fig7WakePeriod).
 func startFig7SATIN(rig *Rig, seed uint64) error {
 	areas, err := rig.JunoAreas()
 	if err != nil {
 		return err
 	}
 	cfg := core.DefaultConfig()
-	cfg.Tgoal = time.Duration(len(areas)) * 8 * time.Second / time.Duration(rig.Plat.NumCores())
+	// Per-core wake period P with n cores means a system-wide round every
+	// P/n, i.e. Tgoal = m*P/n.
+	cfg.Tgoal = time.Duration(len(areas)) * fig7WakePeriod / time.Duration(rig.Plat.NumCores())
 	cfg.Seed = seed + 13
 	satin, err := core.New(rig.Plat, rig.Monitor, rig.Image, rig.Checker, areas, cfg)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"satin/internal/core"
 	"satin/internal/stats"
 	"satin/internal/workload"
 )
@@ -18,12 +17,13 @@ type Fig7Config struct {
 	Tasks []int
 	// Window is each run's measurement window.
 	Window time.Duration
-	// PerCoreWakePeriod is how often each core's secure timer wakes for
-	// introspection (paper's overhead experiment: the self-activation
-	// module wakes the secure world "across all cores").
-	PerCoreWakePeriod time.Duration
-	Seed              uint64
+	Seed   uint64
 }
+
+// fig7WakePeriod is how often each core's secure timer wakes for
+// introspection in the overhead study (paper's overhead experiment: the
+// self-activation module wakes the secure world "across all cores").
+const fig7WakePeriod = 8 * time.Second
 
 // DefaultFig7Config returns the paper-scale configuration.
 func DefaultFig7Config() Fig7Config {
@@ -31,9 +31,8 @@ func DefaultFig7Config() Fig7Config {
 		Tasks: []int{1, 6},
 		// 240 s keeps the 1-task interruption count (Poisson, mean ≈30)
 		// tight enough that per-program bars are stable.
-		Window:            240 * time.Second,
-		PerCoreWakePeriod: 8 * time.Second,
-		Seed:              1,
+		Window: 240 * time.Second,
+		Seed:   1,
 	}
 }
 
@@ -46,9 +45,6 @@ func (c Fig7Config) withDefaults() Fig7Config {
 	}
 	if c.Window == 0 {
 		c.Window = 240 * time.Second
-	}
-	if c.PerCoreWakePeriod == 0 {
-		c.PerCoreWakePeriod = 8 * time.Second
 	}
 	return c
 }
@@ -196,20 +192,7 @@ func fig7Run(cfg Fig7Config, spec workload.Spec, tasks int, withSATIN bool) (sco
 		return 0, 0, err
 	}
 	if withSATIN {
-		areas, err := rig.JunoAreas()
-		if err != nil {
-			return 0, 0, err
-		}
-		satinCfg := core.DefaultConfig()
-		// Per-core wake period P with n cores means a system-wide round
-		// every P/n, i.e. Tgoal = m*P/n.
-		satinCfg.Tgoal = time.Duration(len(areas)) * cfg.PerCoreWakePeriod / time.Duration(rig.Plat.NumCores())
-		satinCfg.Seed = cfg.Seed + 13
-		satin, err := core.New(rig.Plat, rig.Monitor, rig.Image, rig.Checker, areas, satinCfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := satin.Start(); err != nil {
+		if err := startFig7SATIN(rig, cfg.Seed); err != nil {
 			return 0, 0, err
 		}
 	}

@@ -189,7 +189,7 @@ func (in *Injector) applyDVFS(step DVFSStep) {
 func (in *Injector) applyHotplug(ev HotplugEvent) {
 	core := in.platform.Core(ev.Core)
 	if !ev.Online && in.monitor.InSecure(ev.Core) {
-		in.platform.Engine().After(hotplugRetryGap, fmt.Sprintf("fault-hotplug-wait-core%d", ev.Core), func() {
+		in.platform.Engine().After(hotplugRetryGap, "fault-hotplug-wait", func() {
 			in.applyHotplug(ev)
 		})
 		return
@@ -223,7 +223,7 @@ func (in *Injector) interceptRaise(id hw.IntID, coreID int) bool {
 			At: in.platform.Engine().Now().Duration(), Kind: trace.KindFault, Core: coreID, Area: -1,
 			Detail: fmt.Sprintf("irq-delay %v +%v", id, d),
 		}, in.delayCtr)
-		in.platform.Engine().After(d, fmt.Sprintf("fault-irq-delay-core%d", coreID), func() {
+		in.platform.Engine().After(d, "fault-irq-delay", func() {
 			in.platform.GIC().Deliver(id, coreID)
 		})
 		return true
@@ -248,7 +248,7 @@ func (in *Injector) dropRaise(id hw.IntID, coreID, attempt int) {
 		maxRetries = DefaultIRQMaxRetries
 	}
 	d := retryDelay.Draw(in.rngIRQ)
-	in.platform.Engine().After(d, fmt.Sprintf("fault-irq-retry-core%d", coreID), func() {
+	in.platform.Engine().After(d, "fault-irq-retry", func() {
 		if attempt < maxRetries && in.rngIRQ.Bool(in.plan.IRQ.DropProb) {
 			in.dropRaise(id, coreID, attempt+1)
 			return

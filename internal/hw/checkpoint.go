@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"math/bits"
 
 	"satin/internal/simclock"
 )
@@ -88,11 +89,13 @@ func (c *Core) RearmTimer(claim simclock.Claim) error {
 }
 
 // CheckpointIdle verifies the GIC holds no pended interrupts — true by
-// construction at a claimable instant, checked rather than assumed.
+// construction at a claimable instant, checked rather than assumed. An
+// error names the lowest pended line of the first such core.
 func (g *GIC) CheckpointIdle() error {
 	for coreID, p := range g.pending {
-		for id := range p {
-			return fmt.Errorf("hw: interrupt %v still pended on core %d at the checkpoint instant", id, coreID)
+		if p != 0 {
+			return fmt.Errorf("hw: interrupt %v still pended on core %d at the checkpoint instant",
+				IntID(bits.TrailingZeros64(p)), coreID)
 		}
 	}
 	return nil

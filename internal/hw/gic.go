@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // IntID identifies an interrupt line. The two lines the paper's mechanisms
@@ -53,6 +54,11 @@ const (
 // Handler services an interrupt on a specific core.
 type Handler func(coreID int)
 
+// numLines is how many interrupt lines the GIC models, IDs 0 through 63:
+// the SGIs, the PPIs and the first SPIs. That covers every line the
+// platform wires and lets a core's pending lines fit one uint64 mask.
+const numLines = 64
+
 // GIC models the TrustZone-aware interrupt controller. Routing implements
 // the two requirements of §II-B:
 //
@@ -64,13 +70,15 @@ type Handler func(coreID int)
 //     the GIC and are delivered when the core returns to the normal world
 //     (the non-preemptive secure mode of §II-B that SATIN requires).
 type GIC struct {
-	handlers map[IntID]Handler
-	groups   map[IntID]Group
-	cores    []*Core
-	// pending[coreID] holds non-secure interrupt IDs waiting for the core
-	// to return to the normal world. A set: hardware pends a level, not a
+	handlers [numLines]Handler
+	// groups[id] is line id's security group; zero means unconfigured.
+	groups [numLines]Group
+	cores  []*Core
+	// pending[coreID] has bit id set while line id waits for delivery to
+	// the core: a non-secure line while the core is in the secure world,
+	// any line while it is offline. A set: hardware pends a level, not a
 	// count.
-	pending []map[IntID]bool
+	pending []uint64
 	// preemptive, when set, is consulted for a non-secure interrupt
 	// targeting a core in the secure world: returning true delivers the
 	// interrupt immediately (the preemptive secure mode of §II-B) instead
@@ -87,18 +95,9 @@ type GIC struct {
 
 // newGIC wires the controller to the platform's cores.
 func newGIC(cores []*Core) *GIC {
-	g := &GIC{
-		handlers: make(map[IntID]Handler),
-		groups: map[IntID]Group{
-			IntSecureTimer: GroupSecure,
-			IntNSTimer:     GroupNonSecure,
-		},
-		cores:   cores,
-		pending: make([]map[IntID]bool, len(cores)),
-	}
-	for i := range g.pending {
-		g.pending[i] = make(map[IntID]bool)
-	}
+	g := &GIC{cores: cores, pending: make([]uint64, len(cores))}
+	g.groups[IntSecureTimer] = GroupSecure
+	g.groups[IntNSTimer] = GroupNonSecure
 	for _, c := range cores {
 		c.OnWorldChange(func(c *Core, _, newWorld World) {
 			if newWorld == NormalWorld {
@@ -114,9 +113,18 @@ func newGIC(cores []*Core) *GIC {
 	return g
 }
 
+// checkLine panics unless id is one of the GIC's numLines lines: a line
+// outside them is a platform assembly error.
+func checkLine(id IntID) {
+	if id < 0 || id >= numLines {
+		panic(fmt.Sprintf("hw: interrupt line %d is outside the GIC's lines 0-%d", int(id), numLines-1))
+	}
+}
+
 // Configure sets the security group of an interrupt line. The platform
 // pre-configures the two timer PPIs; tests use this for synthetic lines.
 func (g *GIC) Configure(id IntID, group Group) {
+	checkLine(id)
 	g.groups[id] = group
 }
 
@@ -124,6 +132,7 @@ func (g *GIC) Configure(id IntID, group Group) {
 // previous handler. The trustzone monitor registers for secure lines; the
 // rich OS registers for non-secure lines.
 func (g *GIC) Register(id IntID, h Handler) {
+	checkLine(id)
 	g.handlers[id] = h
 }
 
@@ -133,6 +142,7 @@ func (g *GIC) Register(id IntID, h Handler) {
 // consume the assertion (modeling wire delay or a dropped edge); it then
 // completes delivery through Deliver.
 func (g *GIC) Raise(id IntID, coreID int) {
+	checkLine(id)
 	if g.intercept != nil && g.intercept(id, coreID) {
 		return
 	}
@@ -144,18 +154,20 @@ func (g *GIC) Raise(id IntID, coreID int) {
 // retried raise without being re-intercepted; routing rules (groups,
 // secure-world pending, offline pending) still apply at delivery time.
 func (g *GIC) Deliver(id IntID, coreID int) {
+	checkLine(id)
 	g.route(id, coreID)
 }
 
+// route delivers or pends line id, which Raise or Deliver has checked.
 func (g *GIC) route(id IntID, coreID int) {
-	group, ok := g.groups[id]
-	if !ok {
+	group := g.groups[id]
+	if group == 0 {
 		panic(fmt.Sprintf("hw: interrupt %v raised without a configured group", id))
 	}
 	if !g.cores[coreID].Online() {
 		// An offline core takes no interrupts in either group; the GIC
 		// holds the level until the core is powered back on.
-		g.pending[coreID][id] = true
+		g.pending[coreID] |= 1 << id
 		return
 	}
 	switch group {
@@ -168,7 +180,7 @@ func (g *GIC) route(id IntID, coreID int) {
 				g.dispatch(id, coreID)
 				return
 			}
-			g.pending[coreID][id] = true
+			g.pending[coreID] |= 1 << id
 			return
 		}
 		g.dispatch(id, coreID)
@@ -191,37 +203,28 @@ func (g *GIC) SetRaiseInterceptor(fn func(id IntID, coreID int) bool) {
 
 // PendingOn reports whether interrupt id is pending delivery on core coreID.
 func (g *GIC) PendingOn(id IntID, coreID int) bool {
-	return g.pending[coreID][id]
+	checkLine(id)
+	return g.pending[coreID]&(1<<id) != 0
 }
 
 func (g *GIC) dispatch(id IntID, coreID int) {
-	h, ok := g.handlers[id]
-	if !ok {
+	h := g.handlers[id]
+	if h == nil {
 		panic(fmt.Sprintf("hw: interrupt %v raised on core %d with no handler", id, coreID))
 	}
 	h(coreID)
 }
 
 // drainPending delivers interrupts that pended while the core was in the
-// secure world. Delivery order is numeric interrupt ID, matching GIC
-// priority order for same-priority lines and keeping the simulation
+// secure world or offline. It dispatches exactly the lines pending when it
+// starts, lowest ID first (GIC priority order for same-priority lines),
+// clearing each just before its handler runs; a line that a handler newly
+// pends waits for the next drain. The order keeps the simulation
 // deterministic.
 func (g *GIC) drainPending(coreID int) {
-	p := g.pending[coreID]
-	if len(p) == 0 {
-		return
-	}
-	ids := make([]IntID, 0, len(p))
-	for id := range p {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	for _, id := range ids {
-		delete(p, id)
+	for p := g.pending[coreID]; p != 0; p &= p - 1 {
+		id := IntID(bits.TrailingZeros64(p))
+		g.pending[coreID] &^= 1 << id
 		g.dispatch(id, coreID)
 	}
 }

@@ -2,6 +2,8 @@ package hw
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -295,35 +297,105 @@ func TestGICNonSecureImmediateInNormalWorld(t *testing.T) {
 }
 
 func TestGICPendingDrainOrder(t *testing.T) {
+	// Lines raised in any order on a core in the secure world drain in
+	// numeric order when it returns to the normal world.
+	for _, tc := range []struct {
+		raised, want []IntID
+	}{
+		{raised: []IntID{41, 40}, want: []IntID{40, 41}},
+		{raised: []IntID{63, 30, 29, 1}, want: []IntID{1, 29, 30, 63}},
+	} {
+		_, p := newTestPlatform(t)
+		var order []IntID
+		for _, id := range tc.raised {
+			p.GIC().Configure(id, GroupNonSecure)
+			p.GIC().Register(id, func(int) { order = append(order, id) })
+		}
+		c := p.Core(0)
+		c.SetWorld(SecureWorld)
+		for _, id := range tc.raised {
+			p.GIC().Raise(id, 0)
+		}
+		c.SetWorld(NormalWorld)
+		if fmt.Sprint(order) != fmt.Sprint(tc.want) {
+			t.Errorf("raised %v: drain order = %v, want %v", tc.raised, order, tc.want)
+		}
+	}
+}
+
+// TestGICDrainDispatchesOnlyLinesPendingAtStart: a handler that sends its
+// core back to the secure world and raises another line leaves that line
+// pending for the next drain, even though the running drain has not
+// finished.
+func TestGICDrainDispatchesOnlyLinesPendingAtStart(t *testing.T) {
 	_, p := newTestPlatform(t)
 	const (
 		intA IntID = 40
 		intB IntID = 41
 	)
-	p.GIC().Configure(intA, GroupNonSecure)
-	p.GIC().Configure(intB, GroupNonSecure)
-	var order []IntID
-	p.GIC().Register(intA, func(int) { order = append(order, intA) })
-	p.GIC().Register(intB, func(int) { order = append(order, intB) })
+	g := p.GIC()
+	g.Configure(intA, GroupNonSecure)
+	g.Configure(intB, GroupNonSecure)
 	c := p.Core(0)
+	var order []IntID
+	g.Register(intA, func(int) {
+		order = append(order, intA)
+		c.SetWorld(SecureWorld)
+		g.Raise(intB, 0)
+	})
+	g.Register(intB, func(int) { order = append(order, intB) })
 	c.SetWorld(SecureWorld)
-	// Raise in reverse numeric order; drain must be numeric.
-	p.GIC().Raise(intB, 0)
-	p.GIC().Raise(intA, 0)
+	g.Raise(intA, 0)
 	c.SetWorld(NormalWorld)
-	if len(order) != 2 || order[0] != intA || order[1] != intB {
-		t.Errorf("drain order = %v, want [intA intB]", order)
+	if fmt.Sprint(order) != fmt.Sprint([]IntID{intA}) || !g.PendingOn(intB, 0) {
+		t.Fatalf("after the first drain: order %v, line %d pending %v; want [%d] and pending",
+			order, intB, g.PendingOn(intB, 0), intA)
+	}
+	c.SetWorld(NormalWorld)
+	if fmt.Sprint(order) != fmt.Sprint([]IntID{intA, intB}) || g.PendingOn(intB, 0) {
+		t.Fatalf("after the second drain: order %v, line %d pending %v; want [%d %d] and not pending",
+			order, intB, g.PendingOn(intB, 0), intA, intB)
+	}
+}
+
+// TestGICRejectsLinesOutsideItsArray: configuring, registering, querying,
+// raising or delivering a line outside 0..63 panics with a message naming
+// the line.
+func TestGICRejectsLinesOutsideItsArray(t *testing.T) {
+	_, p := newTestPlatform(t)
+	g := p.GIC()
+	panicMessage := func(fn func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		fn()
+		return ""
+	}
+	for _, id := range []IntID{-1, 64} {
+		for _, c := range []struct {
+			name string
+			call func()
+		}{
+			{"Configure", func() { g.Configure(id, GroupNonSecure) }},
+			{"Register", func() { g.Register(id, func(int) {}) }},
+			{"PendingOn", func() { g.PendingOn(id, 0) }},
+			{"Raise", func() { g.Raise(id, 0) }},
+			{"Deliver", func() { g.Deliver(id, 0) }},
+		} {
+			msg := panicMessage(c.call)
+			if want := fmt.Sprintf("interrupt line %d ", int(id)); !strings.Contains(msg, want) {
+				t.Errorf("%s(%d): panic %q, want one naming the line (%q)", c.name, int(id), msg, want)
+			}
+		}
 	}
 }
 
 func TestGICUnconfiguredInterruptPanics(t *testing.T) {
 	_, p := newTestPlatform(t)
 	defer func() {
-		if recover() == nil {
-			t.Error("unconfigured interrupt did not panic")
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "without a configured group") {
+			t.Errorf("unconfigured interrupt panicked with %q, want one about its missing group", msg)
 		}
 	}()
-	p.GIC().Raise(IntID(99), 0)
+	p.GIC().Raise(IntID(5), 0)
 }
 
 func TestGICUnhandledInterruptPanics(t *testing.T) {

@@ -11,6 +11,9 @@
 // a Bus with no subscribers returns before touching the event, and nil
 // metric handles (a component that was never Observe'd) make every Add and
 // Observe a nil-check. None of these paths allocate.
+//
+// Sinks are never removed. From inside Publish a sink may subscribe another
+// sink or publish another event; Bus says what each sink then sees.
 package obs
 
 import "satin/internal/trace"
@@ -20,57 +23,24 @@ import "satin/internal/trace"
 // order.
 type SinkFunc func(trace.Event)
 
-type subscriber struct {
-	id int
-	fn SinkFunc
-}
-
 // Bus fans published trace.Events out to subscribers. The zero value and
-// nil are both usable publishers (events go nowhere).
+// nil are both usable publishers (events go nowhere). A sink stays
+// subscribed for the bus's lifetime.
 //
-// Publish is re-entrancy safe: a sink may Subscribe or Unsubscribe (itself
-// or a peer) while a publish is in flight. A subscriber removed mid-publish
-// is not called again for the current event; a subscriber added mid-publish
-// first sees the next event.
+// Publish is re-entrant in two ways: a sink may Subscribe, and the new sink
+// first sees the next event, never the one in flight; and a sink may
+// Publish recursively, and the inner event reaches every sink subscribed at
+// that moment before the outer event moves on to the next sink.
 type Bus struct {
-	subs   []subscriber
-	nextID int
-	// publishing counts in-flight Publish frames (sinks can publish
-	// recursively); while non-zero, Unsubscribe tombstones instead of
-	// splicing so the iteration indices stay stable.
-	publishing int
-	// dirty records that at least one tombstone awaits compaction.
-	dirty bool
+	subs []SinkFunc
 }
 
 // NewBus returns an empty bus.
 func NewBus() *Bus { return &Bus{} }
 
-// Subscribe registers fn and returns a token for Unsubscribe. Subscribers
-// are invoked in subscription order.
-func (b *Bus) Subscribe(fn SinkFunc) int {
-	b.nextID++
-	b.subs = append(b.subs, subscriber{id: b.nextID, fn: fn})
-	return b.nextID
-}
-
-// Unsubscribe removes the subscriber with the given token. Unknown tokens
-// are a no-op. The relative order of the remaining subscribers is kept.
-// During an in-flight Publish the entry is tombstoned (so the iteration's
-// indices stay valid) and compacted away when the outermost publish ends.
-func (b *Bus) Unsubscribe(id int) {
-	for i, s := range b.subs {
-		if s.id != id || s.fn == nil {
-			continue
-		}
-		if b.publishing > 0 {
-			b.subs[i].fn = nil
-			b.dirty = true
-		} else {
-			b.subs = append(b.subs[:i], b.subs[i+1:]...)
-		}
-		return
-	}
+// Subscribe registers fn. Subscribers are invoked in subscription order.
+func (b *Bus) Subscribe(fn SinkFunc) {
+	b.subs = append(b.subs, fn)
 }
 
 // Subscribers reports how many sinks are attached.
@@ -78,42 +48,18 @@ func (b *Bus) Subscribers() int {
 	if b == nil {
 		return 0
 	}
-	n := 0
-	for _, s := range b.subs {
-		if s.fn != nil {
-			n++
-		}
-	}
-	return n
+	return len(b.subs)
 }
 
 // Publish delivers e to every subscriber in subscription order. It is safe
-// on a nil bus and allocates nothing when no sink is attached.
-//
-// The subscriber list is index-guarded: only entries present when the
-// publish started are delivered to (a Subscribe from inside a sink takes
-// effect from the next event), and entries tombstoned by a mid-publish
-// Unsubscribe are skipped without disturbing their neighbours.
+// on a nil bus and allocates nothing.
 func (b *Bus) Publish(e trace.Event) {
-	if b == nil || len(b.subs) == 0 {
+	if b == nil {
 		return
 	}
-	b.publishing++
-	n := len(b.subs)
-	for i := 0; i < n; i++ {
-		if fn := b.subs[i].fn; fn != nil {
-			fn(e)
-		}
-	}
-	b.publishing--
-	if b.publishing == 0 && b.dirty {
-		live := b.subs[:0]
-		for _, s := range b.subs {
-			if s.fn != nil {
-				live = append(live, s)
-			}
-		}
-		b.subs = live
-		b.dirty = false
+	// The range expression is read once, so a sink that subscribes from
+	// inside this loop lengthens b.subs but not the slice being ranged over.
+	for _, fn := range b.subs {
+		fn(e)
 	}
 }

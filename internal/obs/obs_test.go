@@ -21,28 +21,6 @@ func TestBusSubscribeOrder(t *testing.T) {
 	}
 }
 
-func TestBusUnsubscribePreservesOrder(t *testing.T) {
-	b := NewBus()
-	var order []string
-	b.Subscribe(func(trace.Event) { order = append(order, "a") })
-	id := b.Subscribe(func(trace.Event) { order = append(order, "b") })
-	b.Subscribe(func(trace.Event) { order = append(order, "c") })
-	b.Unsubscribe(id)
-	if n := b.Subscribers(); n != 2 {
-		t.Fatalf("Subscribers() = %d after unsubscribe, want 2", n)
-	}
-	b.Publish(trace.Event{Kind: trace.KindRound})
-	if got := strings.Join(order, ""); got != "ac" {
-		t.Fatalf("remaining subscribers ran in order %q, want ac", got)
-	}
-	// Unknown and repeated unsubscribes are no-ops.
-	b.Unsubscribe(id)
-	b.Unsubscribe(999)
-	if n := b.Subscribers(); n != 2 {
-		t.Fatalf("Subscribers() = %d after redundant unsubscribes, want 2", n)
-	}
-}
-
 func TestBusNilSafe(t *testing.T) {
 	var b *Bus
 	b.Publish(trace.Event{Kind: trace.KindRound}) // must not panic

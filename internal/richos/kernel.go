@@ -16,7 +16,7 @@ import (
 func (os *OS) armTick(cs *coreState) {
 	cs.tickArmed = true
 	period := time.Second / time.Duration(os.cfg.HZ)
-	os.platform.Engine().After(period, fmt.Sprintf("tick-core%d", cs.id), func() {
+	os.platform.Engine().ScheduleAfter(period, "tick", func() {
 		os.platform.GIC().Raise(hw.IntNSTimer, cs.id)
 	})
 }

@@ -371,8 +371,7 @@ func (os *OS) runChunk(cs *coreState) {
 		if t.pendingCompute > 0 {
 			cs.computeStart = os.platform.Engine().Now()
 			cs.computeLen = t.pendingCompute
-			cs.computeDone = os.platform.Engine().After(cs.computeLen,
-				fmt.Sprintf("compute-%s-core%d", t.name, cs.id),
+			cs.computeDone = os.platform.Engine().After(cs.computeLen, "compute",
 				func() { os.computeDone(cs) })
 			return
 		}
@@ -486,7 +485,7 @@ func (os *OS) Wake(t *Thread) {
 func (os *OS) sleepThread(cs *coreState, t *Thread, d time.Duration) {
 	t.state = StateSleeping
 	cs.current = nil
-	t.wake = os.platform.Engine().After(d, fmt.Sprintf("wake-%s", t.name), func() {
+	t.wake = os.platform.Engine().After(d, "wake", func() {
 		t.wake = nil
 		t.state = StateReady
 		os.place(t)

@@ -54,7 +54,6 @@ type Engine struct {
 	queue      eventQueue
 	nextSeq    uint64
 	dispatched uint64
-	stopped    bool
 	// free holds fired or discarded event structs for reuse, so steady-state
 	// scheduling allocates nothing. Events carry a generation counter bumped
 	// on recycle; Handles snapshot it so a stale Handle can never cancel the
@@ -130,24 +129,17 @@ func (e *Engine) After(d time.Duration, name string, fn func()) *Handle {
 	return e.At(e.now.Add(d), name, fn)
 }
 
-// Schedule is At without a cancel handle: the hot path for fire-and-forget
-// events. With no Handle to allocate and the event struct drawn from the
-// free list, steady-state scheduling through here allocates nothing.
-func (e *Engine) Schedule(t Time, name string, fn func()) {
-	e.schedule(t, name, fn)
-}
-
-// ScheduleAfter is After without a cancel handle; see Schedule.
+// ScheduleAfter is After without a cancel handle: the hot path for
+// fire-and-forget events. With no Handle to allocate and the event struct
+// drawn from the free list, steady-state scheduling through here allocates
+// nothing.
 func (e *Engine) ScheduleAfter(d time.Duration, name string, fn func()) {
 	e.schedule(e.now.Add(d), name, fn)
 }
 
 // Step fires the earliest pending event and returns true, or returns false
-// if the queue is empty or the engine has been stopped.
+// if the queue is empty.
 func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
 	for {
 		ev := e.queue.pop()
 		if ev == nil {
@@ -171,7 +163,7 @@ func (e *Engine) Step() bool {
 	}
 }
 
-// Run fires events until the queue drains or Stop is called.
+// Run fires events until the queue drains.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -194,14 +186,14 @@ func (e *Engine) peekLive() *event {
 // RunUntil fires events up to and including instant t, then advances the
 // clock to t. Events scheduled beyond t remain queued.
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped {
+	for {
 		ev := e.peekLive()
 		if ev == nil || ev.when > t {
 			break
 		}
 		e.Step()
 	}
-	if !e.stopped && e.now < t {
+	if e.now < t {
 		e.now = t
 	}
 }
@@ -211,13 +203,6 @@ func (e *Engine) RunUntil(t Time) {
 func (e *Engine) RunFor(d time.Duration) {
 	e.RunUntil(e.now.Add(d))
 }
-
-// Stop halts the engine: subsequent Step/Run calls return immediately.
-// Pending events stay queued so state can be inspected post mortem.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // Pending reports the number of events currently queued, including events
 // that were canceled but not yet discarded. Intended for tests and

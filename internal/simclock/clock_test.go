@@ -156,32 +156,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.After(time.Duration(i)*time.Millisecond, "ev", func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Errorf("count = %d, want 3 (engine stopped)", count)
-	}
-	if !e.Stopped() {
-		t.Error("Stopped() = false")
-	}
-	if e.Step() {
-		t.Error("Step() returned true after Stop")
-	}
-	if e.Pending() == 0 {
-		t.Error("pending events discarded by Stop; want them retained")
-	}
-}
-
 func TestEventQueueHeapProperty(t *testing.T) {
 	// Property: popping a queue filled with arbitrary times yields a
 	// non-decreasing sequence, with ties broken by insertion order.
@@ -346,11 +320,11 @@ func TestDistDrawProperty(t *testing.T) {
 }
 
 func TestScheduleNoHandleOrdering(t *testing.T) {
-	// Schedule/ScheduleAfter interleave with At/After in strict (time, seq)
-	// order: the no-handle fast path must not perturb determinism.
+	// ScheduleAfter interleaves with At/After in strict (time, seq) order:
+	// the no-handle fast path must not perturb determinism.
 	e := NewEngine()
 	var got []int
-	e.Schedule(20, "c", func() { got = append(got, 3) })
+	e.At(20, "c", func() { got = append(got, 3) })
 	e.At(10, "a", func() { got = append(got, 1) })
 	e.ScheduleAfter(10, "b", func() { got = append(got, 2) }) // same instant as "a", scheduled later
 	e.ScheduleAfter(30, "d", func() { got = append(got, 4) })
@@ -405,7 +379,7 @@ func TestCancelChurnKeepsQueueBounded(t *testing.T) {
 	// compaction the pending count stays proportional to the live events.
 	e := NewEngine()
 	fires := 0
-	e.Schedule(1_000_000, "anchor", func() { fires++ })
+	e.At(1_000_000, "anchor", func() { fires++ })
 	for i := 0; i < 10_000; i++ {
 		h := e.At(Time(500_000+i), "churn", func() { t.Error("canceled event fired") })
 		h.Cancel()

@@ -1,9 +1,9 @@
 // Package trace assembles human- and machine-readable timelines of a
 // simulation run: world switches, introspection rounds, alarms, and evader
-// reactions merged into one time-ordered event stream. The components
-// already keep their own logs (trustzone.Monitor.Switches,
-// core.SATIN.Rounds/Alarms, attack evader Events); this package merges and
-// renders them.
+// reactions in one time-ordered event stream. Components publish each
+// Event on the obs bus as it happens, and a Timeline subscribed to that bus
+// (the facade installs one when it builds a scenario) accumulates them;
+// this package orders, renders, exports and diffs what it accumulated.
 package trace
 
 import (

@@ -145,14 +145,6 @@ type Monitor struct {
 	stretch []time.Duration
 	// preemptions counts delivered preemptions per core.
 	preemptions []int
-
-	// Per-core event names, formatted once at construction: world switches
-	// and secure work are the engine's hottest schedulers, and a Sprintf per
-	// event was a measurable slice of every round.
-	workNames     []string
-	entryNames    []string
-	exitNames     []string
-	dispatchNames []string
 }
 
 // NewMonitor installs a monitor on the platform and claims the secure timer
@@ -168,16 +160,6 @@ func NewMonitor(p *hw.Platform, seed uint64) *Monitor {
 		preemptionCost: DefaultPreemptionCost(),
 		stretch:        make([]time.Duration, p.NumCores()),
 		preemptions:    make([]int, p.NumCores()),
-		workNames:      make([]string, p.NumCores()),
-		entryNames:     make([]string, p.NumCores()),
-		exitNames:      make([]string, p.NumCores()),
-		dispatchNames:  make([]string, p.NumCores()),
-	}
-	for i := 0; i < p.NumCores(); i++ {
-		m.workNames[i] = fmt.Sprintf("secure-work-core%d", i)
-		m.entryNames[i] = fmt.Sprintf("world-entry-core%d", i)
-		m.exitNames[i] = fmt.Sprintf("world-exit-core%d", i)
-		m.dispatchNames[i] = fmt.Sprintf("secure-dispatch-core%d", i)
 	}
 	p.GIC().Register(hw.IntSecureTimer, func(coreID int) {
 		m.handleSecureTimer(coreID)
@@ -302,7 +284,7 @@ func (m *Monitor) enter(coreID int, reason EntryReason, fn func(ctx *Context)) {
 	m.prof.Begin(profile.SpanWorldSwitch, coreID, -1, requested.Duration(), reason.String())
 	m.prof.Begin(profile.SpanSecureDispatch, coreID, -1, requested.Duration(), "")
 	switchCost := m.platform.Perf().SwitchTime(m.rng)
-	m.platform.Engine().ScheduleAfter(switchCost, m.entryNames[coreID], func() {
+	m.platform.Engine().ScheduleAfter(switchCost, "world-entry", func() {
 		core := m.platform.Core(coreID)
 		// The core leaves the normal world here: its reporters freeze and
 		// TZ-Evader's staleness clock starts ticking.
@@ -333,7 +315,7 @@ func (m *Monitor) enter(coreID int, reason EntryReason, fn func(ctx *Context)) {
 		// with no extra engine event.
 		if m.switchPerturb != nil {
 			if extra := m.switchPerturb(coreID, switchCost); extra > 0 {
-				m.platform.Engine().ScheduleAfter(extra, m.dispatchNames[coreID], dispatch)
+				m.platform.Engine().ScheduleAfter(extra, "secure-dispatch", dispatch)
 				return
 			}
 		}
@@ -346,7 +328,7 @@ func (m *Monitor) enter(coreID int, reason EntryReason, fn func(ctx *Context)) {
 func (m *Monitor) exit(coreID int) {
 	switchCost := m.platform.Perf().SwitchTime(m.rng)
 	m.exitHist.Observe(int64(switchCost))
-	m.platform.Engine().ScheduleAfter(switchCost, m.exitNames[coreID], func() {
+	m.platform.Engine().ScheduleAfter(switchCost, "world-exit", func() {
 		m.inSecure[coreID] = false
 		m.platform.Core(coreID).SetWorld(hw.NormalWorld)
 		m.prof.End(profile.SpanWorldSwitch, coreID, m.platform.Engine().Now().Duration())
@@ -389,13 +371,12 @@ func (c *Context) Elapse(d time.Duration, fn func()) {
 	}
 	m := c.monitor
 	id := c.core.ID()
-	name := m.workNames[id]
 	if m.routing == NonPreemptive && m.stretch[id] == c.stretchSeen {
 		// No preemption can land during the window (the GIC hook is nil in
 		// NonPreemptive routing) and no earlier stretch is owed, so fn fires
 		// exactly d from now — schedule it directly, with no closure. This is
 		// the path every SATIN chunk read takes, thousands of times per scan.
-		m.platform.Engine().ScheduleAfter(d, name, fn)
+		m.platform.Engine().ScheduleAfter(d, "secure-work", fn)
 		return
 	}
 	var fire func()
@@ -403,12 +384,12 @@ func (c *Context) Elapse(d time.Duration, fn func()) {
 		accrued := m.stretch[id] - c.stretchSeen
 		if accrued > 0 {
 			c.stretchSeen += accrued
-			m.platform.Engine().ScheduleAfter(accrued, name, fire)
+			m.platform.Engine().ScheduleAfter(accrued, "secure-work", fire)
 			return
 		}
 		fn()
 	}
-	m.platform.Engine().ScheduleAfter(d, name, fire)
+	m.platform.Engine().ScheduleAfter(d, "secure-work", fire)
 }
 
 // Exit returns the core to the normal world. It must be called exactly once
