@@ -30,18 +30,31 @@ race:
 # output with workers=1 and workers=8. Sweeps described as data run as
 # campaigns, so the campaign engine's worker-count and kill/resume
 # invariance tests are part of it, boot and fork groups included
-# (TestWorkerCountInvarianceBootGroups). Run under -race so the worker pool
-# itself is exercised, not just its output.
+# (TestWorkerCountInvarianceBootGroups); the Go-closure batches on
+# runner.Run (the sensitivity grid, the profiled sweep, RunSeeds) are
+# checked in internal/experiment and the root package. Run under -race so
+# the worker pool itself is exercised, not just its output.
 determinism:
-	$(GO) test -race -run 'TestDeterminism|TestWorkerCountInvariance|TestKillResumeByteIdentical' ./internal/runner ./internal/campaign . ./cmd/benchtables
+	$(GO) test -race -run 'TestDeterminism|TestWorkerCountInvariance|TestKillResumeByteIdentical|TestProfileSweepWorkerInvariance' ./internal/runner ./internal/campaign ./internal/experiment . ./cmd/benchtables
 
-# End-to-end sweep check: a multi-seed detection run completes and is
-# worker-count invariant at the CLI level.
+# End-to-end sweep check: a multi-seed detection run, the sensitivity grid
+# and the profiled sweep complete and are worker-count invariant at the CLI
+# level. Both profiled runs write the same -profile-out path, so their
+# stdout, which names it, compares too.
 sweep-check:
-	$(GO) run ./cmd/benchtables -detection -seeds 8 -workers 8 > /tmp/sweep8.txt
-	$(GO) run ./cmd/benchtables -detection -seeds 8 -workers 1 > /tmp/sweep1.txt
+	$(GO) build -o /tmp/benchtables_sweep ./cmd/benchtables
+	/tmp/benchtables_sweep -detection -seeds 8 -workers 8 > /tmp/sweep8.txt
+	/tmp/benchtables_sweep -detection -seeds 8 -workers 1 > /tmp/sweep1.txt
 	cmp /tmp/sweep1.txt /tmp/sweep8.txt
-	@echo "sweep output is worker-count invariant"
+	/tmp/benchtables_sweep -only=sensitivity -seeds 2 -quick -workers 1 > /tmp/sensitivity1.txt
+	/tmp/benchtables_sweep -only=sensitivity -seeds 2 -quick -workers 8 > /tmp/sensitivity8.txt
+	cmp /tmp/sensitivity1.txt /tmp/sensitivity8.txt
+	/tmp/benchtables_sweep -seeds 3 -quick -profile-out /tmp/profile_sweep.txt -workers 1 > /tmp/profile_sweep1.stdout
+	cp /tmp/profile_sweep.txt /tmp/profile_sweep1.txt
+	/tmp/benchtables_sweep -seeds 3 -quick -profile-out /tmp/profile_sweep.txt -workers 8 > /tmp/profile_sweep8.stdout
+	cmp /tmp/profile_sweep1.stdout /tmp/profile_sweep8.stdout
+	cmp /tmp/profile_sweep1.txt /tmp/profile_sweep.txt
+	@echo "detection, sensitivity and profiled sweep output is worker-count invariant"
 
 # Trace-export smoke: stream a run's events to JSONL, then validate the
 # file parses event by event.
@@ -199,7 +212,7 @@ campaign-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign$$' -fuzztime 20s ./internal/campaign
 
 # The paper, pinned: the no-flag benchtables run (every table and figure at
-# seed 1, about 20 s on one core of a 2-vCPU Xeon) must print exactly the
+# seed 1, about 16 s on one core of a 2-vCPU Xeon) must print exactly the
 # committed golden.
 # A driver error exits non-zero and fails the target too. Regenerate the
 # golden only when a change means to move the paper's numbers:

@@ -17,10 +17,11 @@
 // shorthand flags, and campaign cells all agree on what an experiment name
 // means.
 //
-// The sensitivity experiment is a sweep of sweeps: each fault-injection
-// magnitude reruns the detection experiment across -seeds seeds (default 8)
-// on the -workers pool, charting detection probability against perturbation
-// magnitude (see EXPERIMENTS.md "Sensitivity & fault injection").
+// The sensitivity experiment reruns the detection experiment at each
+// fault-injection magnitude across -seeds seeds (default 8), the whole grid
+// one batch on the -workers pool, charting detection probability against
+// perturbation magnitude (see EXPERIMENTS.md "Sensitivity & fault
+// injection").
 //
 // Multi-seed sweeps: with -seeds N (N > 1) the sweep-capable experiments
 // (detection, evasion, race) rerun across seeds seed..seed+N-1 on a worker

@@ -42,9 +42,6 @@ type (
 // versions are errors). The result is not yet validated or canonical.
 func ParseSpec(data []byte) (ScenarioSpec, error) { return spec.Parse(data) }
 
-// ValidateSpec checks every semantic rule of a spec.
-func ValidateSpec(s ScenarioSpec) error { return spec.Validate(s) }
-
 // CanonicalizeSpec validates and normalizes a spec; see spec.Canonicalize.
 func CanonicalizeSpec(s ScenarioSpec) (ScenarioSpec, error) { return spec.Canonicalize(s) }
 

@@ -101,9 +101,6 @@ func NewRootkitSpread(os *richos.OS, image *mem.Image, targets []uint64) *Rootki
 // recover, "one 8-bytes address of the system call table" (§IV-A2).
 const TraceBytes = mem.SyscallEntrySize
 
-// entryAddr is the primary hijacked slot (the first target).
-func (r *Rootkit) entryAddr() uint64 { return r.targets[0] }
-
 // TargetAddr reports where the (first) trace lands.
 func (r *Rootkit) TargetAddr() uint64 { return r.targets[0] }
 

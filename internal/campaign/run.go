@@ -335,8 +335,8 @@ func runGroup(ctx context.Context, unit []Cell, trial GroupTrialFunc) (results [
 }
 
 // runAlone runs one cell. A panic in its trial fails the cell with a
-// *runner.PanicError — the failure a runner.RunSweep trial records — so the
-// cell is checkpointed like any other failure instead of vanishing.
+// *runner.PanicError — the failure runner.Run reports for a panicking trial —
+// so the cell is checkpointed like any other failure instead of vanishing.
 func runAlone(ctx context.Context, cell Cell, specTrial SpecTrialFunc) (res GroupResult) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -389,11 +389,11 @@ func MergeSweeps(cells []Cell, results []CellResult) []*runner.Sweep {
 			sweeps = append(sweeps, cur)
 			curCombo = cell.Combo
 		}
+		var err error
 		if res.Failed() {
-			cur.AddFailure(res.Seed, errors.New(res.Err))
-			continue
+			err = errors.New(res.Err)
 		}
-		cur.AddTrial(res.Seed, res.Metrics)
+		cur.Add(res.Seed, res.Metrics, err)
 	}
 	return sweeps
 }

@@ -37,7 +37,7 @@ func TestSATINPortableToGenericTEE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checker, err := introspect.NewChecker(im, p.Perf(), 5, introspect.HashDjb2, 0)
+	checker, err := introspect.NewChecker(im, p.Perf(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

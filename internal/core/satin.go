@@ -115,7 +115,7 @@ func New(p *hw.Platform, monitor *trustzone.Monitor, image *mem.Image, checker *
 			}
 		}
 	}
-	golden, err := introspect.GoldenTable(image, checker.Hash(), areas)
+	golden, err := introspect.GoldenTable(image, introspect.HashDjb2, areas)
 	if err != nil {
 		return nil, err
 	}

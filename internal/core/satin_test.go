@@ -30,7 +30,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := introspect.NewChecker(im, p.Perf(), 5, introspect.HashDjb2, 0)
+	ch, err := introspect.NewChecker(im, p.Perf(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,8 @@
 // trial (TrialDetection, TrialEvasion, TrialRace) that flattens one seed's
 // run to named metrics. The trial is their only multi-seed form: a sweep is
 // a campaign over it (internal/campaign), which is what `benchtables
-// -seeds N` runs. Sweeps over Go values rather than data — RunSensitivity's
+// -seeds N` runs. Batches over Go values rather than data — RunSensitivity's
 // per-magnitude DetectionConfig, RunDetectionProfileSweep's per-seed
-// profile summaries — stay on the runner's pool.
+// profile summaries — are Go closures on runner.Run, each returning the
+// result shape its caller aggregates.
 package experiment

@@ -113,7 +113,7 @@ func fig3Race(seed uint64, satinSized bool) (Fig3Result, error) {
 		checkAddr, checkSize = area.Addr, area.Size
 		scenario = "SATIN: single-area check (area 14), same trace"
 	}
-	golden, err := introspect.GoldenRange(rig.Image, rig.Checker.Hash(), checkAddr, checkSize)
+	golden, err := introspect.GoldenRange(rig.Image, introspect.HashDjb2, checkAddr, checkSize)
 	if err != nil {
 		return Fig3Result{}, err
 	}

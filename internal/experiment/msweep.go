@@ -120,7 +120,7 @@ func runMSweepTrial(seed uint64, depth float64, m int) (MSweepTrial, error) {
 	if err := evader.Start(); err != nil {
 		return MSweepTrial{}, err
 	}
-	golden, err := introspect.GoldenRange(rig.Image, rig.Checker.Hash(), layout.Base, kernelSize)
+	golden, err := introspect.GoldenRange(rig.Image, introspect.HashDjb2, layout.Base, kernelSize)
 	if err != nil {
 		return MSweepTrial{}, err
 	}

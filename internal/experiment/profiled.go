@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"satin/internal/profile"
@@ -12,8 +11,8 @@ import (
 )
 
 // Profiled sweeps: the detection experiment rerun with the causal span
-// profiler attached to every seed's rig. Per-seed summaries are collected
-// in a seed-indexed slice and merged in seed order, so the aggregate
+// profiler attached to every seed's rig. Each seed's summary comes back in
+// its pool result and the summaries merge in seed order, so the aggregate
 // attribution — like every other sweep output — is byte-identical for any
 // worker count.
 
@@ -51,46 +50,38 @@ func ProfileMetrics(s profile.Summary) runner.Metrics {
 // RunDetectionProfileSweep runs the §VI-B1 detection experiment with the
 // profiler attached for seeds cfg.Seed..cfg.Seed+seeds-1 across the worker
 // pool. It returns the per-seed metric sweep plus the merged attribution
-// summary over every successful seed, both deterministic in the worker
-// count. It stays a runner sweep over a closure rather than a campaign: it
-// needs each seed's profile.Summary, which a campaign result file does not
-// hold.
+// summary over every successful seed, both built in seed order and so
+// deterministic in the worker count. It runs a Go closure on runner.Run
+// rather than a campaign: it needs each seed's profile.Summary, which a
+// campaign result file does not hold.
 func RunDetectionProfileSweep(ctx context.Context, cfg DetectionConfig, seeds, workers int) (*runner.Sweep, profile.Summary, error) {
 	if seeds < 1 {
 		return nil, profile.Summary{}, fmt.Errorf("experiment: profile sweep needs at least 1 seed, got %d", seeds)
 	}
-	base := cfg.Seed
-	// Seed-indexed, written concurrently by the pool (one distinct slot per
-	// trial) and read only after the sweep returns.
-	perSeed := make([]*profile.Summary, seeds)
-	var mu sync.Mutex
-	sweep, err := runner.RunSweep(ctx, "SATIN detection, profiled (§VI-B1)", base, seeds, workers,
-		func(_ context.Context, seed uint64) (runner.Metrics, error) {
-			c := cfg
-			c.Seed = seed
-			c.Profile = true
-			res, err := RunDetection(c)
-			if err != nil {
-				return nil, err
-			}
-			if res.Profile == nil {
-				return nil, fmt.Errorf("experiment: profiled run for seed %d produced no summary", seed)
-			}
-			mu.Lock()
-			perSeed[seed-base] = res.Profile
-			mu.Unlock()
-			return DetectionMetrics(res).Extend(ProfileMetrics(*res.Profile)), nil
-		})
-	if err != nil {
-		return nil, profile.Summary{}, err
-	}
-	ordered := make([]profile.Summary, 0, seeds)
-	for _, s := range perSeed {
-		if s != nil {
-			ordered = append(ordered, *s)
+	results, err := runner.Run(ctx, seeds, workers, func(_ context.Context, i int) (DetectionResult, error) {
+		c := cfg
+		c.Seed += uint64(i)
+		c.Profile = true
+		res, err := RunDetection(c)
+		if err == nil && res.Profile == nil {
+			err = fmt.Errorf("experiment: profiled run for seed %d produced no summary", c.Seed)
 		}
+		return res, err
+	})
+	if err != nil {
+		return nil, profile.Summary{}, fmt.Errorf("experiment: profile sweep: %w", err)
 	}
-	return sweep, profile.Merge(ordered), nil
+	sweep := runner.NewSweep("SATIN detection, profiled (§VI-B1)")
+	var summaries []profile.Summary
+	for _, r := range results {
+		var m runner.Metrics
+		if r.Err == nil {
+			m = DetectionMetrics(r.Value).Extend(ProfileMetrics(*r.Value.Profile))
+			summaries = append(summaries, *r.Value.Profile)
+		}
+		sweep.Add(cfg.Seed+uint64(r.Index), m, r.Err)
+	}
+	return sweep, profile.Merge(summaries), nil
 }
 
 // durationsToSeconds converts a duration pool for stats aggregation.

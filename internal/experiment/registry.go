@@ -272,9 +272,9 @@ var registry = []Definition{
 		return nil
 	}},
 	{Name: "sensitivity", Run: func(out io.Writer, rc RunConfig) error {
-		// The sensitivity chart is multi-seed by construction: every
-		// magnitude is its own detection sweep, so -seeds and -workers
-		// apply here even without the generic sweep path.
+		// The sensitivity chart is multi-seed by construction: its
+		// magnitude × seed grid is one batch on runner.Run, so -seeds and
+		// -workers apply here even without the generic sweep path.
 		cfg := DefaultSensitivityConfig()
 		cfg.Detection.Seed = rc.Seed
 		cfg.Workers = rc.Workers

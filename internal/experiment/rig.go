@@ -38,7 +38,7 @@ func NewRig(seed uint64) (*Rig, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: rich OS: %w", err)
 	}
-	ch, err := introspect.NewChecker(im, p.Perf(), seed+2, introspect.HashDjb2, 0)
+	ch, err := introspect.NewChecker(im, p.Perf(), seed+2)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checker: %w", err)
 	}

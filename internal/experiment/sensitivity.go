@@ -50,9 +50,6 @@ type SensitivityPoint struct {
 	// attacked-area checks the evader survived).
 	Detection stats.Dist
 	Evasion   stats.Dist
-	// Sweep is the full per-magnitude aggregate, for CSV export or deeper
-	// inspection.
-	Sweep *runner.Sweep
 }
 
 // SensitivityResult is the charted sweep.
@@ -62,11 +59,12 @@ type SensitivityResult struct {
 }
 
 // RunSensitivity runs the detection experiment across cfg.Magnitudes ×
-// cfg.Seeds. Magnitudes run serially (each is itself a multi-seed sweep on
-// the worker pool); points aggregate in magnitude order, so output is
-// byte-identical for any worker count. The per-magnitude sweeps are runner
-// closures, not campaigns: each cell is a Go DetectionConfig (FullScans 4
-// under -quick, for one), which no campaign cell can carry.
+// cfg.Seeds as one batch on runner's pool: cell i runs magnitude
+// i/cfg.Seeds at seed cfg.Detection.Seed + i%cfg.Seeds. Each point
+// aggregates its seeds in seed order, so output is byte-identical for any
+// worker count. The grid is a Go closure, not a campaign: each cell is a Go
+// DetectionConfig (FullScans 4 under -quick, for one), which no campaign
+// cell can carry.
 func RunSensitivity(ctx context.Context, cfg SensitivityConfig) (SensitivityResult, error) {
 	if len(cfg.Magnitudes) == 0 {
 		return SensitivityResult{}, fmt.Errorf("experiment: sensitivity needs at least one magnitude")
@@ -74,37 +72,35 @@ func RunSensitivity(ctx context.Context, cfg SensitivityConfig) (SensitivityResu
 	if cfg.Seeds <= 0 {
 		return SensitivityResult{}, fmt.Errorf("experiment: sensitivity needs seeds > 0, got %d", cfg.Seeds)
 	}
+	results, err := runner.Run(ctx, len(cfg.Magnitudes)*cfg.Seeds, cfg.Workers,
+		func(_ context.Context, i int) (float64, error) {
+			c := cfg.Detection
+			c.Faults = faultinject.ScaledPlan(cfg.Magnitudes[i/cfg.Seeds])
+			c.Seed += uint64(i % cfg.Seeds)
+			r, err := RunDetection(c)
+			if err != nil {
+				return 0, err
+			}
+			return ratio(r.Detections, r.AttackedAreaChecks), nil
+		})
+	if err != nil {
+		return SensitivityResult{}, fmt.Errorf("experiment: sensitivity: %w", err)
+	}
 	res := SensitivityResult{Seeds: cfg.Seeds}
-	for _, mag := range cfg.Magnitudes {
-		mag := mag
-		dc := cfg.Detection
-		dc.Faults = faultinject.ScaledPlan(mag)
-		sw, err := runner.RunSweep(ctx,
-			fmt.Sprintf("sensitivity mag=%g", mag), dc.Seed, cfg.Seeds, cfg.Workers,
-			func(_ context.Context, seed uint64) (runner.Metrics, error) {
-				c := dc
-				c.Seed = seed
-				r, err := RunDetection(c)
-				if err != nil {
-					return nil, err
-				}
-				det := ratio(r.Detections, r.AttackedAreaChecks)
-				m := runner.Metrics{}.Add("detection rate", det)
-				m = m.Add("evasion rate", 1-det)
-				return m.Add("area-14 checks", float64(r.AttackedAreaChecks)), nil
-			})
-		if err != nil {
-			return SensitivityResult{}, err
-		}
-		if len(sw.Failures) > 0 {
-			return SensitivityResult{}, fmt.Errorf("experiment: sensitivity mag=%g: seed %d failed: %s",
-				mag, sw.Failures[0].Seed, sw.Failures[0].Err)
+	for m, mag := range cfg.Magnitudes {
+		det := make([]float64, cfg.Seeds)
+		evasion := make([]float64, cfg.Seeds)
+		for s, r := range results[m*cfg.Seeds : (m+1)*cfg.Seeds] {
+			if r.Err != nil {
+				return SensitivityResult{}, fmt.Errorf("experiment: sensitivity mag=%g: seed %d failed: %s",
+					mag, cfg.Detection.Seed+uint64(s), r.Err)
+			}
+			det[s], evasion[s] = r.Value, 1-r.Value
 		}
 		res.Points = append(res.Points, SensitivityPoint{
 			Magnitude: mag,
-			Detection: sw.Dist("detection rate"),
-			Evasion:   sw.Dist("evasion rate"),
-			Sweep:     sw,
+			Detection: stats.NewDist(det),
+			Evasion:   stats.NewDist(evasion),
 		})
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -73,5 +74,34 @@ func TestSensitivityValidation(t *testing.T) {
 	cfg.Seeds = 0
 	if _, err := RunSensitivity(context.Background(), cfg); err == nil {
 		t.Error("zero seeds accepted")
+	}
+	// A failing cell fails the chart, named by the first failure in
+	// (magnitude, seed) order.
+	cfg = smallSensitivityConfig()
+	cfg.Detection.FullScans = 0
+	_, err := RunSensitivity(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "mag=0: seed 1 failed") {
+		t.Errorf("FullScans=0: err = %v, want the mag=0 seed 1 failure", err)
+	}
+}
+
+// TestDeterminismSensitivityAcrossWorkers: the chart's points and rendering
+// must not depend on how many workers ran the grid.
+func TestDeterminismSensitivityAcrossWorkers(t *testing.T) {
+	run := func(workers int) SensitivityResult {
+		cfg := smallSensitivityConfig()
+		cfg.Workers = workers
+		res, err := RunSensitivity(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res
+	}
+	one, many := run(1), run(8)
+	if a, b := one.Render(), many.Render(); a != b {
+		t.Fatalf("render differs:\n--- workers=1 ---\n%s--- workers=8 ---\n%s", a, b)
+	}
+	if !reflect.DeepEqual(one, many) {
+		t.Fatalf("points differ:\nworkers=1 %+v\nworkers=8 %+v", one.Points, many.Points)
 	}
 }

@@ -65,13 +65,6 @@ func (m PerfModel) HashTime(ct CoreType, n int, g *simclock.RNG) time.Duration {
 	return secondsDuration(rate * float64(n))
 }
 
-// SnapshotTime draws the time for a core of type ct to snapshot-then-hash n
-// bytes.
-func (m PerfModel) SnapshotTime(ct CoreType, n int, g *simclock.RNG) time.Duration {
-	rate := m.RatesFor(ct).SnapshotPerByte.Draw(g)
-	return secondsDuration(rate * float64(n))
-}
-
 // RecoverTime draws Tns_recover, the time for the normal-world attacker on a
 // core of type ct to restore n malicious bytes.
 func (m PerfModel) RecoverTime(ct CoreType, n int, g *simclock.RNG) time.Duration {

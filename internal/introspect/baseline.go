@@ -142,7 +142,7 @@ func NewBaseline(p *hw.Platform, monitor *trustzone.Monitor, checker *Checker, i
 		return nil, err
 	}
 	layout := image.Layout()
-	golden, err := GoldenRange(image, checker.Hash(), layout.Base, layout.TotalSize())
+	golden, err := GoldenRange(image, HashDjb2, layout.Base, layout.TotalSize())
 	if err != nil {
 		return nil, err
 	}

@@ -64,8 +64,6 @@ const DefaultChunkSize = 4096
 type Checker struct {
 	image *mem.Image
 	rng   *simclock.RNG
-	hash  HashKind
-	chunk int
 
 	// cache memoizes chunk hash transitions; nil when disabled via
 	// SetHashCache(false).
@@ -111,34 +109,20 @@ func (c *Checker) Observe(reg *obs.Registry) {
 // model the checker's cores were calibrated from; it is validated here, but
 // at check time the per-byte rates come from the core the check runs on
 // (Core.Rates), so runtime rescaling — DVFS steps, fault-injected jitter —
-// is honored. Pass chunk 0 for DefaultChunkSize and hash 0 for djb2.
-func NewChecker(image *mem.Image, perf hw.PerfModel, seed uint64, hash HashKind, chunk int) (*Checker, error) {
+// is honored. It hashes with djb2 in DefaultChunkSize steps.
+func NewChecker(image *mem.Image, perf hw.PerfModel, seed uint64) (*Checker, error) {
 	if image == nil {
 		return nil, fmt.Errorf("introspect: nil image")
 	}
 	if err := perf.Validate(); err != nil {
 		return nil, fmt.Errorf("introspect: perf model: %w", err)
 	}
-	if chunk == 0 {
-		chunk = DefaultChunkSize
-	}
-	if chunk < 0 {
-		return nil, fmt.Errorf("introspect: chunk size %d must be positive", chunk)
-	}
-	if hash == 0 {
-		hash = HashDjb2
-	}
 	return &Checker{
 		image: image,
 		rng:   simclock.NewRNG(seed, "introspect.checker"),
-		hash:  hash,
-		chunk: chunk,
 		cache: newHashCache(),
 	}, nil
 }
-
-// Hash reports which hash the checker uses.
-func (c *Checker) Hash() HashKind { return c.hash }
 
 // SetHashCache enables or disables the incremental hash cache. It is on by
 // default; disabling it is the escape hatch the golden byte-identity
@@ -211,7 +195,7 @@ func (c *Checker) Check(ctx *trustzone.Context, tech Technique, addr uint64, siz
 		rate := rates.HashPerByte.Draw(c.rng)
 		r := c.getHashRun()
 		r.ctx, r.addr, r.remaining, r.rate = ctx, addr, size, rate
-		r.sum = c.hash.seed()
+		r.sum = Djb2Seed
 		r.done = func(sum uint64) {
 			res.Sum = sum
 			res.Finished = ctx.Now()
@@ -229,7 +213,7 @@ func (c *Checker) Check(ctx *trustzone.Context, tech Technique, addr uint64, siz
 		r.done = func(snapshot []byte) {
 			// Analysis of the frozen copy: one block of secure CPU time.
 			ctx.Elapse(analysis, func() {
-				res.Sum = c.hash.Sum(snapshot)
+				res.Sum = Djb2(snapshot)
 				c.putBuf(snapshot)
 				res.Finished = ctx.Now()
 				done(res)
@@ -280,7 +264,7 @@ func (r *hashRun) advance() {
 		done(sum)
 		return
 	}
-	n := c.chunk
+	n := DefaultChunkSize
 	if n > r.remaining {
 		n = r.remaining
 	}
@@ -311,7 +295,7 @@ func (c *Checker) hashChunk(addr uint64, n int, h uint64) uint64 {
 	if err != nil {
 		panic(fmt.Sprintf("introspect: validated range became unreadable: %v", err))
 	}
-	out := c.hash.update(h, view)
+	out := Djb2Update(h, view)
 	if c.cache != nil {
 		c.cache.store(m, addr, n, h, out)
 		c.cacheMisses.Inc()
@@ -354,7 +338,7 @@ func (r *captureRun) advance() {
 		done(buf)
 		return
 	}
-	n := c.chunk
+	n := DefaultChunkSize
 	if n > r.remaining {
 		n = r.remaining
 	}

@@ -29,7 +29,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewChecker(im, p.Perf(), 5, HashDjb2, 0)
+	ch, err := NewChecker(im, p.Perf(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,18 +63,11 @@ func (r *rig) checkOn(t *testing.T, coreID int, tech Technique, addr uint64, siz
 
 func TestNewCheckerValidation(t *testing.T) {
 	r := newRig(t)
-	if _, err := NewChecker(nil, r.plat.Perf(), 1, HashDjb2, 0); err == nil {
+	if _, err := NewChecker(nil, r.plat.Perf(), 1); err == nil {
 		t.Error("nil image accepted")
 	}
-	if _, err := NewChecker(r.image, r.plat.Perf(), 1, HashDjb2, -1); err == nil {
-		t.Error("negative chunk accepted")
-	}
-	c, err := NewChecker(r.image, r.plat.Perf(), 1, 0, 0)
-	if err != nil {
+	if _, err := NewChecker(r.image, r.plat.Perf(), 1); err != nil {
 		t.Fatal(err)
-	}
-	if c.Hash() != HashDjb2 {
-		t.Error("default hash should be djb2")
 	}
 }
 

@@ -68,88 +68,23 @@ func Djb2(data []byte) uint64 {
 	return Djb2Update(Djb2Seed, data)
 }
 
-// FNV-1a, offered as the ablation alternative to djb2. Same incremental
-// structure, different diffusion.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-// FNV1aSeed is the FNV-1a initial value.
-const FNV1aSeed = fnvOffset
-
-// FNV1aUpdate folds data into h with FNV-1a. Unlike djb2, the xor-multiply
-// step does not distribute over a word, so the kernel loads 8 bytes at a
-// time and unrolls the eight dependent steps — same arithmetic, one bounds
-// check per word instead of per byte. Bit-identical to fnv1aUpdateRef.
-func FNV1aUpdate(h uint64, data []byte) uint64 {
-	for len(data) >= 8 {
-		w := binary.LittleEndian.Uint64(data)
-		h = (h ^ uint64(byte(w))) * fnvPrime
-		h = (h ^ uint64(byte(w>>8))) * fnvPrime
-		h = (h ^ uint64(byte(w>>16))) * fnvPrime
-		h = (h ^ uint64(byte(w>>24))) * fnvPrime
-		h = (h ^ uint64(byte(w>>32))) * fnvPrime
-		h = (h ^ uint64(byte(w>>40))) * fnvPrime
-		h = (h ^ uint64(byte(w>>48))) * fnvPrime
-		h = (h ^ uint64(byte(w>>56))) * fnvPrime
-		data = data[8:]
-	}
-	for _, c := range data {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
-
-// fnv1aUpdateRef is the byte-at-a-time reference the word-wide kernel is
-// proved against. Tests only.
-func fnv1aUpdateRef(h uint64, data []byte) uint64 {
-	for _, c := range data {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
-
-// HashKind selects the hash used by a checker.
+// HashKind names the hash a golden table is computed with. djb2 is the
+// only kind: the checker hashes with it, as the paper's prototype does.
 type HashKind int
 
-// Supported hashes.
-const (
-	HashDjb2 HashKind = iota + 1
-	HashFNV1a
-)
+// HashDjb2 is the djb2 hash (§IV-B1).
+const HashDjb2 HashKind = 1
 
 // String names the hash.
 func (k HashKind) String() string {
-	switch k {
-	case HashDjb2:
+	if k == HashDjb2 {
 		return "djb2"
-	case HashFNV1a:
-		return "fnv1a"
-	default:
-		return "unknown-hash"
 	}
+	return "unknown-hash"
 }
 
-// seed returns the initial value for the hash kind.
-func (k HashKind) seed() uint64 {
-	if k == HashFNV1a {
-		return FNV1aSeed
-	}
-	return Djb2Seed
-}
-
-// update folds data into h using the hash kind.
-func (k HashKind) update(h uint64, data []byte) uint64 {
-	if k == HashFNV1a {
-		return FNV1aUpdate(h, data)
-	}
-	return Djb2Update(h, data)
-}
-
-// Sum hashes data in one call using the hash kind.
+// Sum hashes data in one call. HashKind is the mem.Summer the pristine-sum
+// memo keys on.
 func (k HashKind) Sum(data []byte) uint64 {
-	return k.update(k.seed(), data)
+	return Djb2(data)
 }

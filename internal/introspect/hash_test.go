@@ -30,28 +30,20 @@ func TestHashIncrementalEqualsWhole(t *testing.T) {
 		if len(data) > 0 {
 			cut = int(split) % (len(data) + 1)
 		}
-		for _, k := range []HashKind{HashDjb2, HashFNV1a} {
-			whole := k.Sum(data)
-			h := k.seed()
-			h = k.update(h, data[:cut])
-			h = k.update(h, data[cut:])
-			if h != whole {
-				return false
-			}
-		}
-		return true
+		h := Djb2Update(Djb2Seed, data[:cut])
+		return Djb2Update(h, data[cut:]) == HashDjb2.Sum(data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestWordWideKernelsExhaustiveSmall proves the 8-byte kernels bit-identical
-// to the byte-at-a-time references on every length from 0 through 33 (both
+// TestWordWideKernelsExhaustiveSmall proves the 8-byte kernel bit-identical
+// to the byte-at-a-time reference on every length from 0 through 33 (both
 // sides of the word boundary, plus tails of every residue) with varied
 // contents and seeds, and on every possible single byte.
 func TestWordWideKernelsExhaustiveSmall(t *testing.T) {
-	seeds := []uint64{0, Djb2Seed, FNV1aSeed, ^uint64(0), 0x0123456789abcdef}
+	seeds := []uint64{0, Djb2Seed, ^uint64(0), 0x0123456789abcdef}
 	for n := 0; n <= 33; n++ {
 		data := make([]byte, n)
 		for i := range data {
@@ -61,18 +53,12 @@ func TestWordWideKernelsExhaustiveSmall(t *testing.T) {
 			if got, want := Djb2Update(h, data), djb2UpdateRef(h, data); got != want {
 				t.Fatalf("Djb2Update(h=%#x, len=%d) = %#x, ref %#x", h, n, got, want)
 			}
-			if got, want := FNV1aUpdate(h, data), fnv1aUpdateRef(h, data); got != want {
-				t.Fatalf("FNV1aUpdate(h=%#x, len=%d) = %#x, ref %#x", h, n, got, want)
-			}
 		}
 	}
 	for b := 0; b < 256; b++ {
 		data := []byte{byte(b)}
 		if got, want := Djb2Update(Djb2Seed, data), djb2UpdateRef(Djb2Seed, data); got != want {
 			t.Fatalf("Djb2Update single byte %#x = %#x, ref %#x", b, got, want)
-		}
-		if got, want := FNV1aUpdate(FNV1aSeed, data), fnv1aUpdateRef(FNV1aSeed, data); got != want {
-			t.Fatalf("FNV1aUpdate single byte %#x = %#x, ref %#x", b, got, want)
 		}
 	}
 }
@@ -81,8 +67,7 @@ func TestWordWideKernelsExhaustiveSmall(t *testing.T) {
 // seeds, including word-aligned interior slices.
 func TestWordWideKernelsProperty(t *testing.T) {
 	f := func(h uint64, data []byte) bool {
-		return Djb2Update(h, data) == djb2UpdateRef(h, data) &&
-			FNV1aUpdate(h, data) == fnv1aUpdateRef(h, data)
+		return Djb2Update(h, data) == djb2UpdateRef(h, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -94,18 +79,15 @@ func TestHashDetectsSingleBitFlip(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
-	for _, k := range []HashKind{HashDjb2, HashFNV1a} {
-		orig := k.Sum(data)
-		data[2048] ^= 1
-		if k.Sum(data) == orig {
-			t.Errorf("%v missed a single-bit flip", k)
-		}
-		data[2048] ^= 1
+	orig := HashDjb2.Sum(data)
+	data[2048] ^= 1
+	if HashDjb2.Sum(data) == orig {
+		t.Error("djb2 missed a single-bit flip")
 	}
 }
 
 func TestHashKindStrings(t *testing.T) {
-	if HashDjb2.String() != "djb2" || HashFNV1a.String() != "fnv1a" {
+	if HashDjb2.String() != "djb2" {
 		t.Error("hash names wrong")
 	}
 	if HashKind(9).String() == "" {

@@ -10,10 +10,6 @@ import "fmt"
 // validates entries by generation sums; RestorePage therefore writes bytes
 // without touching generations, and SetPageGens installs the recorded array.
 
-// NumPages reports how many 4 KiB pages the region spans (the last page may
-// be partial).
-func (m *Memory) NumPages() int { return len(m.gens) }
-
 // PageView returns a read-only view of page p's bytes, aliasing the live
 // memory. Callers must not mutate it.
 func (m *Memory) PageView(p int) ([]byte, error) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"satin/internal/hw"
 	"satin/internal/mem"
 	"satin/internal/simclock"
 )
@@ -16,9 +15,7 @@ import (
 func (os *OS) armTick(cs *coreState) {
 	cs.tickArmed = true
 	period := time.Second / time.Duration(os.cfg.HZ)
-	os.platform.Engine().ScheduleAfter(period, "tick", func() {
-		os.platform.GIC().Raise(hw.IntNSTimer, cs.id)
-	})
+	os.platform.Engine().ScheduleAfter(period, "tick", cs.onTick)
 }
 
 // handleTimerIRQ is the CPU's response to the non-secure timer PPI: fetch

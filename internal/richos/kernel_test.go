@@ -235,6 +235,44 @@ func TestSecureWorldMigratesUnpinnedThread(t *testing.T) {
 	}
 }
 
+// TestThreadContextTracksMigration: a floating thread that the secure world
+// chases from core to core sees, at every step, its own thread and the core
+// it runs on, though every step is handed the same context.
+func TestThreadContextTracksMigration(t *testing.T) {
+	e, p, _, os := newRig(t)
+	threads := map[*Thread]bool{}
+	seen := map[int]bool{}
+	steps := 0
+	th, err := os.Spawn("mover", PolicyCFS, 0, []int{0, 1}, ProgramFunc(func(tc *ThreadContext) Step {
+		steps++
+		if tc.CoreID() != tc.Thread().LastCore() {
+			t.Errorf("step %d: context says core %d, thread last ran on %d", steps, tc.CoreID(), tc.Thread().LastCore())
+		}
+		threads[tc.Thread()] = true
+		seen[tc.CoreID()] = true
+		return Compute(time.Millisecond)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Steal the thread's core twice, releasing the first before the second
+	// steal, so it migrates away and back.
+	var first int
+	e.After(20*time.Millisecond, "steal", func() {
+		first = th.LastCore()
+		p.Core(first).SetWorld(hw.SecureWorld)
+	})
+	e.After(40*time.Millisecond, "release", func() { p.Core(first).SetWorld(hw.NormalWorld) })
+	e.After(50*time.Millisecond, "steal again", func() { p.Core(th.LastCore()).SetWorld(hw.SecureWorld) })
+	e.RunFor(80 * time.Millisecond)
+	if !seen[0] || !seen[1] || steps < 50 {
+		t.Fatalf("thread ran %d steps on cores %v, want both cores 0 and 1", steps, seen)
+	}
+	if len(threads) != 1 || !threads[th] {
+		t.Fatalf("context named %d threads, want only %v", len(threads), th)
+	}
+}
+
 func TestSleepingPinnedThreadWaitsForSecureExit(t *testing.T) {
 	e, p, _, os := newRig(t)
 	prog := &periodic{work: 100 * time.Microsecond, sleep: 10 * time.Millisecond}

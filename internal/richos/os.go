@@ -69,6 +69,10 @@ type coreState struct {
 	minVruntime time.Duration
 	tickArmed   bool
 	inSecure    bool
+	// onComputeDone and onTick are the core's chunk-end and tick callbacks,
+	// built once in NewOS so neither event allocates a closure.
+	onComputeDone func()
+	onTick        func()
 }
 
 func (cs *coreState) readyCount() int { return len(cs.fifo) + len(cs.cfs) }
@@ -112,7 +116,10 @@ func NewOS(p *hw.Platform, image *mem.Image, cfg Config) (*OS, error) {
 	}
 	os.cores = make([]*coreState, p.NumCores())
 	for i := range os.cores {
-		os.cores[i] = &coreState{id: i}
+		cs := &coreState{id: i}
+		cs.onComputeDone = func() { os.computeDone(cs) }
+		cs.onTick = func() { p.GIC().Raise(hw.IntNSTimer, cs.id) }
+		os.cores[i] = cs
 	}
 
 	// The benign timer-interrupt handler lives at the address the pristine
@@ -217,6 +224,7 @@ func (os *OS) Spawn(name string, policy Policy, rtPrio int, affinity []int, prog
 		state:    StateReady,
 		core:     affinity[0],
 	}
+	t.tc = ThreadContext{os: os, thread: t}
 	os.threads = append(os.threads, t)
 	os.place(t)
 	return t, nil
@@ -371,11 +379,11 @@ func (os *OS) runChunk(cs *coreState) {
 		if t.pendingCompute > 0 {
 			cs.computeStart = os.platform.Engine().Now()
 			cs.computeLen = t.pendingCompute
-			cs.computeDone = os.platform.Engine().After(cs.computeLen, "compute",
-				func() { os.computeDone(cs) })
+			cs.computeDone = os.platform.Engine().After(cs.computeLen, "compute", cs.onComputeDone)
 			return
 		}
-		step := t.program.Next(&ThreadContext{os: os, thread: t, coreID: cs.id})
+		t.tc.coreID = cs.id
+		step := t.program.Next(&t.tc)
 		switch step.Kind {
 		case ActionCompute:
 			if step.Dur <= 0 {

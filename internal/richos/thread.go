@@ -90,6 +90,9 @@ type Thread struct {
 	policy  Policy
 	rtPrio  int
 	program Program
+	// tc is the context handed to every program.Next; its coreID is set
+	// before each call.
+	tc ThreadContext
 
 	// affinity is the set of cores the thread may run on; pinned threads
 	// have exactly one. The probers pin one thread per core (§III-B1).

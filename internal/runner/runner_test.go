@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -148,100 +147,5 @@ func TestWorkersClamps(t *testing.T) {
 	}
 	if got := Workers(0, 1000); got < 1 {
 		t.Errorf("Workers(0, 1000) = %d, want GOMAXPROCS-ish >= 1", got)
-	}
-}
-
-func TestRunSweepAggregates(t *testing.T) {
-	sw, err := RunSweep(context.Background(), "toy", 10, 5, 3, func(_ context.Context, seed uint64) (Metrics, error) {
-		var m Metrics
-		m = m.Add("seed", float64(seed))
-		m = m.Add("double", float64(2*seed))
-		return m, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sw.Keys(); len(got) != 2 || got[0] != "seed" || got[1] != "double" {
-		t.Fatalf("Keys = %v", got)
-	}
-	if got := sw.Samples("seed"); fmt.Sprint(got) != "[10 11 12 13 14]" {
-		t.Errorf("Samples(seed) = %v, want seed order", got)
-	}
-	d := sw.Dist("double")
-	if d.N != 5 || d.Min != 20 || d.Max != 28 || d.Mean != 24 || d.P50 != 24 {
-		t.Errorf("Dist(double) = %+v", d)
-	}
-	if sw.Trials() != 5 || len(sw.Failures) != 0 {
-		t.Errorf("Trials/Failures = %d/%d", sw.Trials(), len(sw.Failures))
-	}
-	if out := sw.Render(); !strings.Contains(out, "toy: 5 seeds (10..14)") || !strings.Contains(out, "double") {
-		t.Errorf("Render:\n%s", out)
-	}
-}
-
-func TestRunSweepRecordsFailures(t *testing.T) {
-	sw, err := RunSweep(context.Background(), "flaky", 0, 6, 2, func(_ context.Context, seed uint64) (Metrics, error) {
-		switch seed {
-		case 2:
-			return nil, errors.New("bad seed")
-		case 4:
-			panic("boom")
-		}
-		return Metrics{}.Add("v", float64(seed)), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sw.Failures) != 2 || sw.Failures[0].Seed != 2 || sw.Failures[1].Seed != 4 {
-		t.Fatalf("Failures = %+v", sw.Failures)
-	}
-	var pe *PanicError
-	if !errors.As(sw.Failures[1].Err, &pe) {
-		t.Errorf("seed 4 error = %v, want *PanicError", sw.Failures[1].Err)
-	}
-	if got := sw.Samples("v"); fmt.Sprint(got) != "[0 1 3 5]" {
-		t.Errorf("Samples(v) = %v", got)
-	}
-	if out := sw.Render(); !strings.Contains(out, "2 FAILED") || !strings.Contains(out, "seed 2 FAILED: bad seed") {
-		t.Errorf("Render:\n%s", out)
-	}
-}
-
-func TestRunSweepRejectsEmpty(t *testing.T) {
-	if _, err := RunSweep(context.Background(), "x", 0, 0, 1, func(_ context.Context, seed uint64) (Metrics, error) {
-		return nil, nil
-	}); err == nil {
-		t.Error("0-seed sweep did not error")
-	}
-}
-
-// TestDeterminismAcrossWorkerCounts is the runner-level half of the
-// determinism guarantee: the same trial function over the same seeds must
-// render byte-identically for any worker count, even when per-trial
-// durations vary wildly.
-func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	trial := func(_ context.Context, seed uint64) (Metrics, error) {
-		// Vary completion order: later seeds finish first.
-		time.Sleep(time.Duration(16-seed%16) * time.Millisecond)
-		if seed%7 == 3 {
-			return nil, fmt.Errorf("synthetic failure at seed %d", seed)
-		}
-		m := Metrics{}.Add("value", float64(seed*seed%101))
-		return m.Add("parity", float64(seed%2)), nil
-	}
-	var want string
-	for _, workers := range []int{1, 2, 4, 8} {
-		sw, err := RunSweep(context.Background(), "det", 1, 16, workers, trial)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got := sw.Render()
-		if want == "" {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Errorf("workers=%d output differs:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s", workers, want, workers, got)
-		}
 	}
 }

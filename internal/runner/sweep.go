@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -57,18 +56,22 @@ type Sweep struct {
 	samples map[string][]float64
 }
 
-// NewSweep returns an empty sweep ready for AddTrial/AddFailure — the
-// incremental construction path used by the campaign engine to merge
-// checkpointed cell results back into the same aggregate form live sweeps
-// produce. Callers must add trials in seed order to keep the determinism
-// guarantee.
+// NewSweep returns an empty sweep ready for Add. campaign.MergeSweeps
+// builds one from checkpointed cell results, and a closure sweep builds one
+// from runner.Run's results. Callers must add trials in seed order to keep
+// the determinism guarantee.
 func NewSweep(name string) *Sweep {
 	return &Sweep{Name: name, samples: map[string][]float64{}}
 }
 
-// AddTrial appends one successful trial's metrics. Metric columns appear in
-// the order the first trial emitted them; trials must arrive in seed order.
-func (s *Sweep) AddTrial(seed uint64, m Metrics) {
+// Add records one trial: a Failure if err is non-nil, otherwise its metrics.
+// Metric columns appear in the order the first successful trial emitted
+// them; trials must arrive in seed order.
+func (s *Sweep) Add(seed uint64, m Metrics, err error) {
+	if err != nil {
+		s.Failures = append(s.Failures, Failure{Seed: seed, Err: err})
+		return
+	}
 	s.Seeds = append(s.Seeds, seed)
 	for _, sample := range m {
 		if _, seen := s.samples[sample.Name]; !seen {
@@ -76,37 +79,6 @@ func (s *Sweep) AddTrial(seed uint64, m Metrics) {
 		}
 		s.samples[sample.Name] = append(s.samples[sample.Name], sample.Value)
 	}
-}
-
-// AddFailure records a failed trial.
-func (s *Sweep) AddFailure(seed uint64, err error) {
-	s.Failures = append(s.Failures, Failure{Seed: seed, Err: err})
-}
-
-// RunSweep executes trial for seeds baseSeed..baseSeed+n-1 across the worker
-// pool and aggregates the per-seed Metrics in seed order. Trial errors and
-// panics become Failures rather than failing the sweep; only a configuration
-// error (n < 1) or context cancellation fails the call.
-func RunSweep(ctx context.Context, name string, baseSeed uint64, n, workers int, trial func(ctx context.Context, seed uint64) (Metrics, error)) (*Sweep, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("runner: sweep %q needs at least 1 seed, got %d", name, n)
-	}
-	results, err := Run(ctx, n, workers, func(ctx context.Context, i int) (Metrics, error) {
-		return trial(ctx, baseSeed+uint64(i))
-	})
-	if err != nil {
-		return nil, fmt.Errorf("runner: sweep %q: %w", name, err)
-	}
-	sw := NewSweep(name)
-	for _, r := range results {
-		seed := baseSeed + uint64(r.Index)
-		if r.Err != nil {
-			sw.AddFailure(seed, r.Err)
-			continue
-		}
-		sw.AddTrial(seed, r.Value)
-	}
-	return sw, nil
 }
 
 // Trials reports the total number of trials, including failures.

@@ -144,7 +144,7 @@ func TestAsyncIntrospectionCatchesTheBypass(t *testing.T) {
 	// syscall table (area 14) and the flipped PTE bytes (area 17).
 	r := newRig(t)
 	installedGuard(t, r)
-	checker, err := introspect.NewChecker(r.image, r.plat.Perf(), 5, introspect.HashDjb2, 0)
+	checker, err := introspect.NewChecker(r.image, r.plat.Perf(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,17 +170,12 @@ func (t *Timeline) Len() int { return len(t.events) }
 
 // CheckpointEvents returns a copy of the events in their current storage
 // order — insertion (publish) order on a timeline that was never sorted.
-// Restoring the copy via RestoreEvents reproduces Events()'s output exactly:
-// the (time, kind rank) sort is stable, so storage order only matters within
+// Republishing the copy in order through the bus a fresh timeline subscribes
+// to (as a scenario restore does) reproduces Events()'s output exactly: the
+// (time, kind rank) sort is stable, so storage order only matters within
 // rank ties, and it round-trips unchanged.
 func (t *Timeline) CheckpointEvents() []Event {
 	return append([]Event(nil), t.events...)
-}
-
-// RestoreEvents replaces the timeline's contents with events, in order.
-func (t *Timeline) RestoreEvents(events []Event) {
-	t.events = append(t.events[:0], events...)
-	t.sorted = false
 }
 
 // WriteText renders one line per event.

@@ -280,10 +280,20 @@ type (
 //	    return satin.SweepMetrics{}.Add("alarms", float64(len(sc.SATIN().Alarms()))), nil
 //	})
 func RunSeeds(name string, baseSeed uint64, seeds, workers int, trial func(seed uint64) (SweepMetrics, error)) (*Sweep, error) {
-	return runner.RunSweep(context.Background(), name, baseSeed, seeds, workers,
-		func(_ context.Context, seed uint64) (runner.Metrics, error) {
-			return trial(seed)
-		})
+	if seeds < 1 {
+		return nil, fmt.Errorf("satin: sweep %q needs at least 1 seed, got %d", name, seeds)
+	}
+	results, err := runner.Run(context.Background(), seeds, workers, func(_ context.Context, i int) (SweepMetrics, error) {
+		return trial(baseSeed + uint64(i))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("satin: sweep %q: %w", name, err)
+	}
+	sw := runner.NewSweep(name)
+	for _, r := range results {
+		sw.Add(baseSeed+uint64(r.Index), r.Value, r.Err)
+	}
+	return sw, nil
 }
 
 // DefaultProberSleep is the paper's Tsleep (2e-4 s).
@@ -511,7 +521,7 @@ func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	checker, err := introspect.NewChecker(image, plat.Perf(), o.seed+2, introspect.HashDjb2, 0)
+	checker, err := introspect.NewChecker(image, plat.Perf(), o.seed+2)
 	if err != nil {
 		return nil, err
 	}
@@ -697,7 +707,7 @@ func (s *Scenario) OS() *OS { return s.os }
 func (s *Scenario) Monitor() *Monitor { return s.monitor }
 
 // Checker returns the secure-world memory checker, for inspecting the
-// incremental hash cache (CacheStats, HashCacheEnabled) and the hash kind.
+// incremental hash cache (CacheStats, HashCacheEnabled).
 func (s *Scenario) Checker() *Checker { return s.checker }
 
 // SATIN returns the SATIN service, or nil if not installed.

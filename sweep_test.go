@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"satin/internal/runner"
 )
 
 // scenarioTrial builds one quick SATIN-vs-evader scenario (one full scan at
@@ -57,17 +59,29 @@ func TestDeterminismRunSeedsAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunSeedsReportsTrialErrors: a trial that errors or panics becomes a
+// Failure of its seed, and a sweep of no seeds is refused.
 func TestRunSeedsReportsTrialErrors(t *testing.T) {
 	sw, err := RunSeeds("flaky", 0, 3, 2, func(seed uint64) (SweepMetrics, error) {
-		if seed == 1 {
+		switch seed {
+		case 1:
 			return nil, errors.New("synthetic")
+		case 2:
+			panic("boom")
 		}
 		return SweepMetrics{}.Add("v", 1), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sw.Failures) != 1 || sw.Failures[0].Seed != 1 {
-		t.Fatalf("Failures = %+v, want seed 1", sw.Failures)
+	if len(sw.Failures) != 2 || sw.Failures[0].Seed != 1 || sw.Failures[1].Seed != 2 {
+		t.Fatalf("Failures = %+v, want seeds 1 and 2", sw.Failures)
+	}
+	var pe *runner.PanicError
+	if !errors.As(sw.Failures[1].Err, &pe) {
+		t.Errorf("seed 2 error = %v, want *runner.PanicError", sw.Failures[1].Err)
+	}
+	if _, err := RunSeeds("empty", 0, 0, 1, func(uint64) (SweepMetrics, error) { return nil, nil }); err == nil {
+		t.Error("0-seed sweep did not error")
 	}
 }
