@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke checkpoint-smoke serve-smoke paper-check examples-check docs-check cover profile ci
+.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke hash-fuzz-smoke checkpoint-smoke serve-smoke paper-check examples-check docs-check cover profile ci
 
 all: build test
 
@@ -30,12 +30,15 @@ race:
 # output with workers=1 and workers=8. Sweeps described as data run as
 # campaigns, so the campaign engine's worker-count and kill/resume
 # invariance tests are part of it, boot and fork groups included
-# (TestWorkerCountInvarianceBootGroups); the Go-closure batches on
+# (TestWorkerCountInvarianceBootGroups), and so is the boot-term identity
+# (TestBootTermsMatchSeedBoot: a member built from a boot state whose chunk
+# terms an earlier member memoized matches the member booted from the seed
+# and the member with the hash cache off). The Go-closure batches on
 # runner.Run (the sensitivity grid, the profiled sweep, RunSeeds) are
 # checked in internal/experiment and the root package. Run under -race so
 # the worker pool itself is exercised, not just its output.
 determinism:
-	$(GO) test -race -run 'TestDeterminism|TestWorkerCountInvariance|TestKillResumeByteIdentical|TestProfileSweepWorkerInvariance' ./internal/runner ./internal/campaign ./internal/experiment . ./cmd/benchtables
+	$(GO) test -race -run 'TestDeterminism|TestWorkerCountInvariance|TestKillResumeByteIdentical|TestProfileSweepWorkerInvariance|TestBootTermsMatchSeedBoot' ./internal/runner ./internal/campaign ./internal/experiment . ./cmd/benchtables
 
 # End-to-end sweep check: a multi-seed detection run, the sensitivity grid
 # and the profiled sweep complete and are worker-count invariant at the CLI
@@ -211,8 +214,15 @@ serve-smoke:
 campaign-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign$$' -fuzztime 20s ./internal/campaign
 
+# Short fuzz run over the djb2 kernel: from any state, the word-wide fold
+# must equal the byte-at-a-time reference and split affinely into
+# h·33^len plus the chunk's term, the identity the boot-state chunk terms
+# rest on.
+hash-fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz 'FuzzHashWordWide$$' -fuzztime 20s ./internal/introspect
+
 # The paper, pinned: the no-flag benchtables run (every table and figure at
-# seed 1, about 16 s on one core of a 2-vCPU Xeon) must print exactly the
+# seed 1, about 17 s on one core of a 2-vCPU Xeon) must print exactly the
 # committed golden.
 # A driver error exits non-zero and fails the target too. Regenerate the
 # golden only when a change means to move the paper's numbers:
@@ -275,6 +285,7 @@ profile:
 	@echo "inspect with: $(GO) tool pprof /tmp/satin.test /tmp/satin_cpu.prof"
 
 # Every blocking gate of the workflow's test job, in its order, so a local
-# `make ci` pass means they all pass. Only the workflow runs the two 20 s
-# fuzz smokes (spec-fuzz-smoke, campaign-fuzz-smoke) and cover.
+# `make ci` pass means they all pass. Only the workflow runs the three 20 s
+# fuzz smokes (spec-fuzz-smoke, campaign-fuzz-smoke, hash-fuzz-smoke) and
+# cover.
 ci: vet fmt-check build test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke paper-check examples-check docs-check

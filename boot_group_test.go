@@ -12,11 +12,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"satin/internal/campaign"
+	"satin/internal/mem"
+	"satin/internal/obs"
 )
 
 // bootSpec is the smoke campaign's template at seed: a bounded SATIN run
@@ -251,5 +254,121 @@ func TestWorkerCountInvarianceBootGroups(t *testing.T) {
 	}
 	if !bytes.Equal(read(killed), want) {
 		t.Error("kill and grouped resume differ from the ungrouped bytes")
+	}
+}
+
+// TestBootTermsMatchSeedBoot: a member built from a boot state whose chunk
+// terms an earlier member of the seed already memoized gives the same
+// Report, cache counters, JSONL trace and timeline as the same member
+// booted from the seed, or fails to build with the same error. Both fold
+// the boot terms for every chunk whose pages are still the boot's, so both
+// must also match the member with the hash cache off, which hashes every
+// chunk live, in all but the cache counters. The fast evader's rootkit and
+// the guard write kernel pages, so those shapes must hash some chunks live.
+// The guard refuses the fast evader's hijack, so the guard also runs
+// without an evader.
+func TestBootTermsMatchSeedBoot(t *testing.T) {
+	warm, err := CanonicalizeSpec(bootSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		err           string
+		report        Report
+		hits, misses  uint64
+		trace, events string
+	}
+	drive := func(t *testing.T, c ScenarioSpec, boot *mem.BootState) (run, *mem.BootState) {
+		t.Helper()
+		sc, err := fromSpec(c, boot)
+		if err != nil {
+			return run{err: err.Error()}, nil
+		}
+		var trace bytes.Buffer
+		sink, err := NewStreamSink(&trace, ExportJSONL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Bus() != nil {
+			sc.Bus().Subscribe(sink.OnEvent)
+		}
+		DriveSpec(sc, c)
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var events bytes.Buffer
+		if err := sc.Timeline().WriteText(&events); err != nil {
+			t.Fatal(err)
+		}
+		r := run{report: sc.Report(), trace: trace.String(), events: events.String()}
+		r.hits, r.misses = sc.Checker().CacheStats()
+		return r, sc.image.Boot()
+	}
+	shapes := append(bootShapes[:len(bootShapes):len(bootShapes)], struct {
+		name string
+		mut  func(*ScenarioSpec)
+	}{"guard on without evader", func(s *ScenarioSpec) { s.Guard = "on"; s.Evader.Kind = "none" }})
+	for _, sh := range shapes {
+		if sh.name == "hash cache off" {
+			continue
+		}
+		t.Run(sh.name, func(t *testing.T) {
+			s := bootSpec(5)
+			sh.mut(&s)
+			c, err := CanonicalizeSpec(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, boot := drive(t, warm, nil)
+			if boot == nil {
+				t.Fatal("the warming member did not build")
+			}
+			off := false
+			s.HashCache = &off
+			naiveSpec, err := CanonicalizeSpec(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := drive(t, c, boot)
+			want, _ := drive(t, c, nil)
+			naive, _ := drive(t, naiveSpec, nil)
+			if got.err != want.err || got.err != naive.err {
+				t.Fatalf("build error from the warmed boot state %q, from the seed %q, with the cache off %q", got.err, want.err, naive.err)
+			}
+			if want.err != "" {
+				return
+			}
+			scrubbed := func(r Report) Report {
+				var rows []obs.Row
+				for _, row := range r.Metrics.Rows {
+					if !strings.HasPrefix(row.Name, "introspect.cache_") {
+						rows = append(rows, row)
+					}
+				}
+				r.Metrics.Rows = rows
+				return r
+			}
+			if !reflect.DeepEqual(scrubbed(got.report), scrubbed(naive.report)) {
+				t.Errorf("Report from the warmed boot state:\n%+v\nwith the cache off:\n%+v", got.report, naive.report)
+			}
+			if got.trace != naive.trace || got.events != naive.events {
+				t.Error("trace or timeline differs from the cache-off member's")
+			}
+			if !reflect.DeepEqual(got.report, want.report) {
+				t.Errorf("Report from the warmed boot state:\n%+v\nfrom the seed:\n%+v", got.report, want.report)
+			}
+			if got.hits != want.hits || got.misses != want.misses {
+				t.Errorf("cache %d hits / %d misses from the warmed boot state, %d / %d from the seed", got.hits, got.misses, want.hits, want.misses)
+			}
+			if want.misses == 0 {
+				t.Error("the member recorded no cache misses; no boot term was consulted")
+			}
+			if got.trace != want.trace {
+				t.Error("JSONL trace differs from the seed-booted member's")
+			}
+			if got.events != want.events {
+				t.Error("timeline differs from the seed-booted member's")
+			}
+		})
 	}
 }

@@ -442,9 +442,9 @@ func (s *Scenario) RestoreSnapshot(snap *Snapshot) error {
 // Run directly). The canonical member spec is returned alongside.
 //
 // A snapshot taken in this process carries its prefix's boot state, and the
-// member's kernel image is built from it: the boot bytes are copied rather
-// than re-filled from the seed, and the golden hashes come from the
-// prefix's memo. A snapshot read from disk has none, so its members boot
+// member's kernel image is built from it: the image shares the boot bytes
+// page by page rather than re-filling them from the seed, and the golden
+// hashes come from the prefix's memo. A snapshot read from disk has none, so its members boot
 // from the seed. Either way the member is byte-identical.
 func ResumeScenario(snap *Snapshot, member ScenarioSpec) (*Scenario, ScenarioSpec, error) {
 	c, err := ValidateResume(snap, member)
@@ -500,7 +500,8 @@ func RunRemaining(sc *Scenario, s ScenarioSpec) {
 // instead of O(K×(prefix+suffix)). Cells the checkpoint protocol does not
 // cover still share their seed's kernel boot, the stage in which SATIN
 // hashes its golden table (§V-B): the group fills the kernel and hashes the
-// table once, and every other member copies the boot bytes.
+// table once, and every other member shares the boot bytes until it writes
+// them.
 // CheckpointGroupKey identifies the groups and RunCheckpointGroup executes
 // one. Wire both into campaign.RunOptions (benchtables -campaign and the
 // satin-serve worker always do).
@@ -574,7 +575,7 @@ func forkBarrier(members []ScenarioSpec) (time.Duration, bool) {
 // Every member that does not fork (all of a boot group, a fork group whose
 // prefix is too short or cannot be checkpointed, a member that fails to
 // resume) runs from scratch on one shared boot state: the first boots from
-// the seed unless the prefix already did, and the rest copy its bytes and
+// the seed unless the prefix already did, and the rest share its pages and
 // read its memoized golden sums, as ResumeScenario's members do. The boot
 // state lives for this call only. Every result is byte-equivalent to
 // RunSpecTrial on the same member.

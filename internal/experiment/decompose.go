@@ -60,9 +60,14 @@ func RunDecomposition(seed uint64, window time.Duration) (DecompositionResult, e
 	}
 	result := DecompositionResult{PaperBar: 0.03912}
 
-	// Structural: pipe ping-pong, one pair, 50 µs per exchange.
+	// Structural: pipe ping-pong, one pair, 50 µs per exchange, both runs
+	// on one boot of the seed's kernel.
+	boot, err := bootJuno(seed)
+	if err != nil {
+		return DecompositionResult{}, err
+	}
 	structural := func(withSATIN bool) (int64, error) {
-		rig, err := NewRig(seed)
+		rig, err := newRig(seed, boot)
 		if err != nil {
 			return 0, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"satin/internal/mem"
 	"satin/internal/stats"
 	"satin/internal/workload"
 )
@@ -151,17 +152,22 @@ func (r Fig7Result) Chart(tasks, width int) string {
 }
 
 // RunFig7 measures each benchmark's throughput with SATIN off and on and
-// reports the normalized degradation.
+// reports the normalized degradation. Every rig runs on cfg.Seed, so the
+// kernel boots once and each rig builds its image from that boot state.
 func RunFig7(cfg Fig7Config) (Fig7Result, error) {
 	cfg = cfg.withDefaults()
+	boot, err := bootJuno(cfg.Seed)
+	if err != nil {
+		return Fig7Result{}, err
+	}
 	var result Fig7Result
 	for _, spec := range cfg.Specs {
 		for _, tasks := range cfg.Tasks {
-			base, _, err := fig7Run(cfg, spec, tasks, false)
+			base, _, err := fig7Run(cfg, boot, spec, tasks, false)
 			if err != nil {
 				return Fig7Result{}, err
 			}
-			withSATIN, pauses, err := fig7Run(cfg, spec, tasks, true)
+			withSATIN, pauses, err := fig7Run(cfg, boot, spec, tasks, true)
 			if err != nil {
 				return Fig7Result{}, err
 			}
@@ -181,9 +187,9 @@ func RunFig7(cfg Fig7Config) (Fig7Result, error) {
 	return result, nil
 }
 
-// fig7Run measures one benchmark configuration.
-func fig7Run(cfg Fig7Config, spec workload.Spec, tasks int, withSATIN bool) (score int64, pauses int, err error) {
-	rig, err := NewRig(cfg.Seed)
+// fig7Run measures one benchmark configuration on a rig built from boot.
+func fig7Run(cfg Fig7Config, boot *mem.BootState, spec workload.Spec, tasks int, withSATIN bool) (score int64, pauses int, err error) {
+	rig, err := newRig(cfg.Seed, boot)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -24,13 +24,24 @@ type Rig struct {
 
 // NewRig assembles the standard testbed with deterministic streams derived
 // from seed.
-func NewRig(seed uint64) (*Rig, error) {
+func NewRig(seed uint64) (*Rig, error) { return newRig(seed, nil) }
+
+// newRig is NewRig building the kernel image from boot, the boot state of
+// an earlier image of the same seed, when it is not nil. An experiment that
+// runs many rigs of one seed boots the kernel once that way; the images are
+// byte-identical either way.
+func newRig(seed uint64, boot *mem.BootState) (*Rig, error) {
 	e := simclock.NewEngine()
 	p, err := hw.NewJunoR1(e)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: platform: %w", err)
 	}
-	im, err := mem.NewJunoImage(seed)
+	var im *mem.Image
+	if boot != nil {
+		im, err = boot.NewImage()
+	} else {
+		im, err = mem.NewJunoImage(seed)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("experiment: image: %w", err)
 	}
@@ -50,6 +61,16 @@ func NewRig(seed uint64) (*Rig, error) {
 		OS:      os,
 		Checker: ch,
 	}, nil
+}
+
+// bootJuno boots the paper's kernel from seed and returns its boot state,
+// from which newRig builds the images of the seed's rigs.
+func bootJuno(seed uint64) (*mem.BootState, error) {
+	im, err := mem.NewJunoImage(seed)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: image: %w", err)
+	}
+	return im.Boot(), nil
 }
 
 // JunoAreas returns the 19-area partition of the rig's kernel.

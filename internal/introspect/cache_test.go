@@ -40,11 +40,7 @@ func TestCacheDifferentialRandomWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		view, err := r.image.Mem().View(a.Addr, a.Size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		naive := djb2UpdateRef(Djb2Seed, view)
+		naive := naiveSum(t, r.image, a.Addr, a.Size)
 		res := r.checkOn(t, 4, DirectHash, a.Addr, a.Size)
 		if res.Sum != naive {
 			hits, misses := r.checker.CacheStats()
@@ -66,11 +62,7 @@ func TestCacheKeysChunkLength(t *testing.T) {
 	addr := r.image.Layout().Base + 0x10000
 	check := func(n int) {
 		t.Helper()
-		view, err := r.image.Mem().View(addr, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := djb2UpdateRef(Djb2Seed, view)
+		want := naiveSum(t, r.image, addr, n)
 		if got := r.checkOn(t, 4, DirectHash, addr, n).Sum; got != want {
 			t.Fatalf("check of %d bytes at %#x: sum %#x, want %#x", n, addr, got, want)
 		}
@@ -115,11 +107,11 @@ func TestCacheTransparentUnderRacingWrites(t *testing.T) {
 			}
 			if pass > 0 {
 				r.engine.After(restoreAt, "race-restore", func() {
-					if err := r.image.RestoreStatic(entry, 8); err != nil {
+					if err := restoreStatic(r.image, entry, 8); err != nil {
 						t.Error(err)
 					}
 				})
-			} else if err := r.image.RestoreStatic(entry, 8); err != nil {
+			} else if err := restoreStatic(r.image, entry, 8); err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, r.checkOn(t, 4, DirectHash, layout.Base, size))
@@ -244,11 +236,7 @@ func TestPooledRunsSurviveBackToBackChecks(t *testing.T) {
 	}
 	want := make([]uint64, 4)
 	for i := range want {
-		v, err := r.image.Mem().View(areas[i].Addr, areas[i].Size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = djb2UpdateRef(Djb2Seed, v)
+		want[i] = naiveSum(t, r.image, areas[i].Addr, areas[i].Size)
 	}
 	got := make([]uint64, 0, len(want))
 	idx := 0

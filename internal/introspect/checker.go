@@ -59,8 +59,9 @@ const DefaultChunkSize = 4096
 // run through pooled run states instead of per-chunk closures, snapshot
 // captures recycle their buffers, and the incremental hash cache (on by
 // default; see SetHashCache) skips re-hashing chunks whose pages have not
-// been written since they were last folded. None of this moves a single
-// virtual-time instant: cached and naive checks are bit-identical.
+// been written since they were last folded, or whose pages are still the
+// boot state's (their terms come from the golden pass). None of this moves
+// a single virtual-time instant: cached and naive checks are bit-identical.
 type Checker struct {
 	image *mem.Image
 	rng   *simclock.RNG
@@ -68,10 +69,12 @@ type Checker struct {
 	// cache memoizes chunk hash transitions; nil when disabled via
 	// SetHashCache(false).
 	cache *hashCache
-	// free lists for the allocation-free hot path.
+	// free lists for the allocation-free hot path; views is the page-view
+	// scratch a live chunk hash reuses.
 	hashRuns    []*hashRun
 	captureRuns []*captureRun
 	bufs        [][]byte
+	views       [][]byte
 
 	// Observability (nil unless Observe was called; all nil-safe).
 	checks      *obs.Counter
@@ -124,11 +127,12 @@ func NewChecker(image *mem.Image, perf hw.PerfModel, seed uint64) (*Checker, err
 	}, nil
 }
 
-// SetHashCache enables or disables the incremental hash cache. It is on by
-// default; disabling it is the escape hatch the golden byte-identity
-// regression uses to prove cached and naive runs agree. Re-enabling starts
-// from an empty cache. Results are identical either way — only wall-clock
-// time changes.
+// SetHashCache enables or disables the incremental hash cache, and with it
+// the boot state's chunk terms. It is on by default; disabling it is the
+// escape hatch the golden byte-identity regression uses to prove cached and
+// naive runs agree, since the checker then hashes every chunk's live bytes.
+// Re-enabling starts from an empty cache. Results are identical either way
+// — only wall-clock time changes.
 func (c *Checker) SetHashCache(enabled bool) {
 	if !enabled {
 		c.cache = nil
@@ -281,26 +285,45 @@ func (r *hashRun) advance() {
 }
 
 // hashChunk folds the n bytes at addr into h, consulting the incremental
-// cache first. Reads — cached or not — happen at the current virtual
-// instant, so racing writes are honored exactly as before.
+// cache first and then the boot state's chunk terms: while every page the
+// chunk spans still shares the boot bytes, its term over them is the one
+// the golden pass memoized, so a boot group hashes each chunk once. Both
+// count as the cache's; with the cache off the checker always hashes the
+// live bytes. Reads — cached or not — happen at the current virtual
+// instant, so racing writes are honored exactly as before: a write copies
+// its page first, which withdraws the boot term.
 func (c *Checker) hashChunk(addr uint64, n int, h uint64) uint64 {
-	m := c.image.Mem()
-	if c.cache != nil {
-		if out, ok := c.cache.lookup(m, addr, n, h); ok {
-			c.cacheHits.Inc()
-			return out
-		}
+	if c.cache == nil {
+		return c.foldLive(addr, n, h)
 	}
-	view, err := m.View(addr, n)
+	m := c.image.Mem()
+	if out, ok := c.cache.lookup(m, addr, n, h); ok {
+		c.cacheHits.Inc()
+		return out
+	}
+	var out uint64
+	if term, ok := c.image.BootSum(djb2Term{}, addr, n); ok {
+		out = h*pow33(n) + term
+	} else {
+		out = c.foldLive(addr, n, h)
+	}
+	c.cache.store(m, addr, n, h, out)
+	c.cacheMisses.Inc()
+	return out
+}
+
+// foldLive folds the live bytes at [addr, addr+n) into h, one page view at
+// a time: djb2 is a streaming hash.
+func (c *Checker) foldLive(addr uint64, n int, h uint64) uint64 {
+	views, err := c.image.Mem().Views(addr, n, c.views[:0])
 	if err != nil {
 		panic(fmt.Sprintf("introspect: validated range became unreadable: %v", err))
 	}
-	out := Djb2Update(h, view)
-	if c.cache != nil {
-		c.cache.store(m, addr, n, h, out)
-		c.cacheMisses.Inc()
+	for _, v := range views {
+		h = Djb2Update(h, v)
 	}
-	return out
+	c.views = views
+	return h
 }
 
 // captureRun is the pooled state of one in-flight SnapshotHash capture
@@ -342,11 +365,11 @@ func (r *captureRun) advance() {
 	if n > r.remaining {
 		n = r.remaining
 	}
-	view, err := c.image.Mem().View(r.addr, n)
-	if err != nil {
+	at := len(r.buf)
+	r.buf = r.buf[:at+n]
+	if err := c.image.Mem().Read(r.addr, r.buf[at:]); err != nil {
 		panic(fmt.Sprintf("introspect: validated range became unreadable: %v", err))
 	}
-	r.buf = append(r.buf, view...)
 	c.bytesCopied.Add(int64(n))
 	d := secondsDuration(r.rate * float64(n))
 	if c.prof != nil {
@@ -380,12 +403,10 @@ func secondsDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// GoldenArea computes the boot-time (pristine) hash of one area. The sum
-// is memoized on the image's pristine copy, which images booted from one
-// boot state share, so the hash runs once per boot rather than once per
-// image.
+// GoldenArea computes the boot-time (pristine) hash of one area. djb2 is
+// the only hash kind.
 func GoldenArea(image *mem.Image, hash HashKind, a mem.Area) (uint64, error) {
-	h, err := image.PristineSum(hash, a.Addr, a.Size)
+	h, err := goldenSum(image, a.Addr, a.Size)
 	if err != nil {
 		return 0, fmt.Errorf("introspect: golden hash of %v: %w", a, err)
 	}
@@ -409,9 +430,33 @@ func GoldenTable(image *mem.Image, hash HashKind, areas []mem.Area) ([]uint64, e
 // GoldenRange computes the pristine hash of an arbitrary static-kernel
 // range, used by the full-kernel baseline.
 func GoldenRange(image *mem.Image, hash HashKind, addr uint64, size int) (uint64, error) {
-	h, err := image.PristineSum(hash, addr, size)
+	h, err := goldenSum(image, addr, size)
 	if err != nil {
 		return 0, fmt.Errorf("introspect: golden hash of [%#x,+%d): %w", addr, size, err)
+	}
+	return h, nil
+}
+
+// goldenSum is the golden pass over the pristine range [addr, addr+n):
+// once the whole range validates, it folds the range in the checker's own
+// steps, DefaultChunkSize from addr, taking each chunk's term from the
+// image's pristine-sum memo. Images sharing a boot state share that memo,
+// so the pass hashes once per boot rather than once per image, and the
+// memo then holds exactly the terms a checker's first scan of the range
+// asks the boot state for (Image.BootSum).
+func goldenSum(image *mem.Image, addr uint64, n int) (uint64, error) {
+	if err := image.CheckPristine(addr, n); err != nil {
+		return 0, err
+	}
+	h := Djb2Seed
+	for ; n > 0; n -= DefaultChunkSize {
+		k := min(n, DefaultChunkSize)
+		term, err := image.PristineSum(djb2Term{}, addr, k)
+		if err != nil {
+			return 0, err
+		}
+		h = h*pow33(k) + term
+		addr += uint64(k)
 	}
 	return h, nil
 }

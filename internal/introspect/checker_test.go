@@ -36,6 +36,27 @@ func newRig(t *testing.T) *rig {
 	return &rig{engine: e, plat: p, image: im, monitor: trustzone.NewMonitor(p, 3), checker: ch}
 }
 
+// restoreStatic rewrites the n bytes at addr with their pristine content —
+// the model of the evader "recovering the malicious byte as benign".
+func restoreStatic(im *mem.Image, addr uint64, n int) error {
+	benign, err := im.Pristine(addr, n)
+	if err != nil {
+		return err
+	}
+	return im.Mem().Write(addr, benign)
+}
+
+// naiveSum hashes the n live bytes at addr with the byte-at-a-time
+// reference, the expectation every cached or boot-term check must meet.
+func naiveSum(t *testing.T, im *mem.Image, addr uint64, n int) uint64 {
+	t.Helper()
+	buf := make([]byte, n)
+	if err := im.Mem().Read(addr, buf); err != nil {
+		t.Fatal(err)
+	}
+	return djb2UpdateRef(Djb2Seed, buf)
+}
+
 // checkOn runs one check synchronously-in-sim and returns the result.
 func (r *rig) checkOn(t *testing.T, coreID int, tech Technique, addr uint64, size int) Result {
 	t.Helper()
@@ -205,7 +226,7 @@ func TestSnapshotFreezesBytesAtCapture(t *testing.T) {
 	// Restore the entry late in the check: after capture (first ~50% of
 	// ~4.2ms), before analysis ends.
 	r.engine.After(3*time.Millisecond, "late-restore", func() {
-		if err := r.image.RestoreStatic(entry, 8); err != nil {
+		if err := restoreStatic(r.image, entry, 8); err != nil {
 			t.Error(err)
 		}
 	})
@@ -233,7 +254,7 @@ func TestDirectHashRaceEvaderWinsWhenRestoredBeforeTouch(t *testing.T) {
 	// Full scan takes ≈80 ms on A57; the syscall table (~81% in) is
 	// touched at ≈65 ms. Restoring at 10 ms beats the scan comfortably.
 	r.engine.After(10*time.Millisecond, "evade", func() {
-		if err := r.image.RestoreStatic(entry, 8); err != nil {
+		if err := restoreStatic(r.image, entry, 8); err != nil {
 			t.Error(err)
 		}
 	})
@@ -257,7 +278,7 @@ func TestDirectHashRaceCheckerWinsWhenRestoredTooLate(t *testing.T) {
 	}
 	// Restore at 75 ms: the scan already passed the syscall table (~65 ms).
 	r.engine.After(75*time.Millisecond, "too-late", func() {
-		if err := r.image.RestoreStatic(entry, 8); err != nil {
+		if err := restoreStatic(r.image, entry, 8); err != nil {
 			t.Error(err)
 		}
 	})

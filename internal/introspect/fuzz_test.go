@@ -28,7 +28,7 @@ func FuzzHashIncremental(f *testing.F) {
 		} else {
 			cut = 0
 		}
-		whole := HashDjb2.Sum(data)
+		whole := Djb2(data)
 		h := Djb2Update(Djb2Seed, data[:cut])
 		h = Djb2Update(h, data[cut:])
 		if h != whole {
@@ -40,7 +40,8 @@ func FuzzHashIncremental(f *testing.F) {
 // FuzzHashWordWide fuzzes the word-wide kernel against the byte-at-a-time
 // reference from arbitrary states: the optimization must be bit-identical
 // for every (seed, data, offset) — offsets exercise tails of every residue
-// mod 8 and misaligned starts.
+// mod 8 and misaligned starts. It also fuzzes the affine split the boot
+// terms rest on: the fold equals h·33^len plus the chunk's term.
 func FuzzHashWordWide(f *testing.F) {
 	f.Add(uint64(Djb2Seed), []byte("the quick brown fox jumps over"), 0)
 	f.Add(uint64(0x0123456789abcdef), []byte{0xFF, 0x00, 0x80, 0x7F, 1, 2, 3, 4, 5}, 3)
@@ -56,8 +57,12 @@ func FuzzHashWordWide(f *testing.F) {
 			off = 0
 		}
 		sub := data[off:]
-		if got, want := Djb2Update(h, sub), djb2UpdateRef(h, sub); got != want {
+		got, want := Djb2Update(h, sub), djb2UpdateRef(h, sub)
+		if got != want {
 			t.Fatalf("Djb2Update(h=%#x, len=%d) = %#x, ref %#x", h, len(sub), got, want)
+		}
+		if split := h*pow33(len(sub)) + (djb2Term{}).Sum(sub); split != want {
+			t.Fatalf("affine split of h=%#x, len=%d = %#x, ref %#x", h, len(sub), split, want)
 		}
 	})
 }

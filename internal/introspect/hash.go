@@ -63,6 +63,32 @@ func djb2UpdateRef(h uint64, data []byte) uint64 {
 	return h
 }
 
+// djb2Term is the mem.Summer of chunk terms. djb2 is affine in its state:
+// each step multiplies the state by 33 and adds a byte, so
+//
+//	Djb2Update(h, B) = h·33^len(B) + Djb2Update(0, B)  (mod 2^64).
+//
+// A chunk's term, Djb2Update(0, B), therefore does not depend on the state
+// entering the chunk, and the golden pass and the checker fold one memoized
+// term per chunk wherever the chunk holds the same bytes.
+type djb2Term struct{}
+
+// Sum returns data's term.
+func (djb2Term) Sum(data []byte) uint64 { return Djb2Update(0, data) }
+
+// pow33 returns 33^n mod 2^64, the factor an n-byte chunk applies to the
+// state entering it.
+func pow33(n int) uint64 {
+	p, b := uint64(1), uint64(djb2p1)
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			p *= b
+		}
+		b *= b
+	}
+	return p
+}
+
 // Djb2 hashes data from the seed in one call.
 func Djb2(data []byte) uint64 {
 	return Djb2Update(Djb2Seed, data)
@@ -81,10 +107,4 @@ func (k HashKind) String() string {
 		return "djb2"
 	}
 	return "unknown-hash"
-}
-
-// Sum hashes data in one call. HashKind is the mem.Summer the pristine-sum
-// memo keys on.
-func (k HashKind) Sum(data []byte) uint64 {
-	return Djb2(data)
 }

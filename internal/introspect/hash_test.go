@@ -1,6 +1,7 @@
 package introspect
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -31,7 +32,7 @@ func TestHashIncrementalEqualsWhole(t *testing.T) {
 			cut = int(split) % (len(data) + 1)
 		}
 		h := Djb2Update(Djb2Seed, data[:cut])
-		return Djb2Update(h, data[cut:]) == HashDjb2.Sum(data)
+		return Djb2Update(h, data[cut:]) == Djb2(data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -74,14 +75,65 @@ func TestWordWideKernelsProperty(t *testing.T) {
 	}
 }
 
+// TestPow33 checks pow33 against repeated multiplication, across the chunk
+// sizes the checker folds and a little past them.
+func TestPow33(t *testing.T) {
+	want := uint64(1)
+	for n := 0; n <= 3*DefaultChunkSize+1; n++ {
+		if got := pow33(n); got != want {
+			t.Fatalf("pow33(%d) = %#x, want %#x", n, got, want)
+		}
+		want *= 33
+	}
+}
+
+// TestDjb2AffineSplit proves the split the boot terms rest on,
+// Djb2Update(h, b) == h·33^len(b) + Djb2Update(0, b): exhaustively for every
+// b of length 0 to 2 at several states, and for random data up to three
+// chunks long.
+func TestDjb2AffineSplit(t *testing.T) {
+	states := []uint64{0, 1, Djb2Seed, ^uint64(0), 0x0123456789abcdef}
+	split := func(h uint64, b []byte) bool {
+		return Djb2Update(h, b) == h*pow33(len(b))+(djb2Term{}).Sum(b)
+	}
+	b := make([]byte, 2)
+	for _, h := range states {
+		if !split(h, nil) {
+			t.Fatalf("h=%#x: the empty fold does not split", h)
+		}
+		for x := 0; x < 256; x++ {
+			b[0] = byte(x)
+			if !split(h, b[:1]) {
+				t.Fatalf("h=%#x: %x does not split", h, b[:1])
+			}
+			for y := 0; y < 256; y++ {
+				b[1] = byte(y)
+				if !split(h, b) {
+					t.Fatalf("h=%#x: %x does not split", h, b)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	data := make([]byte, 3*DefaultChunkSize)
+	rng.Read(data)
+	for i := 0; i < 200; i++ {
+		n := rng.Intn(len(data) + 1)
+		off := rng.Intn(len(data) - n + 1)
+		if h := rng.Uint64(); !split(h, data[off:off+n]) {
+			t.Fatalf("h=%#x: %d bytes at %d do not split", h, n, off)
+		}
+	}
+}
+
 func TestHashDetectsSingleBitFlip(t *testing.T) {
 	data := make([]byte, 4096)
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
-	orig := HashDjb2.Sum(data)
+	orig := Djb2(data)
 	data[2048] ^= 1
-	if HashDjb2.Sum(data) == orig {
+	if Djb2(data) == orig {
 		t.Error("djb2 missed a single-bit flip")
 	}
 }

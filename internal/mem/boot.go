@@ -8,14 +8,18 @@ import "sync"
 // golden hashes once, "during booting stage" (§V-B); a BootState lets every
 // image booted from the same seed share that stage instead of repeating it.
 //
-// Images built from one BootState share its bytes as their pristine copy,
-// and with them a memo of the sums taken over pristine ranges (PristineSum).
-// Each image owns a private copy of the bytes as its live memory. Nothing
-// writes the boot bytes once they are captured and the memo is locked, so
-// one BootState may build images on several goroutines at once.
+// The boot bytes are the only copy of a seed's kernel. Images built from
+// one BootState share them as their pristine copy, with the memo of sums
+// taken over pristine ranges (PristineSum, BootSum), and as the pages of
+// their live memory until they write them. Nothing writes the boot bytes
+// once they are filled and the memo is locked, so one BootState may build
+// and serve images on several goroutines at once.
 type BootState struct {
-	layout   Layout
-	seed     uint64
+	layout Layout
+	seed   uint64
+	// data is the static kernel page-rounded, its tail the module arena's
+	// first zeros, so every boot page is a full page.
+	data     []byte
 	gens     []uint64 // every page's generation right after the fill
 	pristine *pristine
 }
@@ -45,15 +49,12 @@ type Summer interface {
 // Seed reports the seed the static kernel was filled from.
 func (b *BootState) Seed() uint64 { return b.seed }
 
-// NewImage builds a live image from the boot state. Its live memory is a
-// private copy of the boot bytes and generations followed by a zeroed
-// module arena; its pristine copy is the boot state's own, shared.
+// NewImage builds a live image from the boot state. Its live memory shares
+// the boot bytes page by page and starts from the boot generations; its
+// pristine copy is the boot state's own, shared. Building one costs a page
+// table, not a copy of the kernel.
 func (b *BootState) NewImage() (*Image, error) {
-	m, err := newImageMemory(b.layout)
-	if err != nil {
-		return nil, err
-	}
-	copy(m.data, b.pristine.data)
+	m := newImageMemory(b.layout, b.data, false)
 	copy(m.gens, b.gens)
 	return &Image{
 		mem:        m,

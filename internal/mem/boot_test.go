@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -19,16 +21,25 @@ func (c crcSum) Sum(data []byte) uint64 {
 	return uint64(crc32.ChecksumIEEE(data))
 }
 
-// refImage fills a live region in place from seed, with no boot state
-// involved, and copies the static kernel out as the pristine copy.
+// refImage fills a flat live region in place from seed, with no boot state
+// or page sharing involved, and copies the static kernel out as the
+// pristine copy.
 func refImage(t *testing.T, layout Layout, seed uint64) (live []byte, gens []uint64, pristine []byte) {
 	t.Helper()
-	m, err := NewMemory(layout.Base, layout.TotalSize()+ModuleArenaSize)
-	if err != nil {
+	live = make([]byte, layout.TotalSize()+ModuleArenaSize)
+	m := newMemory(layout.Base, len(live), live, true)
+	fill(m, live, layout, seed)
+	return live, m.gens, append([]byte(nil), live[:layout.TotalSize()]...)
+}
+
+// liveBytes reads an image's whole live region.
+func liveBytes(t *testing.T, im *Image) []byte {
+	t.Helper()
+	out := make([]byte, im.mem.Size())
+	if err := im.mem.Read(im.mem.Base(), out); err != nil {
 		t.Fatal(err)
 	}
-	fill(m, layout, seed)
-	return m.data, m.gens, append([]byte(nil), m.data[:layout.TotalSize()]...)
+	return out
 }
 
 // bootState boots an image from seed and returns its boot state.
@@ -72,7 +83,7 @@ func TestBootStateImageMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, im := range map[string]*Image{"booted": booted, "sibling": sibling} {
-			if !bytes.Equal(im.mem.data, live) {
+			if !bytes.Equal(liveBytes(t, im), live) {
 				t.Errorf("seed %d, %s: live bytes differ from the reference", seed, name)
 			}
 			if !slices.Equal(im.mem.gens, gens) {
@@ -233,12 +244,16 @@ func TestPristineSumMemoized(t *testing.T) {
 	}
 }
 
-// TestBootStateConcurrentImages builds and sums images from one boot state
-// on several goroutines at once (run under -race).
+// TestBootStateConcurrentImages builds, writes, reads and sums images from
+// one boot state on several goroutines at once (run under -race): each
+// image writes pages the others read through the shared boot bytes, and
+// BootSum answers from the shared memo for the pages it left alone.
 func TestBootStateConcurrentImages(t *testing.T) {
 	layout := JunoKernelLayout()
 	b := bootState(t, layout, 11)
 	want := crcSum{}.Sum(b.pristine.data)
+	entry := layout.SyscallEntryAddr(GettidNR)
+	wantEntry := crcSum{}.Sum(b.pristine.data[entry-layout.Base:][:PageSize])
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	sums := make([]uint64, 4)
@@ -251,6 +266,19 @@ func TestBootStateConcurrentImages(t *testing.T) {
 				errs[g] = err
 				return
 			}
+			if g%2 == 0 {
+				if err := im.Mem().PutUint64(entry, uint64(g)); err != nil {
+					errs[g] = err
+					return
+				}
+				if _, ok := im.BootSum(crcSum{}, entry, PageSize); ok {
+					errs[g] = fmt.Errorf("BootSum answered over a written page")
+					return
+				}
+			} else if got, ok := im.BootSum(crcSum{}, entry, PageSize); !ok || got != wantEntry {
+				errs[g] = fmt.Errorf("BootSum over an unwritten page = %#x, %v; want %#x", got, ok, wantEntry)
+				return
+			}
 			sums[g], errs[g] = im.PristineSum(crcSum{}, layout.Base, layout.TotalSize())
 		}()
 	}
@@ -260,4 +288,23 @@ func TestBootStateConcurrentImages(t *testing.T) {
 			t.Errorf("goroutine %d: sum %#x, %v; want %#x", g, sums[g], errs[g], want)
 		}
 	}
+}
+
+// TestBootStateNewImageAllocation: an image built from a boot state shares
+// its pages, so building one allocates a page table and generation array,
+// not a copy of the 14 MB region.
+func TestBootStateNewImageAllocation(t *testing.T) {
+	b := bootState(t, JunoKernelLayout(), 2)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	im, err := b.NewImage()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Errorf("BootState.NewImage allocated %d bytes, want under 256 KiB", got)
+	}
+	runtime.KeepAlive(im)
 }

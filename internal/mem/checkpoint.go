@@ -13,20 +13,17 @@ import "fmt"
 // PageView returns a read-only view of page p's bytes, aliasing the live
 // memory. Callers must not mutate it.
 func (m *Memory) PageView(p int) ([]byte, error) {
-	if p < 0 || p >= len(m.gens) {
-		return nil, fmt.Errorf("mem: page %d outside [0, %d)", p, len(m.gens))
+	if p < 0 || p >= len(m.pages) {
+		return nil, fmt.Errorf("mem: page %d outside [0, %d)", p, len(m.pages))
 	}
-	lo := p * PageSize
-	hi := lo + PageSize
-	if hi > len(m.data) {
-		hi = len(m.data)
-	}
-	return m.data[lo:hi:hi], nil
+	page := m.pages[p]
+	return page[:len(page):len(page)], nil
 }
 
 // RestorePage overwrites page p's bytes without bumping its generation —
 // the generation array is restored separately via SetPageGens. data must be
 // exactly the page's length (PageSize, or the tail for a partial last page).
+// Like Write, it copies a shared page before writing it.
 func (m *Memory) RestorePage(p int, data []byte) error {
 	view, err := m.PageView(p)
 	if err != nil {
@@ -35,8 +32,7 @@ func (m *Memory) RestorePage(p int, data []byte) error {
 	if len(data) != len(view) {
 		return fmt.Errorf("mem: page %d is %d bytes, restore data is %d", p, len(view), len(data))
 	}
-	lo := p * PageSize
-	copy(m.data[lo:lo+len(data)], data)
+	copy(m.own(p), data)
 	return nil
 }
 

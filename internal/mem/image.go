@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -19,30 +20,32 @@ type Image struct {
 	mem        *Memory
 	layout     Layout
 	moduleBase uint64
-	// boot is the state the image was built from. pristine starts out as
-	// boot's shared copy and is replaced, never written, when the trusted
-	// state is recaptured.
+	// boot is the state the image was built from; the live memory shares
+	// its pages until it writes them. pristine starts out as boot's shared
+	// copy and is replaced, never written, when the trusted state is
+	// recaptured.
 	boot     *BootState
 	pristine *pristine
 }
 
 // NewImage boots an image with the given layout, filling the static kernel
-// with deterministic pseudo-random content derived from seed, installing a
-// plausible syscall table and exception vector table, and capturing the
-// pristine copy. The fill and the pristine copy become the image's boot
-// state (Boot), from which further images of the same seed can be built.
+// with deterministic pseudo-random content derived from seed and installing
+// a plausible syscall table and exception vector table. The fill is written
+// in place into the buffer that becomes the image's boot state (Boot): the
+// image's pages share it, it is the pristine copy, and further images of
+// the same seed can be built from it.
 func NewImage(layout Layout, seed uint64) (*Image, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, fmt.Errorf("mem: invalid layout: %w", err)
 	}
-	m, err := newImageMemory(layout)
-	if err != nil {
-		return nil, err
-	}
-	fill(m, layout, seed)
-	p := &pristine{data: make([]byte, layout.TotalSize())}
-	copy(p.data, m.data)
-	b := &BootState{layout: layout, seed: seed, gens: m.PageGens(), pristine: p}
+	// The boot bytes are page-rounded, so every boot page is a full page;
+	// the tail past the static kernel holds the module arena's first zeros.
+	data := make([]byte, layout.PageCount()*PageSize)
+	m := newImageMemory(layout, data, true)
+	fill(m, data, layout, seed)
+	clear(m.owned) // from here on the filled pages are the boot state's
+	p := &pristine{data: data[:layout.TotalSize()]}
+	b := &BootState{layout: layout, seed: seed, data: data, gens: m.PageGens(), pristine: p}
 	return &Image{
 		mem:        m,
 		layout:     layout,
@@ -52,10 +55,10 @@ func NewImage(layout Layout, seed uint64) (*Image, error) {
 	}, nil
 }
 
-// newImageMemory allocates the live region of an image: the static kernel
-// followed by the module arena.
-func newImageMemory(layout Layout) (*Memory, error) {
-	return NewMemory(layout.Base, layout.TotalSize()+ModuleArenaSize)
+// newImageMemory builds the live region of an image: the static kernel,
+// whose pages are the boot bytes data, followed by the module arena.
+func newImageMemory(layout Layout, data []byte, own bool) *Memory {
+	return newMemory(layout.Base, layout.TotalSize()+ModuleArenaSize, data, own)
 }
 
 // NewJunoImage boots the paper's synthetic lsk-4.4-armlt kernel.
@@ -63,9 +66,11 @@ func NewJunoImage(seed uint64) (*Image, error) {
 	return NewImage(JunoKernelLayout(), seed)
 }
 
-// fill populates the static kernel held by m with deterministic content.
-func fill(m *Memory, layout Layout, seed uint64) {
-	fillRandom(m.data[:layout.TotalSize()], seed)
+// fill populates the static kernel with deterministic content: data is the
+// buffer m's static pages own, and the installs write through m so they
+// count as page generations.
+func fill(m *Memory, data []byte, layout Layout, seed uint64) {
+	fillRandom(data[:layout.TotalSize()], seed)
 	// Install the syscall table: entry nr points at a distinct "handler"
 	// in kernel text.
 	for nr := 0; nr < layout.SyscallCount; nr++ {
@@ -170,6 +175,13 @@ func (im *Image) pristineOffset(addr uint64, n int) (int, error) {
 	return int(addr - im.layout.Base), nil
 }
 
+// CheckPristine reports an error unless the n-byte range at addr lies in
+// the static kernel, the region every pristine accessor reads.
+func (im *Image) CheckPristine(addr uint64, n int) error {
+	_, err := im.pristineOffset(addr, n)
+	return err
+}
+
 // Pristine returns a copy of the n pristine (boot-time) bytes at addr, which
 // must lie in the static kernel.
 func (im *Image) Pristine(addr uint64, n int) ([]byte, error) {
@@ -194,27 +206,38 @@ func (im *Image) PristineSum(h Summer, addr uint64, n int) (uint64, error) {
 	return im.pristine.sum(h, off, n), nil
 }
 
+// BootSum returns h's sum over the n boot bytes at addr, memoized on the
+// boot state like PristineSum's, when the range lies in the static kernel
+// and every page it spans still shares the boot state's bytes: the live
+// bytes are then the boot bytes, whatever the image's pristine copy says.
+// Otherwise it reports false. The answer holds at the instant of the call;
+// a later write copies the page first and so withdraws it.
+func (im *Image) BootSum(h Summer, addr uint64, n int) (uint64, bool) {
+	off, err := im.pristineOffset(addr, n)
+	if err != nil || !im.mem.shared(off, n) {
+		return 0, false
+	}
+	return im.boot.pristine.sum(h, off, n), true
+}
+
 // Modified returns the addresses (ascending) of static-kernel bytes whose
 // live value differs from the pristine copy. Diagnostics and tests use it;
 // the introspection mechanisms do not (they only see hashes, like the real
 // system).
 func (im *Image) Modified() []uint64 {
 	var out []uint64
-	live := im.mem.data[:im.layout.TotalSize()]
-	for i := range live {
-		if live[i] != im.pristine.data[i] {
-			out = append(out, im.layout.Base+uint64(i))
+	size := im.layout.TotalSize()
+	for lo := 0; lo < size; lo += PageSize {
+		live := im.mem.pages[lo/PageSize][:min(PageSize, size-lo)]
+		want := im.pristine.data[lo : lo+len(live)]
+		if bytes.Equal(live, want) {
+			continue
+		}
+		for i := range live {
+			if live[i] != want[i] {
+				out = append(out, im.layout.Base+uint64(lo+i))
+			}
 		}
 	}
 	return out
-}
-
-// RestoreStatic rewrites the n bytes at addr with their pristine content —
-// the model of the evader "recovering the malicious byte as benign".
-func (im *Image) RestoreStatic(addr uint64, n int) error {
-	p, err := im.Pristine(addr, n)
-	if err != nil {
-		return err
-	}
-	return im.mem.Write(addr, p)
 }

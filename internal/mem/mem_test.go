@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -51,8 +52,8 @@ func TestMemoryBounds(t *testing.T) {
 			if m.Contains(tc.addr, tc.n) {
 				t.Error("Contains = true, want false")
 			}
-			if _, err := m.View(tc.addr, tc.n); err == nil {
-				t.Error("View succeeded out of bounds")
+			if views, err := m.Views(tc.addr, tc.n, nil); err == nil || len(views) != 0 {
+				t.Errorf("Views = %d views, %v out of bounds; want an error and none", len(views), err)
 			}
 		})
 	}
@@ -76,30 +77,62 @@ func TestNewMemoryRejectsNonPositiveSize(t *testing.T) {
 	}
 }
 
-func TestMemoryViewAliasesAndSnapshotCopies(t *testing.T) {
-	m, err := NewMemory(0, 8)
+// TestMemoryViews: Views splits a range at page boundaries, a view of an
+// owned page aliases it, and a view of a shared page keeps the boot bytes
+// after another image built from the same boot state writes that page.
+func TestMemoryViews(t *testing.T) {
+	m, err := NewMemory(0, 3*PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Write(0, []byte{9, 9, 9, 9}); err != nil {
+	if err := m.Write(PageSize-2, []byte{9, 9, 9, 9}); err != nil {
 		t.Fatal(err)
 	}
-	view, err := m.View(0, 4)
+	views, err := m.Views(PageSize-2, PageSize+4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := m.Snapshot(0, 4)
+	if len(views) != 3 || len(views[0]) != 2 || len(views[1]) != PageSize || len(views[2]) != 2 {
+		t.Fatalf("Views over two page boundaries gave %d views, want 3 of 2, %d and 2 bytes", len(views), PageSize)
+	}
+	if views[0][0] != 9 || views[1][1] != 9 {
+		t.Errorf("views read %v and %v, want the written 9s", views[0], views[1][:2])
+	}
+	if err := m.Write(PageSize-2, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if views[0][0] != 1 {
+		t.Error("a view of an owned page does not alias it")
+	}
+	dst := make([][]byte, 0, 4)
+	if got, err := m.Views(0, 10, dst); err != nil || len(got) != 1 || &got[:1][0] != &dst[:1][0] {
+		t.Errorf("Views did not append into dst's capacity (%d views, %v)", len(got), err)
+	}
+
+	layout := JunoKernelLayout()
+	b := bootState(t, layout, 4)
+	a, err := b.NewImage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Write(0, []byte{1}); err != nil {
+	c, err := b.NewImage()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if view[0] != 1 {
-		t.Error("View does not alias live memory")
+	entry := layout.SyscallEntryAddr(GettidNR)
+	shared, err := a.Mem().Views(entry, 8, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap[0] != 9 {
-		t.Error("Snapshot aliases live memory; want independent copy")
+	before := slices.Clone(shared[0])
+	if err := c.Mem().PutUint64(entry, 0xBADC0DE); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shared[0], before) {
+		t.Error("a sibling's write reached a view of a shared page")
+	}
+	if got, _ := c.Mem().Uint64(entry); got != 0xBADC0DE {
+		t.Errorf("the writing sibling reads %#x, want its write", got)
 	}
 }
 
@@ -357,7 +390,11 @@ func TestImageModifyAndRestore(t *testing.T) {
 			t.Errorf("modified byte %#x outside hijacked entry", addr)
 		}
 	}
-	if err := im.RestoreStatic(entry, 8); err != nil {
+	benign, err := im.Pristine(entry, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := im.Mem().Write(entry, benign); err != nil {
 		t.Fatal(err)
 	}
 	if mod := im.Modified(); len(mod) != 0 {
@@ -370,9 +407,9 @@ func TestImageModifyAndRestore(t *testing.T) {
 }
 
 // TestImagePristineBounds: every pristine accessor rejects a range outside
-// the static kernel with an error. The negative and huge lengths wrap
-// addr+n past the end check at the kernel's high base address, so the check
-// must never add n to addr.
+// the static kernel, with an error or (BootSum) ok=false. The negative and
+// huge lengths wrap addr+n past the end check at the kernel's high base
+// address, so the check must never add n to addr.
 func TestImagePristineBounds(t *testing.T) {
 	im, err := NewJunoImage(1)
 	if err != nil {
@@ -396,8 +433,11 @@ func TestImagePristineBounds(t *testing.T) {
 			if _, err := im.Pristine(tc.addr, tc.n); err == nil {
 				t.Error("Pristine accepted the range")
 			}
-			if err := im.RestoreStatic(tc.addr, tc.n); err == nil {
-				t.Error("RestoreStatic accepted the range")
+			if err := im.CheckPristine(tc.addr, tc.n); err == nil {
+				t.Error("CheckPristine accepted the range")
+			}
+			if _, ok := im.BootSum(crcSum{}, tc.addr, tc.n); ok {
+				t.Error("BootSum answered for the range")
 			}
 			if _, err := im.PristineSum(crcSum{}, tc.addr, tc.n); err == nil {
 				t.Error("PristineSum accepted the range")
@@ -407,6 +447,9 @@ func TestImagePristineBounds(t *testing.T) {
 	for _, addr := range []uint64{l.Base, l.End() - 16} {
 		if v, err := im.Pristine(addr, 16); err != nil || len(v) != 16 {
 			t.Errorf("Pristine(%#x, 16) = %d bytes, %v", addr, len(v), err)
+		}
+		if _, ok := im.BootSum(crcSum{}, addr, 16); !ok {
+			t.Errorf("BootSum(%#x, 16) did not answer for an unwritten range", addr)
 		}
 	}
 }
@@ -477,46 +520,43 @@ func TestPageGenerationsTrackWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := uint64(0x8000)
-	if g := m.PageGen(base); g != 0 {
-		t.Fatalf("fresh page generation = %d, want 0", g)
+	check := func(step string, want ...uint64) {
+		t.Helper()
+		if got := m.PageGens(); !slices.Equal(got, want) {
+			t.Fatalf("%s: page generations %v, want %v", step, got, want)
+		}
 	}
+	check("fresh", 0, 0, 0)
 	// A write inside one page bumps that page only.
 	if err := m.Write(base+10, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if g := m.PageGen(base); g != 1 {
-		t.Fatalf("page 0 generation = %d, want 1", g)
-	}
-	if g := m.PageGen(base + PageSize); g != 0 {
-		t.Fatalf("untouched page 1 generation = %d, want 0", g)
-	}
+	check("one-page write", 1, 0, 0)
 	// A straddling write bumps every page it touches, once each.
 	if err := m.Write(base+PageSize-2, make([]byte, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if g0, g1 := m.PageGen(base), m.PageGen(base+PageSize); g0 != 2 || g1 != 1 {
-		t.Fatalf("straddle generations = %d,%d, want 2,1", g0, g1)
-	}
+	check("straddling write", 2, 1, 0)
 	// PutUint64 routes through Write and counts too.
 	if err := m.PutUint64(base+2*PageSize, 42); err != nil {
 		t.Fatal(err)
 	}
-	if g := m.PageGen(base + 2*PageSize); g != 1 {
-		t.Fatalf("page 2 generation after PutUint64 = %d, want 1", g)
-	}
+	check("PutUint64", 2, 1, 1)
 	// Zero-length writes bump nothing.
 	if err := m.Write(base, nil); err != nil {
 		t.Fatal(err)
 	}
-	if g := m.PageGen(base); g != 2 {
-		t.Fatalf("page 0 generation after empty write = %d, want 2", g)
+	check("empty write", 2, 1, 1)
+	// PageGens is a copy, and SetPageGens installs an array of the
+	// region's length only.
+	m.PageGens()[0] = 99
+	check("after mutating a copy", 2, 1, 1)
+	if err := m.SetPageGens([]uint64{5, 6, 7}); err != nil {
+		t.Fatal(err)
 	}
-	// Out-of-range addresses report 0 rather than panicking.
-	if g := m.PageGen(base - 1); g != 0 {
-		t.Fatalf("below-base generation = %d, want 0", g)
-	}
-	if g := m.PageGen(base + 100*PageSize); g != 0 {
-		t.Fatalf("above-end generation = %d, want 0", g)
+	check("SetPageGens", 5, 6, 7)
+	if err := m.SetPageGens([]uint64{1}); err == nil {
+		t.Error("SetPageGens accepted a short array")
 	}
 }
 
@@ -550,58 +590,5 @@ func TestGenSumAndGenerations(t *testing.T) {
 	// A one-byte range at the end of page 1 still sees its generation.
 	if s := m.GenSum(2*PageSize-1, 1); s != 3 {
 		t.Fatalf("GenSum last byte of page 1 = %d, want 3", s)
-	}
-	gens, err := m.Generations(0, 4*PageSize, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{0, 3, 0, 1}
-	if len(gens) != len(want) {
-		t.Fatalf("Generations returned %d pages, want %d", len(gens), len(want))
-	}
-	for i, g := range gens {
-		if g != want[i] {
-			t.Fatalf("Generations[%d] = %d, want %d", i, g, want[i])
-		}
-	}
-	// Reuses dst without reallocating when capacity suffices.
-	buf := make([]uint64, 0, 8)
-	got, err := m.Generations(0, 4*PageSize, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &buf[:1][0] {
-		t.Error("Generations reallocated despite sufficient dst capacity")
-	}
-	if _, err := m.Generations(0, 5*PageSize, nil); err == nil {
-		t.Error("out-of-range Generations must error")
-	}
-}
-
-func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
-	m, err := NewMemory(0x1000, 2*PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 300)
-	for i := range data {
-		data[i] = byte(i * 13)
-	}
-	if err := m.Write(0x1100, data); err != nil {
-		t.Fatal(err)
-	}
-	want, err := m.Snapshot(0x1100, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, len(data))
-	if err := m.SnapshotInto(0x1100, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Error("SnapshotInto differs from Snapshot")
-	}
-	if err := m.SnapshotInto(0x1000+2*PageSize-1, buf); err == nil {
-		t.Error("out-of-range SnapshotInto must error")
 	}
 }

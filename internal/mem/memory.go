@@ -15,23 +15,40 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 )
 
-// Memory is a contiguous byte-addressable physical memory region.
+// Memory is a byte-addressable physical memory region kept as PageSize
+// pages.
+//
+// A page starts out shared: with the boot state the region was built from
+// (BootState), or, where the region holds no boot bytes, with one
+// read-only zero page. Write and RestorePage copy a shared page on its
+// first write, and nothing ever writes a shared page, so images built from
+// one boot state pay only for the pages they write and may run on
+// separate goroutines.
 //
 // Every mutation through Write (and the helpers built on it) bumps a
-// per-page (4 KiB) generation counter. Generations are the invalidation
+// per-page generation counter. Generations are the invalidation
 // substrate for anything that caches derived views of memory — the
 // introspection layer's incremental hash cache keys chunk digests on them —
 // and a reusable primitive for future diff-based features: two reads of a
 // page with the same generation are guaranteed byte-identical.
 type Memory struct {
 	base uint64
-	data []byte
+	size int
+	// pages[p] holds page p's bytes; every page but the last is PageSize
+	// long. owned[p] reports whether pages[p] is the region's private copy.
+	pages [][]byte
+	owned []bool
 	// gens[p] counts writes that touched page p since boot. The boot-time
 	// fill happens before any observer exists, so it does not count.
 	gens []uint64
 }
+
+// zeroPage backs every page of a region that holds no boot bytes until the
+// page is first written. Nothing writes it.
+var zeroPage [PageSize]byte
 
 // NewMemory allocates a zeroed region of n bytes starting at physical
 // address base.
@@ -39,18 +56,40 @@ func NewMemory(base uint64, n int) (*Memory, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mem: size %d must be positive", n)
 	}
-	return &Memory{
-		base: base,
-		data: make([]byte, n),
-		gens: make([]uint64, (n+PageSize-1)/PageSize),
-	}, nil
+	return newMemory(base, n, nil, false), nil
+}
+
+// newMemory builds an n-byte region at base whose leading pages are data's
+// bytes and whose remaining pages are the zero page. The region owns
+// data's pages when own is set; otherwise it shares them. Every page of
+// data but the region's last must be a full page.
+func newMemory(base uint64, n int, data []byte, own bool) *Memory {
+	np := (n + PageSize - 1) / PageSize
+	m := &Memory{
+		base:  base,
+		size:  n,
+		pages: make([][]byte, np),
+		owned: make([]bool, np),
+		gens:  make([]uint64, np),
+	}
+	for p := range m.pages {
+		lo := p * PageSize
+		hi := min(lo+PageSize, n)
+		if hi <= len(data) {
+			m.pages[p] = data[lo:hi:hi]
+			m.owned[p] = own
+		} else {
+			m.pages[p] = zeroPage[: hi-lo : hi-lo]
+		}
+	}
+	return m
 }
 
 // Base reports the first mapped address.
 func (m *Memory) Base() uint64 { return m.base }
 
 // Size reports the mapped length in bytes.
-func (m *Memory) Size() int { return len(m.data) }
+func (m *Memory) Size() int { return m.size }
 
 // Contains reports whether the n-byte range at addr is fully mapped.
 func (m *Memory) Contains(addr uint64, n int) bool {
@@ -58,16 +97,37 @@ func (m *Memory) Contains(addr uint64, n int) bool {
 		return false
 	}
 	off := addr - m.base
-	return off <= uint64(len(m.data)) && uint64(n) <= uint64(len(m.data))-off
+	return off <= uint64(m.size) && uint64(n) <= uint64(m.size)-off
 }
 
 // check converts addr to an offset, validating the n-byte access.
 func (m *Memory) check(addr uint64, n int) (int, error) {
 	if !m.Contains(addr, n) {
 		return 0, fmt.Errorf("mem: access [%#x, %#x+%d) outside [%#x, %#x)",
-			addr, addr, n, m.base, m.base+uint64(len(m.data)))
+			addr, addr, n, m.base, m.base+uint64(m.size))
 	}
 	return int(addr - m.base), nil
+}
+
+// own returns page p's bytes for writing, copying the page on its first
+// write.
+func (m *Memory) own(p int) []byte {
+	if !m.owned[p] {
+		m.pages[p] = slices.Clone(m.pages[p])
+		m.owned[p] = true
+	}
+	return m.pages[p]
+}
+
+// shared reports whether every page overlapping the n bytes at offset off
+// is still shared: no Write or RestorePage has copied it.
+func (m *Memory) shared(off, n int) bool {
+	for p := off / PageSize; p*PageSize < off+n; p++ {
+		if m.owned[p] {
+			return false
+		}
+	}
+	return true
 }
 
 // Read copies len(buf) bytes starting at addr into buf.
@@ -76,7 +136,11 @@ func (m *Memory) Read(addr uint64, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	copy(buf, m.data[off:off+len(buf)])
+	for len(buf) > 0 {
+		k := copy(buf, m.pages[off/PageSize][off%PageSize:])
+		buf = buf[k:]
+		off += k
+	}
 	return nil
 }
 
@@ -86,7 +150,26 @@ func (m *Memory) ByteAt(addr uint64) (byte, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.data[off], nil
+	return m.pages[off/PageSize][off%PageSize], nil
+}
+
+// Views appends to dst one read-only view per page the n-byte range at
+// addr spans, in address order, and returns the extended slice. The views
+// alias memory: they are how the secure world "directly reads the normal
+// world OS' kernel" (§IV-B1) without a copy. Callers must not mutate them,
+// and reuse dst across queries to keep the read path allocation-free.
+func (m *Memory) Views(addr uint64, n int, dst [][]byte) ([][]byte, error) {
+	off, err := m.check(addr, n)
+	if err != nil {
+		return dst, err
+	}
+	for end := off + n; off < end; {
+		page, in := m.pages[off/PageSize], off%PageSize
+		k := min(len(page)-in, end-off)
+		dst = append(dst, page[in:in+k:in+k])
+		off += k
+	}
+	return dst, nil
 }
 
 // Write copies data into memory starting at addr and bumps the generation
@@ -96,26 +179,14 @@ func (m *Memory) Write(addr uint64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	copy(m.data[off:], data)
-	if len(data) > 0 {
-		for p := off / PageSize; p <= (off+len(data)-1)/PageSize; p++ {
-			m.gens[p]++
-		}
+	for len(data) > 0 {
+		p := off / PageSize
+		k := copy(m.own(p)[off%PageSize:], data)
+		m.gens[p]++
+		data = data[k:]
+		off += k
 	}
 	return nil
-}
-
-// PageGen reports the generation of the page holding addr: how many writes
-// have touched it since boot. Addresses outside the region report 0.
-func (m *Memory) PageGen(addr uint64) uint64 {
-	if addr < m.base {
-		return 0
-	}
-	p := (addr - m.base) / PageSize
-	if p >= uint64(len(m.gens)) {
-		return 0
-	}
-	return m.gens[p]
 }
 
 // GenSum returns the sum of the generation counters of every page
@@ -133,50 +204,6 @@ func (m *Memory) GenSum(addr uint64, n int) uint64 {
 		sum += m.gens[p]
 	}
 	return sum
-}
-
-// Generations appends the generation counters of every page overlapping
-// [addr, addr+n) to dst and returns the extended slice. Callers reuse dst
-// across queries to keep the read path allocation-free.
-func (m *Memory) Generations(addr uint64, n int, dst []uint64) ([]uint64, error) {
-	off, err := m.check(addr, n)
-	if err != nil {
-		return dst, err
-	}
-	if n == 0 {
-		return dst, nil
-	}
-	for p := off / PageSize; p <= (off+n-1)/PageSize; p++ {
-		dst = append(dst, m.gens[p])
-	}
-	return dst, nil
-}
-
-// View returns a read-only view of the n bytes at addr, aliasing the live
-// memory. It is how the secure world "directly reads the normal world OS'
-// kernel" (§IV-B1) without a copy; callers must not mutate it.
-func (m *Memory) View(addr uint64, n int) ([]byte, error) {
-	off, err := m.check(addr, n)
-	if err != nil {
-		return nil, err
-	}
-	return m.data[off : off+n : off+n], nil
-}
-
-// Snapshot returns an independent copy of the n bytes at addr — the
-// "capture the snapshot" introspection technique of Table I.
-func (m *Memory) Snapshot(addr uint64, n int) ([]byte, error) {
-	out := make([]byte, n)
-	if err := m.SnapshotInto(addr, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SnapshotInto copies len(buf) bytes at addr into buf, the allocation-free
-// variant of Snapshot for callers that recycle capture buffers.
-func (m *Memory) SnapshotInto(addr uint64, buf []byte) error {
-	return m.Read(addr, buf)
 }
 
 // PutUint64 writes a 64-bit little-endian value (ARM is little-endian).

@@ -162,15 +162,15 @@ func TestMMUWriteSpanningPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	straddle := pageBoundary - 4
-	before, err := im.Mem().Snapshot(straddle, 8)
-	if err != nil {
+	before := make([]byte, 8)
+	if err := im.Mem().Read(straddle, before); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Write(straddle, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err == nil {
 		t.Fatal("straddling write into protected page succeeded")
 	}
-	after, err := im.Mem().Snapshot(straddle, 8)
-	if err != nil {
+	after := make([]byte, 8)
+	if err := im.Mem().Read(straddle, after); err != nil {
 		t.Fatal(err)
 	}
 	for i := range before {

@@ -453,9 +453,10 @@ func WithProfiling(enabled bool) Option {
 // It is enabled by default and never changes results — cached and uncached
 // checks return bit-identical sums at identical virtual instants (the cache
 // is validated by per-page write generations at the moment each chunk would
-// have been read). Disabling it forces every chunk to be re-hashed, which is
-// only useful for measuring the cache's speedup or cross-checking its
-// transparency, as the golden regression tests do.
+// have been read). Disabling it also turns off the boot state's chunk terms
+// and forces every chunk to be re-hashed, which is only useful for
+// measuring the cache's speedup or cross-checking its transparency, as the
+// golden regression tests do.
 func WithHashCache(enabled bool) Option {
 	return func(o *options) { o.noHashCache = !enabled }
 }
