@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke hash-fuzz-smoke checkpoint-smoke serve-smoke paper-check examples-check docs-check cover profile ci
+.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke hash-fuzz-smoke checkpoint-fuzz-smoke checkpoint-smoke serve-smoke paper-check examples-check docs-check cover profile ci
 
 all: build test
 
@@ -221,6 +221,12 @@ campaign-fuzz-smoke:
 hash-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzHashWordWide$$' -fuzztime 20s ./internal/introspect
 
+# Short fuzz run over the SATINCKP decoder, which satin-sim -resume-from
+# feeds files from disk: no input may panic it, and any input it accepts
+# must re-encode to bytes that decode to an equal snapshot.
+checkpoint-fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCheckpoint$$' -fuzztime 20s ./internal/checkpoint
+
 # The paper, pinned: the no-flag benchtables run (every table and figure at
 # seed 1, about 17 s on one core of a 2-vCPU Xeon) must print exactly the
 # committed golden.
@@ -285,7 +291,7 @@ profile:
 	@echo "inspect with: $(GO) tool pprof /tmp/satin.test /tmp/satin_cpu.prof"
 
 # Every blocking gate of the workflow's test job, in its order, so a local
-# `make ci` pass means they all pass. Only the workflow runs the three 20 s
-# fuzz smokes (spec-fuzz-smoke, campaign-fuzz-smoke, hash-fuzz-smoke) and
-# cover.
+# `make ci` pass means they all pass. Only the workflow runs the four 20 s
+# fuzz smokes (spec-fuzz-smoke, campaign-fuzz-smoke, hash-fuzz-smoke,
+# checkpoint-fuzz-smoke) and cover.
 ci: vet fmt-check build test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke paper-check examples-check docs-check

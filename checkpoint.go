@@ -22,13 +22,13 @@ import (
 // docs/CHECKPOINT.md.
 //
 // A checkpoint captures a running scenario at a *claimable instant*: a
-// virtual time at which every live pending event in the engine is claimed by
-// exactly one component (no secure-world payload in flight, every core online
-// in the normal world). From one checkpoint, any number of divergent
-// continuations fork: each is a fresh scenario built from its own member
-// spec, overwritten with the captured state, and byte-identical from there on
-// to a from-scratch run of that member — trace stream, timeline, metrics,
-// and report all included. Memory is captured copy-on-write: only pages
+// virtual time at which every live pending event in the engine carries the
+// claim its component armed it with (no secure-world payload in flight,
+// every core online in the normal world). From one checkpoint, any number of
+// divergent continuations fork: each is a fresh scenario built from its own
+// member spec, overwritten with the captured state, and byte-identical from
+// there on to a from-scratch run of that member — trace stream, timeline,
+// metrics, and report all included. Memory is captured copy-on-write: only pages
 // whose write generation moved since construction are stored.
 
 // Snapshot is a captured scenario at a claimable instant; see
@@ -228,60 +228,22 @@ func (s *Scenario) Checkpoint(at time.Duration, prefixKey []byte) (*Snapshot, er
 	}, nil
 }
 
-// collectClaims gathers every component's claims over its live pending
-// events, sorted in firing order. The engine's pending set is claimable when
-// VerifyClaims accepts this exact set.
-func (s *Scenario) collectClaims() ([]simclock.Claim, error) {
-	var claims []simclock.Claim
-	for _, c := range s.plat.Cores() {
-		claims = append(claims, c.Claims()...)
-	}
-	if s.satin != nil {
-		cs, err := s.satin.Claims()
-		if err != nil {
-			return nil, err
-		}
-		claims = append(claims, cs...)
-	}
-	if s.fastEvader != nil {
-		claims = append(claims, s.fastEvader.Claims()...)
-	}
-	if s.flood != nil {
-		claims = append(claims, s.flood.Claims()...)
-	}
-	if s.injector != nil {
-		claims = append(claims, s.injector.Claims()...)
-	}
-	simclock.SortClaims(claims)
-	return claims, nil
-}
-
-// stepToClaimable fires events one at a time until the live pending set is
-// fully claimed — which it is whenever no secure-world payload is in flight,
-// typically zero to a few steps from any instant.
+// stepToClaimable fires events one at a time until every live pending event
+// carries a claim — which it does whenever no secure-world payload is in
+// flight, typically zero to a few steps from any instant — and returns the
+// claims. While an unclaimed event is pending the queue is not empty, so
+// each step fires one.
 func (s *Scenario) stepToClaimable() ([]simclock.Claim, error) {
-	for i := 0; i < claimableStepBound; i++ {
-		claims, err := s.collectClaims()
-		if err != nil {
-			return nil, err
-		}
-		if s.engine.VerifyClaims(claims) == nil {
+	for steps := 0; ; steps++ {
+		claims, err := s.engine.Claims()
+		if err == nil {
 			return claims, nil
 		}
-		if !s.engine.Step() {
-			// Queue drained without reaching a claimable instant: whatever
-			// was unclaimed has now fired, so re-verify the (empty-ish) set.
-			claims, err := s.collectClaims()
-			if err != nil {
-				return nil, err
-			}
-			if verr := s.engine.VerifyClaims(claims); verr != nil {
-				return nil, verr
-			}
-			return claims, nil
+		if steps == claimableStepBound {
+			return nil, fmt.Errorf("satin: no claimable instant within %d events of the barrier: %w", claimableStepBound, err)
 		}
+		s.engine.Step()
 	}
-	return nil, fmt.Errorf("satin: no claimable instant within %d events of the barrier", claimableStepBound)
 }
 
 // RestoreSnapshot overwrites a freshly constructed, never-driven scenario
@@ -291,7 +253,10 @@ func (s *Scenario) stepToClaimable() ([]simclock.Claim, error) {
 // and finally each claimed event is re-armed through its owning component in
 // capture order. The scenario's own construction — including any fault plan
 // the snapshot's prefix did not carry — is preserved; only the captured
-// prefix's effects are imposed.
+// prefix's effects are imposed. A snapshot whose claims precede its instant
+// or are out of firing order is refused before anything changes, and the
+// restore ends by checking the engine's pending claims against the
+// snapshot's.
 //
 // Use ResumeScenario unless sinks must be subscribed between construction
 // and restore.
@@ -326,6 +291,24 @@ func (s *Scenario) RestoreSnapshot(snap *Snapshot) error {
 	}
 	if (st.Flood != nil) != (s.flood != nil) {
 		return fmt.Errorf("satin: snapshot and scenario disagree on flood presence")
+	}
+	// Phase 2 re-arms each claim at its instant, which must not precede the
+	// snapshot's, and in the capture's firing order, which the re-armed
+	// events' fresh sequence numbers then keep. Kept claims never appear in
+	// a snapshot: the prefix is fault-free by construction. Checking here
+	// leaves the scenario untouched by a snapshot that fails.
+	for i, c := range st.Claims {
+		if c.Kept {
+			return fmt.Errorf("satin: snapshot contains a kept claim %q/%q — prefixes are fault-free", c.Owner, c.Name)
+		}
+		if c.When < st.Now {
+			return fmt.Errorf("satin: claim %q/%q at %v precedes the snapshot instant %v", c.Owner, c.Name, c.When, st.Now)
+		}
+		if i > 0 {
+			if p := st.Claims[i-1]; c.When < p.When || (c.When == p.When && c.Seq <= p.Seq) {
+				return fmt.Errorf("satin: claim %q/%q (at %v, seq %d) is out of firing order", c.Owner, c.Name, c.When, c.Seq)
+			}
+		}
 	}
 
 	// Phase 1: pure state. Components cancel their own construction-era
@@ -384,12 +367,8 @@ func (s *Scenario) RestoreSnapshot(snap *Snapshot) error {
 	}
 
 	// Phase 2: re-arm the claims in capture order, so same-instant events
-	// fire in the order the original run would have. Kept claims never
-	// appear in a snapshot — the prefix is fault-free by construction.
+	// fire in the order the original run would have.
 	for _, c := range st.Claims {
-		if c.Kept {
-			return fmt.Errorf("satin: snapshot contains a kept claim %q/%q — prefixes are fault-free", c.Owner, c.Name)
-		}
 		var err error
 		switch c.Owner {
 		case hw.ClaimOwnerTimer:
@@ -421,15 +400,27 @@ func (s *Scenario) RestoreSnapshot(snap *Snapshot) error {
 		}
 	}
 
-	// The restored pending set must verify exactly — including this
-	// scenario's own construction-scheduled fault events, which its injector
-	// claims as kept.
-	claims, err := s.collectClaims()
+	// The engine is the record of what is pending. Less this scenario's own
+	// construction-scheduled fault events (kept claims), it must hold
+	// exactly the snapshot's claims.
+	pending, err := s.engine.Claims()
 	if err != nil {
-		return err
+		return fmt.Errorf("satin: restored scenario is not claimable: %w", err)
 	}
-	if err := s.engine.VerifyClaims(claims); err != nil {
-		return fmt.Errorf("satin: restored scenario failed claim verification: %w", err)
+	rearmed := pending[:0]
+	for _, c := range pending {
+		if !c.Kept {
+			rearmed = append(rearmed, c)
+		}
+	}
+	if len(rearmed) != len(st.Claims) {
+		return fmt.Errorf("satin: restored scenario has %d claimed events pending, the snapshot %d claims", len(rearmed), len(st.Claims))
+	}
+	for i, got := range rearmed {
+		if want := st.Claims[i]; got.Owner != want.Owner || got.Key != want.Key || got.Name != want.Name || got.When != want.When {
+			return fmt.Errorf("satin: restored event %q/%q (key %d) at %v does not match the snapshot's claim %q/%q (key %d) at %v",
+				got.Owner, got.Name, got.Key, got.When, want.Owner, want.Name, want.Key, want.When)
+		}
 	}
 	return nil
 }

@@ -10,14 +10,17 @@ package satin
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"satin/internal/campaign"
+	"satin/internal/simclock"
 )
 
 // ckptSpec builds a checkpointable spec: SATIN vs the fast evader, a fixed
@@ -126,8 +129,9 @@ func runResumed(t *testing.T, snap *Snapshot, member ScenarioSpec) (trace, timel
 // forkIdentity asserts the fork of `member` from a checkpoint at `at` is
 // byte-identical to the from-scratch run, on both resume paths: in-process
 // through ResumeScenario (the image built from the prefix's boot state) and
-// from the on-disk format (the image booted from the seed).
-func forkIdentity(t *testing.T, member ScenarioSpec, at time.Duration) {
+// from the on-disk format (the image booted from the seed). It returns the
+// snapshot read back from disk.
+func forkIdentity(t *testing.T, member ScenarioSpec, at time.Duration) *Snapshot {
 	t.Helper()
 	scratch, err := FromSpec(member)
 	if err != nil {
@@ -169,6 +173,16 @@ func forkIdentity(t *testing.T, member ScenarioSpec, at time.Duration) {
 	}
 	gotTrace, gotTL, gotRep = runForked(t, snap, member)
 	compare("on-disk", gotTrace, gotTL, gotRep)
+	return snap
+}
+
+// claimOwners counts a snapshot's claims by owner.
+func claimOwners(snap *Snapshot) map[string]int {
+	owners := map[string]int{}
+	for _, c := range snap.State.Claims {
+		owners[c.Owner]++
+	}
+	return owners
 }
 
 // firstDiffLine locates the first differing line of two multi-line strings.
@@ -199,6 +213,30 @@ func TestForkIdentityDVFSMember(t *testing.T) {
 // window, exercising SATIN's re-route claims on the suffix side.
 func TestForkIdentityHotplugMember(t *testing.T) {
 	forkIdentity(t, ckptSpec(60*time.Second, "hotplug:core=1,off=35s,on=50s"), 30*time.Second)
+}
+
+// TestForkIdentityFloodWorkload forks a member of a prefix running the
+// interrupt-flood workload, whose next SGI burst rides the snapshot as the
+// flood's claim next to the six secure-timer claims.
+func TestForkIdentityFloodWorkload(t *testing.T) {
+	member := ckptSpec(40*time.Second, "dvfs:at=33s,core=2,factor=0.5")
+	member.Workload = &SpecWorkload{FloodRate: 200}
+	snap := forkIdentity(t, member, 30*time.Second)
+	if got, want := claimOwners(snap), map[string]int{"hw.timer": 6, "attack.flood": 1}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("snapshot claims by owner = %v, want %v", got, want)
+	}
+}
+
+// TestForkIdentityBaselineDefense forks a member of a prefix defended by the
+// periodic baseline instead of SATIN: its one pending check is a secure-timer
+// claim.
+func TestForkIdentityBaselineDefense(t *testing.T) {
+	member := ckptSpec(40*time.Second, "dvfs:at=33s,core=2,factor=0.5")
+	member.Defense = SpecDefense{Kind: "baseline", Baseline: &SpecBaselineConfig{Period: SpecDuration(8 * time.Second)}}
+	snap := forkIdentity(t, member, 30*time.Second)
+	if got, want := claimOwners(snap), map[string]int{"hw.timer": 1}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("snapshot claims by owner = %v, want %v", got, want)
+	}
 }
 
 // TestForkMidHideWindow checkpoints inside an evader freeze window: after a
@@ -381,6 +419,100 @@ func TestCampaignForkInvariance(t *testing.T) {
 	}
 	if !bytes.Equal(plain, forked) {
 		t.Errorf("finalized campaign bytes differ between forking off (%d bytes) and on (%d bytes)", len(plain), len(forked))
+	}
+}
+
+// TestCheckpointBytesPinned pins the SATINCKP bytes of the committed
+// checkpoint-smoke prefix, checkpointed at its 30 s horizon as satin-sim
+// -checkpoint-out does. The digest moves with any change to what a snapshot
+// captures, to its encoding, or to the prefix run itself.
+func TestCheckpointBytesPinned(t *testing.T) {
+	data, err := os.ReadFile("testdata/checkpoint/prefix.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ParseSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := FromSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := CheckpointKey(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sc.Checkpoint(time.Duration(s.Run.For), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantLen, wantSum = 377746, "1e06bc1ea3131c94d18b79540f7b07faca71b93569ce1bf23b7a896a7a015161"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(enc)); len(enc) != wantLen || sum != wantSum {
+		t.Errorf("prefix checkpoint encodes to %d bytes with sha256 %s, want %d bytes with %s", len(enc), sum, wantLen, wantSum)
+	}
+}
+
+// TestRestoreRefusesBadClaims feeds RestoreSnapshot snapshots whose claims
+// no capture produces. Each must be refused with an error, never a panic: a
+// claim before the snapshot's instant or out of firing order, an unknown
+// owner, a mismatched name, a kept claim, a second pending event where a
+// component holds at most one, and a claim its owner would re-arm under
+// another key.
+func TestRestoreRefusesBadClaims(t *testing.T) {
+	member := ckptSpec(45*time.Second, "")
+	snap := takeCheckpoint(t, member, 30*time.Second)
+	claims := snap.State.Claims
+	if len(claims) < 2 {
+		t.Fatalf("snapshot has %d claims; the cases need two", len(claims))
+	}
+	// appendAfter appends claims that fire after every captured one, in
+	// firing order.
+	appendAfter := func(extra ...simclock.Claim) func([]simclock.Claim) []simclock.Claim {
+		return func(c []simclock.Claim) []simclock.Claim {
+			last := c[len(c)-1]
+			for i, x := range extra {
+				x.When = last.When + simclock.Time(i+1)
+				x.Seq = last.Seq + uint64(i+1)
+				c = append(c, x)
+			}
+			return c
+		}
+	}
+	evader := func(key int64, name string) simclock.Claim {
+		return simclock.Claim{Owner: "attack.fastevader", Key: key, Name: name}
+	}
+	wake := simclock.Claim{Owner: "core.satin", Key: 0, Name: "satin-reroute-slot0"}
+	cases := []struct {
+		name   string
+		mutate func([]simclock.Claim) []simclock.Claim
+		want   string
+	}{
+		{"claim before the instant", func(c []simclock.Claim) []simclock.Claim { c[0].When = 1; return c }, "precedes the snapshot instant"},
+		{"out of firing order", func(c []simclock.Claim) []simclock.Claim { c[0], c[1] = c[1], c[0]; return c }, "out of firing order"},
+		{"unknown owner", func(c []simclock.Claim) []simclock.Claim { c[0].Owner = "nobody"; return c }, "unknown owner"},
+		{"mismatched name", func(c []simclock.Claim) []simclock.Claim { c[0].Name = "secure-timer-core9"; return c }, "timer claim names"},
+		{"kept claim", func(c []simclock.Claim) []simclock.Claim { c[0].Kept = true; return c }, "kept claim"},
+		{"second timer fire", func(c []simclock.Claim) []simclock.Claim { return appendAfter(c[0])(c) }, "already has a pending fire event"},
+		{"second detection", appendAfter(evader(0, "fast-evader-detect"), evader(0, "fast-evader-detect")), "already has a pending detection"},
+		{"second hide countdown", appendAfter(evader(-1, "fast-evader-hide"), evader(-1, "fast-evader-hide")), "hide countdown already pending"},
+		{"second reinstall countdown", appendAfter(evader(-1, "fast-evader-reinstall"), evader(-1, "fast-evader-reinstall")), "reinstall countdown already pending"},
+		{"second re-routed wake", appendAfter(wake, wake), "already has a re-routed wake"},
+		{"hide countdown under a core key", appendAfter(evader(3, "fast-evader-hide")), "does not match the snapshot's claim"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *snap
+			bad.State.Claims = tc.mutate(append([]simclock.Claim(nil), claims...))
+			_, _, err := ResumeScenario(&bad, member)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("ResumeScenario = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 
 // Checkpoint support. The fast evader owns four kinds of pending events —
 // per-core detections, recovery observations, and the at-most-one hide or
-// reinstall countdown — all tracked by handle so a checkpoint can claim
-// them. The rootkit and the interrupt flood are simpler: the rootkit is pure
-// state (its memory writes ride the copy-on-write page capture), and the
-// flood owns exactly one pending tick.
+// reinstall countdown — all scheduled under its claim so a checkpoint
+// captures them. The rootkit and the interrupt flood are simpler: the
+// rootkit is pure state (its memory writes ride the copy-on-write page
+// capture), and the flood owns exactly one pending tick.
 //
 // Naming note: the captured-state structs elsewhere are called XState, but
 // RootkitState already names the hidden/active enum, so the attack package
@@ -64,35 +64,6 @@ func (f *FastEvader) CheckpointState() (FastEvaderCheckpoint, error) {
 	}, nil
 }
 
-// Claims reports the evader's pending events: per-core detections (in core
-// order), recovery observations (in scheduling order), and the hide or
-// reinstall countdown if one is running.
-func (f *FastEvader) Claims() []simclock.Claim {
-	var claims []simclock.Claim
-	cores := make([]int, 0, len(f.pending))
-	for id := range f.pending {
-		cores = append(cores, id)
-	}
-	sort.Ints(cores)
-	for _, id := range cores {
-		if c, ok := f.pending[id].Claim(ClaimOwnerFastEvader, int64(id)); ok {
-			claims = append(claims, c)
-		}
-	}
-	for _, re := range f.recoverPending {
-		if c, ok := re.h.Claim(ClaimOwnerFastEvader, int64(re.core)); ok {
-			claims = append(claims, c)
-		}
-	}
-	if c, ok := f.hidePending.Claim(ClaimOwnerFastEvader, -1); ok {
-		claims = append(claims, c)
-	}
-	if c, ok := f.reinstallPending.Claim(ClaimOwnerFastEvader, -1); ok {
-		claims = append(claims, c)
-	}
-	return claims
-}
-
 // RestoreState overwrites the evader's state with a captured one. A freshly
 // started evader schedules nothing (Start only installs the rootkit and hooks
 // the world-change observable), so there is nothing to cancel; the snapshot's
@@ -101,7 +72,7 @@ func (f *FastEvader) RestoreState(st FastEvaderCheckpoint) error {
 	if !f.started {
 		return fmt.Errorf("attack: restoring into a fast evader that was never started")
 	}
-	if len(f.pending) != 0 || f.hidePending != nil || f.reinstallPending != nil {
+	if len(f.pending) != 0 || f.hidePending.Live() || f.reinstallPending.Live() {
 		return fmt.Errorf("attack: restoring into a fast evader with pending events")
 	}
 	if err := f.rng.RestoreState(st.RNG); err != nil {
@@ -125,13 +96,10 @@ func (f *FastEvader) Rearm(claim simclock.Claim) error {
 		if id < 0 || id >= f.platform.NumCores() {
 			return fmt.Errorf("attack: detect claim for unknown core %d", id)
 		}
-		if f.pending[id] != nil {
+		if _, ok := f.pending[id]; ok {
 			return fmt.Errorf("attack: core %d already has a pending detection", id)
 		}
-		f.pending[id] = f.platform.Engine().At(claim.When, claim.Name, func() {
-			delete(f.pending, id)
-			f.detect(id)
-		})
+		f.armDetect(id, claim.When)
 	case "fast-evader-recover":
 		id := int(claim.Key)
 		if id < 0 || id >= f.platform.NumCores() {
@@ -139,12 +107,12 @@ func (f *FastEvader) Rearm(claim simclock.Claim) error {
 		}
 		f.armRecover(id, claim.When)
 	case "fast-evader-hide":
-		if f.hidePending != nil {
+		if f.hidePending.Live() {
 			return fmt.Errorf("attack: hide countdown already pending")
 		}
 		f.armHide(claim.When)
 	case "fast-evader-reinstall":
-		if f.reinstallPending != nil {
+		if f.reinstallPending.Live() {
 			return fmt.Errorf("attack: reinstall countdown already pending")
 		}
 		f.armReinstall(claim.When)
@@ -191,32 +159,23 @@ func (f *InterruptFlood) CheckpointState() FloodCheckpoint {
 	return FloodCheckpoint{Running: f.running, Raised: f.raised}
 }
 
-// Claims reports the flood's pending tick, if one is scheduled.
-func (f *InterruptFlood) Claims() []simclock.Claim {
-	if c, ok := f.tickPending.Claim(ClaimOwnerFlood, -1); ok {
-		return []simclock.Claim{c}
-	}
-	return nil
-}
-
 // RestoreState overwrites the flood's state with a captured one, canceling
 // the tick the fresh scenario's Start scheduled; the snapshot's tick is
 // re-armed afterwards via RearmTick.
 func (f *InterruptFlood) RestoreState(st FloodCheckpoint) {
 	f.tickPending.Cancel()
-	f.tickPending = nil
 	f.running = st.Running
 	f.raised = st.Raised
 }
 
 // RearmTick reschedules the claimed tick at its recorded instant.
 func (f *InterruptFlood) RearmTick(claim simclock.Claim) error {
-	if f.tickPending != nil {
+	if f.tickPending.Live() {
 		return fmt.Errorf("attack: flood tick already pending")
 	}
-	if claim.Name != "sgi-flood" {
-		return fmt.Errorf("attack: flood claim names %q, want %q", claim.Name, "sgi-flood")
+	if claim.Name != floodTickName {
+		return fmt.Errorf("attack: flood claim names %q, want %q", claim.Name, floodTickName)
 	}
-	f.tickPending = f.engine.At(claim.When, claim.Name, f.tick)
+	f.armTick(claim.When)
 	return nil
 }

@@ -41,13 +41,11 @@ type FastEvader struct {
 	suspected   map[int]bool
 	events      []Event
 	obs         evaderObs
-	pending     map[int]*simclock.Handle // detection events per core
-	// The remaining pending events, tracked so a checkpoint can claim them
-	// (see checkpoint.go): recovery observations (several may be in flight
-	// for the same core), and the at-most-one hide or reinstall countdown.
-	recoverPending   []recoverEvent
-	hidePending      *simclock.Handle
-	reinstallPending *simclock.Handle
+	pending     map[int]simclock.Handle // detection events per core
+	// hidePending and reinstallPending are the at-most-one hide or
+	// reinstall countdown, kept so a restore can refuse a second.
+	hidePending      simclock.Handle
+	reinstallPending simclock.Handle
 	started          bool
 	// prof receives evader spans on the dedicated evader track (nil unless
 	// SetProfiler was called; every emit is nil-safe).
@@ -82,7 +80,7 @@ func NewFastEvader(p *hw.Platform, image *mem.Image, rootkit *Rootkit, sleep, th
 		state:       EvaderAttacking,
 		secureCores: make(map[int]simclock.Time),
 		suspected:   make(map[int]bool),
-		pending:     make(map[int]*simclock.Handle),
+		pending:     make(map[int]simclock.Handle),
 	}, nil
 }
 
@@ -139,11 +137,7 @@ func (f *FastEvader) onWorldChange(c *hw.Core, _, newWorld hw.World) {
 		if delay < time.Microsecond {
 			delay = time.Microsecond
 		}
-		id := c.ID()
-		f.pending[id] = engine.After(delay, "fast-evader-detect", func() {
-			delete(f.pending, id)
-			f.detect(id)
-		})
+		f.armDetect(c.ID(), now.Add(delay))
 		return
 	}
 	// Core back in the normal world.
@@ -173,25 +167,27 @@ func (f *FastEvader) onWorldChange(c *hw.Core, _, newWorld hw.World) {
 	f.armRecover(id, now.Add(delay))
 }
 
-// recoverEvent tracks one pending recovery observation for checkpointing.
-type recoverEvent struct {
-	core int
-	h    *simclock.Handle
+// The evader's pending events are claimed (see checkpoint.go), and each kind
+// is scheduled in one place, its arm function below, which a checkpoint
+// restore calls too (Rearm).
+
+// armDetect schedules the comparer flagging core id.
+func (f *FastEvader) armDetect(id int, at simclock.Time) {
+	f.pending[id] = f.arm("fast-evader-detect", int64(id), at, func() {
+		delete(f.pending, id)
+		f.detect(id)
+	})
 }
 
-// armRecover schedules the comparer's recovery observation for core id and
-// tracks its handle, pruning entries that already fired so the list stays
-// bounded by the in-flight count.
+// armRecover schedules the comparer's recovery observation for core id.
+// Several may be in flight for the same core.
 func (f *FastEvader) armRecover(id int, at simclock.Time) {
-	live := f.recoverPending[:0]
-	for _, re := range f.recoverPending {
-		if re.h.Live() {
-			live = append(live, re)
-		}
-	}
-	f.recoverPending = live
-	h := f.platform.Engine().At(at, "fast-evader-recover", func() { f.recovered(id) })
-	f.recoverPending = append(f.recoverPending, recoverEvent{core: id, h: h})
+	f.arm("fast-evader-recover", int64(id), at, func() { f.recovered(id) })
+}
+
+// arm schedules fn at `at` under the evader's claim.
+func (f *FastEvader) arm(name string, key int64, at simclock.Time, fn func()) simclock.Handle {
+	return f.platform.Engine().Arm(simclock.Claim{Owner: ClaimOwnerFastEvader, Key: key, Name: name, When: at}, fn)
 }
 
 // detect is the comparer flagging core id.
@@ -219,11 +215,9 @@ func (f *FastEvader) beginHide() {
 	f.armHide(f.platform.Engine().Now().Add(recover))
 }
 
-// armHide schedules the end of the hide countdown; split out so a checkpoint
-// restore can re-arm it at the claimed instant.
+// armHide schedules the end of the hide countdown.
 func (f *FastEvader) armHide(at simclock.Time) {
-	f.hidePending = f.platform.Engine().At(at, "fast-evader-hide", func() {
-		f.hidePending = nil
+	f.hidePending = f.arm("fast-evader-hide", -1, at, func() {
 		if err := f.rootkit.Hide(f.platform.Engine().Now()); err != nil {
 			panic(fmt.Sprintf("attack: fast hide failed: %v", err))
 		}
@@ -256,11 +250,9 @@ func (f *FastEvader) maybeReinstall() {
 	f.armReinstall(f.platform.Engine().Now().Add(recover))
 }
 
-// armReinstall schedules the end of the reinstall countdown; split out so a
-// checkpoint restore can re-arm it at the claimed instant.
+// armReinstall schedules the end of the reinstall countdown.
 func (f *FastEvader) armReinstall(at simclock.Time) {
-	f.reinstallPending = f.platform.Engine().At(at, "fast-evader-reinstall", func() {
-		f.reinstallPending = nil
+	f.reinstallPending = f.arm("fast-evader-reinstall", -1, at, func() {
 		if f.state != EvaderReinstalling {
 			return
 		}

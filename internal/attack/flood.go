@@ -22,10 +22,14 @@ type InterruptFlood struct {
 	cores    []int
 	running  bool
 	raised   int
-	// tickPending is the next scheduled burst, tracked so a checkpoint can
-	// claim it (see checkpoint.go).
-	tickPending *simclock.Handle
+	// tickPending is the next burst; onTick is its callback, built once so
+	// a burst allocates nothing.
+	tickPending simclock.Handle
+	onTick      func()
 }
+
+// floodTickName names the flood's burst event and its claim.
+const floodTickName = "sgi-flood"
 
 // NewInterruptFlood prepares a flood at the given per-core rate (interrupts
 // per second) against the listed cores (nil means all).
@@ -44,12 +48,14 @@ func NewInterruptFlood(p *hw.Platform, rate float64, cores []int) (*InterruptFlo
 			return nil, fmt.Errorf("attack: flood core %d out of range", c)
 		}
 	}
-	return &InterruptFlood{
+	f := &InterruptFlood{
 		platform: p,
 		engine:   p.Engine(),
 		period:   time.Duration(float64(time.Second) / rate),
 		cores:    cores,
-	}, nil
+	}
+	f.onTick = f.tick
+	return f, nil
 }
 
 // Start configures the SGI line and begins raising interrupts. The
@@ -74,7 +80,6 @@ func (f *InterruptFlood) Stop() { f.running = false }
 func (f *InterruptFlood) Raised() int { return f.raised }
 
 func (f *InterruptFlood) tick() {
-	f.tickPending = nil
 	if !f.running {
 		return
 	}
@@ -82,5 +87,12 @@ func (f *InterruptFlood) tick() {
 		f.platform.GIC().Raise(hw.IntSGIFlood, c)
 		f.raised++
 	}
-	f.tickPending = f.engine.After(f.period, "sgi-flood", f.tick)
+	f.armTick(f.engine.Now().Add(f.period))
+}
+
+// armTick schedules the next burst at `at` under the flood's claim, so a
+// checkpoint captures it; a restore re-arms the captured burst here too
+// (RearmTick).
+func (f *InterruptFlood) armTick(at simclock.Time) {
+	f.tickPending = f.engine.Arm(simclock.Claim{Owner: ClaimOwnerFlood, Key: -1, Name: floodTickName, When: at}, f.onTick)
 }

@@ -3,16 +3,21 @@
 // a scenario at a claimable virtual instant, and its versioned on-disk
 // encoding.
 //
-// A snapshot is taken at a *claimable instant* — a virtual time at which the
-// engine's live pending events are exactly the union of the components'
-// claims (no secure-world payload in flight, every core online in the normal
-// world). Event callbacks are closures and cannot be serialized, so the
-// snapshot stores Claims instead: enough for each owning component to
-// rebuild its callbacks at restore time. Memory is captured copy-on-write:
-// only pages whose write-generation counter differs from the post-boot
-// baseline are stored, plus the full generation array (which the
-// introspection's incremental hash cache validates against and must
-// therefore be restored exactly).
+// A snapshot is taken at a *claimable instant* — a virtual time at which
+// every live pending event carries a claim (no secure-world payload in
+// flight, every core online in the normal world). Event callbacks are
+// closures and cannot be serialized, so the snapshot stores the Claims the
+// engine lists instead (simclock.Engine.Claims): a component records its
+// claim on an event when it schedules it (simclock.Engine.Arm), and the claim
+// is enough for that component to rebuild the callback at restore time.
+// Memory is captured copy-on-write: only pages whose write-generation counter
+// differs from the post-boot baseline are stored, plus the full generation
+// array (which the introspection's incremental hash cache validates against
+// and must therefore be restored exactly).
+//
+// Decode reads files from disk (satin-sim -resume-from), so it trusts no
+// length field: each is checked against the bytes left before anything is
+// allocated for it.
 //
 // The assembly and restoration logic lives in the root satin package
 // (Scenario.Checkpoint / RestoreSnapshot), which can see the components;
@@ -196,7 +201,9 @@ func ReadFile(path string) (*Snapshot, error) {
 }
 
 // reader is a bounds-checked little-endian cursor; the first overrun sets
-// err and every later read returns zeros.
+// err, and every later read returns no bytes and zero integers. A length
+// field is checked against the bytes left before anything is allocated for
+// it.
 type reader struct {
 	data []byte
 	off  int
@@ -204,17 +211,28 @@ type reader struct {
 }
 
 func (r *reader) take(n int) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.data) {
+	if r.err != nil || n < 0 || n > len(r.data)-r.off {
 		r.err = fmt.Errorf("short read")
-		return make([]byte, max(n, 0))
+		return nil
 	}
 	b := r.data[r.off : r.off+n]
 	r.off += n
 	return b
 }
 
-func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
-func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
+func (r *reader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *reader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
 
 func writeU32(buf *bytes.Buffer, v uint32) {
 	var b [4]byte

@@ -10,8 +10,8 @@ import (
 // Checkpoint support. SATIN's pending events are the per-core secure timer
 // fires (owned by hw.Core) and, under hotplug fault plans, the re-routed
 // wake events in the orphans map — the only events this service claims
-// itself. Everything else is pure state: the area set, the wake queue, the
-// round/alarm record, and the selection RNG.
+// itself (armOrphan). Everything else is pure state: the area set, the wake
+// queue, the round/alarm record, and the selection RNG.
 
 // ClaimOwnerSATIN names SATIN's re-routed wake claims in a checkpoint.
 const ClaimOwnerSATIN = "core.satin"
@@ -62,24 +62,6 @@ func (s *SATIN) CheckpointState() (SATINState, error) {
 	}, nil
 }
 
-// Claims reports SATIN's pending re-routed wake events, in slot-owner order.
-func (s *SATIN) Claims() ([]simclock.Claim, error) {
-	owners := make([]int, 0, len(s.orphans))
-	for owner := range s.orphans {
-		owners = append(owners, owner)
-	}
-	sort.Ints(owners)
-	var claims []simclock.Claim
-	for _, owner := range owners {
-		c, ok := s.orphans[owner].Claim(ClaimOwnerSATIN, int64(owner))
-		if !ok {
-			return nil, fmt.Errorf("core: orphan slot %d holds a stale handle", owner)
-		}
-		claims = append(claims, c)
-	}
-	return claims, nil
-}
-
 // RestoreState overwrites the service's state with a captured one. SATIN
 // schedules no events at construction (the secure timers it programs belong
 // to hw.Core), so there is nothing to cancel; re-routed wakes from the
@@ -123,7 +105,7 @@ func (s *SATIN) RearmOrphan(claim simclock.Claim) error {
 	if owner < 0 || owner >= len(s.partCores) {
 		return fmt.Errorf("core: re-routed wake claim for unknown slot owner %d", owner)
 	}
-	if s.orphans[owner] != nil {
+	if _, ok := s.orphans[owner]; ok {
 		return fmt.Errorf("core: slot owner %d already has a re-routed wake", owner)
 	}
 	slotName := fmt.Sprintf("satin-reroute-slot%d", owner)
@@ -131,8 +113,6 @@ func (s *SATIN) RearmOrphan(claim simclock.Claim) error {
 	if claim.Name != slotName && claim.Name != retryName {
 		return fmt.Errorf("core: claim names %q, want %q or %q", claim.Name, slotName, retryName)
 	}
-	s.orphans[owner] = s.platform.Engine().At(claim.When, claim.Name, func() {
-		s.coverOrphan(owner)
-	})
+	s.armOrphan(owner, claim.Name, claim.When)
 	return nil
 }

@@ -75,8 +75,8 @@ type SATIN struct {
 	// Hotplug re-routing state (§V-D collaboration under core unplug): when
 	// a participating core goes offline, its wake-queue slot is served by
 	// SMC-driven rounds on a surviving core until it returns.
-	orphans   map[int]*simclock.Handle // slot-owner index → pending re-routed wake
-	uncovered map[int]bool             // slots stalled because every core is offline
+	orphans   map[int]simclock.Handle // slot-owner index → pending re-routed wake
+	uncovered map[int]bool            // slots stalled because every core is offline
 	reroutes  int
 
 	// Observability (nil unless Observe was called; all nil-safe).
@@ -184,7 +184,7 @@ func (s *SATIN) Start() error {
 		s.partIndex[coreID] = i
 	}
 	s.partCores = cores
-	s.orphans = make(map[int]*simclock.Handle)
+	s.orphans = make(map[int]simclock.Handle)
 	s.uncovered = make(map[int]bool)
 	s.queue = NewWakeQueue(len(cores), s.tp, s.cfg.RandomDeviation, s.rng, now)
 	for _, coreID := range cores {
@@ -335,7 +335,7 @@ func (s *SATIN) onHotplug(c *hw.Core, online bool) {
 		return
 	}
 	delete(s.uncovered, owner)
-	if h := s.orphans[owner]; h != nil {
+	if h, ok := s.orphans[owner]; ok {
 		h.Cancel()
 		delete(s.orphans, owner)
 	}
@@ -356,12 +356,18 @@ func (s *SATIN) scheduleOrphan(owner int) {
 	if s.budgetExhausted() {
 		return
 	}
-	engine := s.platform.Engine()
-	at := s.queue.Next(owner, engine.Now())
+	at := s.queue.Next(owner, s.platform.Engine().Now())
 	s.queueDepth.Set(int64(s.queue.Pending()))
-	s.orphans[owner] = engine.At(at, fmt.Sprintf("satin-reroute-slot%d", owner), func() {
-		s.coverOrphan(owner)
-	})
+	s.armOrphan(owner, fmt.Sprintf("satin-reroute-slot%d", owner), at)
+}
+
+// armOrphan schedules owner's re-routed wake (a first wake or a retry, told
+// apart by name) at `at` under SATIN's claim. It is the one place the wake is
+// scheduled: a checkpoint restore re-arms a captured wake here too
+// (RearmOrphan).
+func (s *SATIN) armOrphan(owner int, name string, at simclock.Time) {
+	claim := simclock.Claim{Owner: ClaimOwnerSATIN, Key: int64(owner), Name: name, When: at}
+	s.orphans[owner] = s.platform.Engine().Arm(claim, func() { s.coverOrphan(owner) })
 }
 
 // coverOrphan runs one re-routed round for an offline owner's slot on the
@@ -373,9 +379,7 @@ func (s *SATIN) coverOrphan(owner int) {
 	}
 	engine := s.platform.Engine()
 	retry := func() {
-		s.orphans[owner] = engine.After(orphanRetryGap, fmt.Sprintf("satin-reroute-retry%d", owner), func() {
-			s.coverOrphan(owner)
-		})
+		s.armOrphan(owner, fmt.Sprintf("satin-reroute-retry%d", owner), engine.Now().Add(orphanRetryGap))
 	}
 	cover := s.pickCoverCore()
 	if cover < 0 {

@@ -10,30 +10,17 @@ import (
 // are NOT re-armed on restore: a forked scenario is constructed from its own
 // member spec, so Install has already scheduled its DVFS and hotplug events
 // by the time the snapshot is applied. Those construction-scheduled events
-// are reported here as Kept claims — verified present against the live
-// pending set, left untouched by the re-arm pass. Their construction-era
-// sequence numbers are smaller than any re-armed claim's fresh number, which
-// reproduces the from-scratch firing order at equal instants: in the original
-// run too, the injector scheduled before anything else fired.
+// carry Kept claims (scheduleAt): restore finds them pending and re-arms
+// nothing for them. Their construction-era sequence numbers are smaller than
+// any re-armed claim's fresh number, which reproduces the from-scratch firing
+// order at equal instants: in the original run too, the injector scheduled
+// before anything else fired.
 //
 // This only works for plans whose observable effects all land strictly after
 // the checkpoint instant; ForkableAfter is the gate.
 
 // ClaimOwnerInjector names the injector's Kept claims.
 const ClaimOwnerInjector = "faultinject"
-
-// Claims reports the injector's still-pending scheduled fault events as Kept
-// claims. Events that already fired are skipped.
-func (in *Injector) Claims() []simclock.Claim {
-	var claims []simclock.Claim
-	for _, h := range in.scheduled {
-		if c, ok := h.Claim(ClaimOwnerInjector, -1); ok {
-			c.Kept = true
-			claims = append(claims, c)
-		}
-	}
-	return claims
-}
 
 // ForkableAfter reports whether a run carrying this plan can be forked from a
 // checkpoint taken at instant t. Rate jitter, IRQ faults, and switch spikes

@@ -37,10 +37,6 @@ type Injector struct {
 
 	injected int
 
-	// scheduled tracks the handles of the plan's DVFS and hotplug events, so
-	// a checkpoint restore can verify them present (see checkpoint.go).
-	scheduled []*simclock.Handle
-
 	bus        *obs.Bus
 	totalCtr   *obs.Counter
 	dvfsCtr    *obs.Counter
@@ -142,7 +138,8 @@ func (in *Injector) record(ev trace.Event, kindCtr *obs.Counter) {
 }
 
 // scheduleAt runs fn at virtual time at, or immediately when the engine is
-// already past it (an injector installed mid-run).
+// already past it (an injector installed mid-run). The event carries a Kept
+// claim (see checkpoint.go).
 func (in *Injector) scheduleAt(at time.Duration, name string, fn func()) {
 	engine := in.platform.Engine()
 	t := simclock.Time(at)
@@ -150,7 +147,7 @@ func (in *Injector) scheduleAt(at time.Duration, name string, fn func()) {
 		fn()
 		return
 	}
-	in.scheduled = append(in.scheduled, engine.At(t, name, fn))
+	engine.Arm(simclock.Claim{Owner: ClaimOwnerInjector, Key: -1, Name: name, When: t, Kept: true}, fn)
 }
 
 // applyRates recomputes and installs core i's effective rates through the

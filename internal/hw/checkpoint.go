@@ -55,36 +55,22 @@ func (c *Core) RestoreState(st CoreState) error {
 		return err
 	}
 	c.timer.pending.Cancel()
-	c.timer.pending = nil
 	c.timer.enabled = st.Timer.Enabled
 	c.timer.cval = st.Timer.CVAL
 	return nil
-}
-
-// Claims reports the core's pending secure-timer fire event, if armed.
-func (c *Core) Claims() []simclock.Claim {
-	cl, ok := c.timer.pending.Claim(ClaimOwnerTimer, int64(c.id))
-	if !ok {
-		return nil
-	}
-	return []simclock.Claim{cl}
 }
 
 // RearmTimer reschedules the secure timer's fire event at the claimed
 // instant, rebuilding the callback rearm would have installed.
 func (c *Core) RearmTimer(claim simclock.Claim) error {
 	t := c.timer
-	if t.pending != nil {
+	if t.pending.Live() {
 		return fmt.Errorf("hw: core %d timer already has a pending fire event", c.id)
 	}
-	want := fmt.Sprintf("secure-timer-core%d", c.id)
-	if claim.Name != want {
-		return fmt.Errorf("hw: core %d timer claim names %q, want %q", c.id, claim.Name, want)
+	if claim.Name != t.name {
+		return fmt.Errorf("hw: core %d timer claim names %q, want %q", c.id, claim.Name, t.name)
 	}
-	t.pending = t.engine.At(claim.When, want, func() {
-		t.pending = nil
-		t.gic.Raise(IntSecureTimer, t.core.id)
-	})
+	t.arm(claim.When)
 	return nil
 }
 

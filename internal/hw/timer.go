@@ -24,11 +24,14 @@ type SecureTimer struct {
 	gic     *GIC
 	enabled bool
 	cval    simclock.Time
-	pending *simclock.Handle
+	// pending is the armed fire event, named name; it is a claimed event
+	// (see arm), so a checkpoint captures it.
+	pending simclock.Handle
+	name    string
 }
 
 func newSecureTimer(core *Core, engine *simclock.Engine, gic *GIC) *SecureTimer {
-	return &SecureTimer{core: core, engine: engine, gic: gic}
+	return &SecureTimer{core: core, engine: engine, gic: gic, name: fmt.Sprintf("secure-timer-core%d", core.id)}
 }
 
 // WriteCVAL sets the compare register (CNTPS_CVAL_EL1). Only the secure
@@ -72,7 +75,6 @@ func (t *SecureTimer) ReadCTL(w World) (bool, error) {
 // rearm reconciles the pending fire event with the current register state.
 func (t *SecureTimer) rearm() {
 	t.pending.Cancel()
-	t.pending = nil
 	if !t.enabled {
 		return
 	}
@@ -82,9 +84,15 @@ func (t *SecureTimer) rearm() {
 		// exactly as the architecture specifies for CNTPCT >= CVAL.
 		at = t.engine.Now()
 	}
-	name := fmt.Sprintf("secure-timer-core%d", t.core.id)
-	t.pending = t.engine.At(at, name, func() {
-		t.pending = nil
+	t.arm(at)
+}
+
+// arm schedules the fire event at `at` under the timer's claim, the one
+// place it is scheduled: rearm calls it, and so does a checkpoint restore
+// re-arming the captured fire (RearmTimer).
+func (t *SecureTimer) arm(at simclock.Time) {
+	claim := simclock.Claim{Owner: ClaimOwnerTimer, Key: int64(t.core.id), Name: t.name, When: at}
+	t.pending = t.engine.Arm(claim, func() {
 		// Level-triggered: the handler is expected to disable the timer
 		// or move CVAL forward; we model a single assertion per arm.
 		t.gic.Raise(IntSecureTimer, t.core.id)

@@ -58,7 +58,7 @@ type coreState struct {
 	id      int
 	current *Thread
 	// computeDone fires when the current thread's scheduled CPU chunk ends.
-	computeDone  *simclock.Handle
+	computeDone  simclock.Handle
 	computeStart simclock.Time
 	computeLen   time.Duration
 	// sliceStart is when the current thread was dispatched; the tick's CFS
@@ -429,7 +429,6 @@ func (os *OS) computeDone(cs *coreState) {
 	if t == nil {
 		panic(fmt.Sprintf("richos: compute completion on empty core %d", cs.id))
 	}
-	cs.computeDone = nil
 	t.cpuTime += cs.computeLen
 	t.vruntime += cs.computeLen
 	t.pendingCompute -= cs.computeLen
@@ -446,9 +445,8 @@ func (os *OS) haltCurrent(cs *coreState) *Thread {
 	if t == nil {
 		return nil
 	}
-	if cs.computeDone != nil {
+	if cs.computeDone.Live() {
 		cs.computeDone.Cancel()
-		cs.computeDone = nil
 		consumed := os.platform.Engine().Now().Sub(cs.computeStart)
 		t.cpuTime += consumed
 		t.vruntime += consumed
@@ -481,10 +479,7 @@ func (os *OS) Wake(t *Thread) {
 	if t.state != StateSleeping {
 		return
 	}
-	if t.wake != nil {
-		t.wake.Cancel()
-		t.wake = nil
-	}
+	t.wake.Cancel()
 	t.state = StateReady
 	os.place(t)
 }
@@ -494,7 +489,6 @@ func (os *OS) sleepThread(cs *coreState, t *Thread, d time.Duration) {
 	t.state = StateSleeping
 	cs.current = nil
 	t.wake = os.platform.Engine().After(d, "wake", func() {
-		t.wake = nil
 		t.state = StateReady
 		os.place(t)
 	})

@@ -113,7 +113,7 @@ type Thread struct {
 	// enqueueSeq orders FIFO threads of equal priority.
 	enqueueSeq uint64
 
-	wake *simclock.Handle
+	wake simclock.Handle
 
 	// Accounting.
 	cpuTime      time.Duration

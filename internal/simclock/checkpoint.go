@@ -8,39 +8,13 @@ import (
 // This file is the engine half of the checkpoint/fork protocol (see
 // internal/checkpoint and docs/CHECKPOINT.md). Event callbacks are closures
 // and cannot be serialized, so a snapshot never stores the queue itself.
-// Instead every component that owns pending events reports a Claim for each
-// one; a checkpoint is valid only at a *claimable instant* — when the
-// engine's live pending set is exactly the union of the claims. On restore,
-// a freshly constructed scenario cancels its own construction-era events and
-// re-arms each claim through the owning component, in (when, seq) order, so
-// the continuation fires in exactly the order the original run would have.
-
-// PendingEvent describes one live (non-canceled) queued event, without its
-// callback.
-type PendingEvent struct {
-	When Time
-	Seq  uint64
-	Name string
-}
-
-// PendingLive lists every live pending event in firing order. Canceled
-// events still sitting in the heap are excluded (they would never fire).
-func (e *Engine) PendingLive() []PendingEvent {
-	out := make([]PendingEvent, 0, e.queue.len())
-	for _, ev := range e.queue.items {
-		if ev.canceled {
-			continue
-		}
-		out = append(out, PendingEvent{When: ev.when, Seq: ev.seq, Name: ev.name})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].When != out[j].When {
-			return out[i].When < out[j].When
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
-}
+// Instead every event a checkpoint may capture is scheduled from its Claim
+// (Arm), and the event carries that claim until it fires; a checkpoint is
+// valid only at a *claimable instant* — when every live pending event
+// carries one (Claims). On restore, a freshly constructed scenario cancels
+// its own construction-era events and re-arms each claim through the owning
+// component, in (when, seq) order, so the continuation fires in exactly the
+// order the original run would have.
 
 // Claim is one component's declaration of ownership of a pending event. Owner
 // names the component ("hw.timer", "core.satin", ...), Key is a component-
@@ -52,8 +26,8 @@ func (e *Engine) PendingLive() []PendingEvent {
 // the firing order — the only thing outputs can observe).
 //
 // A Kept claim marks an event the restored scenario's own construction
-// already scheduled (fault-injection DVFS/hotplug events): it is verified
-// present at restore but not re-armed.
+// already scheduled (fault-injection DVFS/hotplug events): it is present at
+// restore but not re-armed.
 type Claim struct {
 	Owner string `json:"owner"`
 	Key   int64  `json:"key"`
@@ -63,64 +37,46 @@ type Claim struct {
 	Kept  bool   `json:"kept,omitempty"`
 }
 
-// Live reports whether the handle's event is still queued: neither fired nor
-// canceled. Components that keep handle lists use it to prune stale entries.
-func (h *Handle) Live() bool {
-	return h != nil && h.ev != nil && !h.canceled && h.ev.gen == h.gen
+// Arm schedules fn at c.When under c.Name, like At, and records the claim's
+// owner (which must not be empty), key and Kept flag on the event, so Claims
+// reports it for as long as it is pending. c.Seq is ignored: the event takes
+// the engine's next sequence number. Components call Arm both where they first schedule a
+// claimed event and where a restore re-arms it.
+func (e *Engine) Arm(c Claim, fn func()) Handle {
+	ev := e.schedule(c.When, c.Name, fn)
+	ev.owner, ev.key, ev.kept = c.Owner, c.Key, c.Kept
+	return Handle{ev: ev, gen: ev.gen}
 }
 
-// Claim builds the claim for this handle's event. It reports false if the
-// event already fired or was canceled — the handle owner should then drop its
-// stale reference rather than claim a dead event.
-func (h *Handle) Claim(owner string, key int64) (Claim, bool) {
-	if !h.Live() {
-		return Claim{}, false
-	}
-	return Claim{Owner: owner, Key: key, Name: h.ev.name, When: h.when, Seq: h.seq}, true
-}
-
-// SortClaims orders claims by (when, seq) — capture-side firing order, the
-// order restore must re-arm them in.
-func SortClaims(claims []Claim) {
-	sort.Slice(claims, func(i, j int) bool {
-		if claims[i].When != claims[j].When {
-			return claims[i].When < claims[j].When
+// Claims lists the claims of the live pending events in (when, seq) order,
+// each with its event's sequence number. If any live event was scheduled
+// without a claim, the instant is not claimable, and Claims fails naming the
+// earliest such event. Canceled events still sitting in the heap are skipped
+// (they would never fire). With no claim pending the list is nil, which a
+// snapshot's JSON records as null.
+func (e *Engine) Claims() ([]Claim, error) {
+	var claimed []*event
+	var unclaimed *event
+	for _, ev := range e.queue.items {
+		switch {
+		case ev.canceled:
+		case ev.owner == "":
+			if unclaimed == nil || ev.before(unclaimed) {
+				unclaimed = ev
+			}
+		default:
+			claimed = append(claimed, ev)
 		}
-		return claims[i].Seq < claims[j].Seq
-	})
-}
-
-// VerifyClaims checks that the live pending set and the claim set are the
-// same multiset of events: every live event is claimed by exactly one claim
-// (matched by sequence number, cross-checked on instant and name) and no
-// claim is stale. A mismatch means some component schedules events the
-// checkpoint protocol does not know about, so the instant is not claimable.
-func (e *Engine) VerifyClaims(claims []Claim) error {
-	bySeq := make(map[uint64]Claim, len(claims))
-	for _, c := range claims {
-		if prev, dup := bySeq[c.Seq]; dup {
-			return fmt.Errorf("simclock: claims %q/%q and %q/%q both claim event seq %d",
-				prev.Owner, prev.Name, c.Owner, c.Name, c.Seq)
-		}
-		bySeq[c.Seq] = c
 	}
-	live := e.PendingLive()
-	for _, ev := range live {
-		c, ok := bySeq[ev.Seq]
-		if !ok {
-			return fmt.Errorf("simclock: pending event %q at %v (seq %d) is unclaimed", ev.Name, ev.When, ev.Seq)
-		}
-		if c.When != ev.When || c.Name != ev.Name {
-			return fmt.Errorf("simclock: claim %q/%q (at %v) does not match pending event %q at %v",
-				c.Owner, c.Name, c.When, ev.Name, ev.When)
-		}
-		delete(bySeq, ev.Seq)
+	if unclaimed != nil {
+		return nil, fmt.Errorf("simclock: pending event %q at %v (seq %d) is unclaimed", unclaimed.name, unclaimed.when, unclaimed.seq)
 	}
-	for _, c := range bySeq {
-		return fmt.Errorf("simclock: claim %q/%q at %v (seq %d) matches no pending event — stale handle",
-			c.Owner, c.Name, c.When, c.Seq)
+	sort.Slice(claimed, func(i, j int) bool { return claimed[i].before(claimed[j]) })
+	var claims []Claim
+	for _, ev := range claimed {
+		claims = append(claims, Claim{Owner: ev.owner, Key: ev.key, Name: ev.name, When: ev.when, Seq: ev.seq, Kept: ev.kept})
 	}
-	return nil
+	return claims, nil
 }
 
 // RestoreClock moves the clock to the checkpoint instant and restores the

@@ -56,7 +56,7 @@ type Engine struct {
 	dispatched uint64
 	// free holds fired or discarded event structs for reuse, so steady-state
 	// scheduling allocates nothing. Events carry a generation counter bumped
-	// on recycle; Handles snapshot it so a stale Handle can never cancel the
+	// on recycle; Handles record it so a stale Handle can never cancel the
 	// struct's next occupant.
 	free []*event
 	// canceledPending counts canceled events still sitting in the heap.
@@ -92,7 +92,7 @@ func (e *Engine) schedule(t Time, name string, fn func()) *event {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = &event{}
+		ev = &event{engine: e}
 	}
 	ev.when = t
 	ev.seq = e.nextSeq
@@ -105,11 +105,12 @@ func (e *Engine) schedule(t Time, name string, fn func()) *event {
 }
 
 // recycle bumps the event's generation (invalidating outstanding Handles) and
-// returns the struct to the free list with its references cleared.
+// returns the struct to the free list with its references and claim cleared.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.name = ""
+	ev.owner = ""
 	e.free = append(e.free, ev)
 }
 
@@ -117,22 +118,20 @@ func (e *Engine) recycle(ev *event) {
 // programming error and panics: in a discrete-event simulation a past event
 // means the model is broken, and continuing would silently corrupt causality.
 // The name is used in error messages and traces.
-func (e *Engine) At(t Time, name string, fn func()) *Handle {
+func (e *Engine) At(t Time, name string, fn func()) Handle {
 	ev := e.schedule(t, name, fn)
-	return &Handle{engine: e, ev: ev, gen: ev.gen, when: t, seq: ev.seq}
+	return Handle{ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d after the current instant. A negative d panics
 // (see At); a zero d runs after the current event completes, in scheduling
 // order.
-func (e *Engine) After(d time.Duration, name string, fn func()) *Handle {
+func (e *Engine) After(d time.Duration, name string, fn func()) Handle {
 	return e.At(e.now.Add(d), name, fn)
 }
 
-// ScheduleAfter is After without a cancel handle: the hot path for
-// fire-and-forget events. With no Handle to allocate and the event struct
-// drawn from the free list, steady-state scheduling through here allocates
-// nothing.
+// ScheduleAfter is After without a cancel handle, for fire-and-forget
+// events.
 func (e *Engine) ScheduleAfter(d time.Duration, name string, fn func()) {
 	e.schedule(e.now.Add(d), name, fn)
 }
@@ -215,46 +214,33 @@ func (e *Engine) Pending() int { return e.queue.len() }
 // path.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
-// Handle identifies a scheduled event and allows canceling it. Because event
-// structs are recycled after firing, the Handle snapshots the event's
-// generation and scheduled instant at creation; it never reads a recycled
-// struct's new contents.
+// Handle names a scheduled event so it can be canceled. It is a value: the
+// engine's event struct and the generation the struct had when the event was
+// scheduled. Event structs are recycled after firing, so a Handle reads its
+// struct only while the generations match and never sees the next
+// occupant. The zero Handle names no event.
 type Handle struct {
-	engine   *Engine
-	ev       *event
-	gen      uint64
-	when     Time
-	seq      uint64
-	canceled bool
+	ev  *event
+	gen uint64
+}
+
+// Live reports whether the handle's event is still queued: neither fired nor
+// canceled.
+func (h Handle) Live() bool {
+	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled
 }
 
 // Cancel withdraws the event. Canceling an already-fired or already-canceled
-// event is a no-op. A nil handle is also a no-op, so callers can Cancel
+// event, or through the zero Handle, is a no-op, so callers can Cancel
 // unconditionally.
-func (h *Handle) Cancel() {
-	if h == nil || h.ev == nil || h.canceled {
+func (h Handle) Cancel() {
+	if !h.Live() {
 		return
 	}
-	if h.ev.gen != h.gen {
-		return // already fired and recycled
-	}
-	h.canceled = true
 	h.ev.canceled = true
-	h.engine.canceledPending++
-	h.engine.maybeCompact()
-}
-
-// Canceled reports whether the event was withdrawn before firing.
-func (h *Handle) Canceled() bool {
-	return h != nil && h.canceled
-}
-
-// When reports the instant the event is (or was) scheduled for.
-func (h *Handle) When() Time {
-	if h == nil || h.ev == nil {
-		return 0
-	}
-	return h.when
+	e := h.ev.engine
+	e.canceledPending++
+	e.maybeCompact()
 }
 
 // maybeCompact sweeps canceled events out of the heap once they both exceed

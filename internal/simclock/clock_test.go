@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -100,8 +101,8 @@ func TestEngineCancel(t *testing.T) {
 	kept := 0
 	e.After(2*time.Millisecond, "kept", func() { kept++ })
 	h.Cancel()
-	if !h.Canceled() {
-		t.Error("Canceled() = false after Cancel")
+	if h.Live() {
+		t.Error("Live() = true after Cancel")
 	}
 	e.Run()
 	if fired {
@@ -112,22 +113,10 @@ func TestEngineCancel(t *testing.T) {
 	}
 	// Cancel after run and double-cancel are no-ops.
 	h.Cancel()
-	var nilHandle *Handle
-	nilHandle.Cancel() // must not panic
-	if nilHandle.Canceled() {
-		t.Error("nil handle reports canceled")
-	}
-}
-
-func TestHandleWhen(t *testing.T) {
-	e := NewEngine()
-	h := e.After(7*time.Millisecond, "x", func() {})
-	if h.When() != Time(7*time.Millisecond) {
-		t.Errorf("When() = %v, want 7ms", h.When())
-	}
-	var nilHandle *Handle
-	if nilHandle.When() != 0 {
-		t.Error("nil handle When() != 0")
+	var zero Handle
+	zero.Cancel() // must not panic
+	if zero.Live() {
+		t.Error("the zero handle reports a live event")
 	}
 }
 
@@ -353,23 +342,24 @@ func TestHandleSemanticsUnderRecycling(t *testing.T) {
 	}
 	// The recycled struct now hosts "second".
 	h2 := e.At(20, "second", func() { fired["second"] = true })
-	// Canceling the stale handle must not withdraw the new occupant.
+	if h1.ev != h2.ev {
+		t.Fatal("the second event did not reuse the first's struct")
+	}
+	// The stale handle sees its own event as gone, and canceling it must
+	// not withdraw the new occupant.
+	if h1.Live() {
+		t.Error("a handle whose event fired reports it live")
+	}
+	if !h2.Live() {
+		t.Error("the recycled struct's new handle reports its event gone")
+	}
 	h1.Cancel()
-	if h1.Canceled() {
-		t.Error("cancel after fire must be a no-op")
-	}
-	if h1.When() != 10 {
-		t.Errorf("stale handle When = %v, want its own instant 10", h1.When())
-	}
 	e.Run()
 	if !fired["second"] {
 		t.Error("stale-handle Cancel withdrew a recycled event")
 	}
-	if h2.Canceled() {
-		t.Error("live handle reports canceled")
-	}
-	if h2.When() != 20 {
-		t.Errorf("h2.When = %v, want 20", h2.When())
+	if h2.Live() {
+		t.Error("a handle whose event fired reports it live")
 	}
 }
 
@@ -420,24 +410,90 @@ func TestCompactionPreservesFireOrder(t *testing.T) {
 	}
 }
 
+// TestSteadyStateSchedulingDoesNotAllocate drives each scheduling call a
+// periodic activity makes through the engine's free list: once the queue and
+// the free list have grown to the run's size, scheduling, arming and
+// canceling allocate nothing, handles included.
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
+	noop := func() {}
+	claim := Claim{Owner: "test", Key: 1, Name: "armed"}
 	var tick func()
-	n := 0
-	tick = func() {
-		if n++; n < 1000 {
+	cases := []struct {
+		name     string
+		schedule func()
+	}{
+		{"ScheduleAfter", func() { e.ScheduleAfter(10, "tick", tick) }},
+		{"After", func() { e.After(10, "tick", tick) }},
+		{"At+Cancel", func() {
+			e.At(e.Now()+1_000_000, "doomed", noop).Cancel()
 			e.ScheduleAfter(10, "tick", tick)
+		}},
+		{"Arm", func() {
+			claim.When = e.Now() + 10
+			e.Arm(claim, tick)
+		}},
+	}
+	for _, tc := range cases {
+		n := 0
+		tick = func() {
+			if n++; n < 1000 {
+				tc.schedule()
+			}
+		}
+		run := func() {
+			n = 0
+			tc.schedule()
+			e.Run()
+		}
+		run() // grow the queue and the free list to the run's size
+		if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
+			t.Errorf("%s: a 1000-event run allocated %.0f times", tc.name, allocs)
 		}
 	}
-	e.ScheduleAfter(10, "tick", tick)
-	allocs := testing.AllocsPerRun(1, func() {
-		n = 0
-		e.ScheduleAfter(10, "tick", tick)
-		e.Run()
-	})
-	// The free list makes the periodic-event steady state allocation-free;
-	// allow a fraction for the run's warm-up.
-	if allocs > 5 {
-		t.Errorf("steady-state run allocated %.0f times for 1000 events", allocs)
+}
+
+// TestClaimsListArmedEvents: the engine reports the claims of the live
+// pending events it was armed with, in firing order and with their sequence
+// numbers, skips canceled ones, and refuses while an unclaimed event is
+// pending, naming the earliest.
+func TestClaimsListArmedEvents(t *testing.T) {
+	e := NewEngine()
+	noop := func() {}
+	e.Arm(Claim{Owner: "b", Key: 2, Name: "late", When: 30, Seq: 99}, noop)
+	e.Arm(Claim{Owner: "a", Key: -1, Name: "kept", When: 10, Kept: true}, noop)
+	e.Arm(Claim{Owner: "a", Key: 1, Name: "doomed", When: 5}, noop).Cancel()
+	e.Arm(Claim{Owner: "c", Key: 3, Name: "tie", When: 10}, noop)
+	got, err := e.Claims()
+	if err != nil {
+		t.Fatalf("Claims: %v", err)
+	}
+	want := []Claim{
+		{Owner: "a", Key: -1, Name: "kept", When: 10, Seq: 1, Kept: true},
+		{Owner: "c", Key: 3, Name: "tie", When: 10, Seq: 3},
+		{Owner: "b", Key: 2, Name: "late", When: 30, Seq: 0},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Claims = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("claim %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+
+	e.At(20, "second-unclaimed", noop)
+	e.At(15, "first-unclaimed", noop)
+	if _, err := e.Claims(); err == nil || !strings.Contains(err.Error(), `"first-unclaimed"`) {
+		t.Errorf("Claims with unclaimed events pending: err = %v, want one naming the earliest", err)
+	}
+	e.RunUntil(20)
+	got, err = e.Claims()
+	if err != nil || len(got) != 1 || got[0].Name != "late" {
+		t.Errorf("after the unclaimed events fired: Claims = %+v, %v; want the one pending claim", got, err)
+	}
+	e.Run()
+	if got, err := e.Claims(); err != nil || got != nil {
+		t.Errorf("drained engine: Claims = %+v, %v; want none", got, err)
 	}
 }

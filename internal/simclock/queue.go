@@ -5,6 +5,7 @@ package simclock
 // gen counts reuses so stale Handles (see clock.go) can detect that their
 // event has moved on.
 type event struct {
+	engine   *Engine
 	when     Time
 	seq      uint64
 	gen      uint64
@@ -12,6 +13,20 @@ type event struct {
 	fn       func()
 	canceled bool
 	index    int // position in the heap, maintained by eventQueue
+	// owner, key and kept are the event's checkpoint claim (see Arm); an
+	// empty owner marks an event scheduled without one.
+	owner string
+	key   int64
+	kept  bool
+}
+
+// before reports whether a fires before b: earlier instant first, then
+// scheduling order.
+func (a *event) before(b *event) bool {
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	return a.seq < b.seq
 }
 
 // eventQueue is a binary min-heap of events ordered by (when, seq). The seq
@@ -23,13 +38,7 @@ type eventQueue struct {
 
 func (q *eventQueue) len() int { return len(q.items) }
 
-func (q *eventQueue) less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq
-}
+func (q *eventQueue) less(i, j int) bool { return q.items[i].before(q.items[j]) }
 
 func (q *eventQueue) swap(i, j int) {
 	q.items[i], q.items[j] = q.items[j], q.items[i]
