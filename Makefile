@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke hash-fuzz-smoke checkpoint-fuzz-smoke checkpoint-smoke serve-smoke paper-check examples-check docs-check cover profile ci
+.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke hash-fuzz-smoke checkpoint-fuzz-smoke checkpoint-smoke serve-smoke paper-check perfbench-smoke examples-check docs-check cover profile ci
 
 all: build test
 
@@ -214,10 +214,11 @@ serve-smoke:
 campaign-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign$$' -fuzztime 20s ./internal/campaign
 
-# Short fuzz run over the djb2 kernel: from any state, the word-wide fold
-# must equal the byte-at-a-time reference and split affinely into
-# h·33^len plus the chunk's term, the identity the boot-state chunk terms
-# rest on.
+# Short fuzz run over the djb2 kernel: from any state, the lane kernel
+# (each 8-byte word reduced through 16- and 32-bit lanes, the state stepped
+# once per 32 bytes) must equal the byte-at-a-time reference and split
+# affinely into h·33^len plus the chunk's term, the identity the boot-state
+# chunk terms rest on.
 hash-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzHashWordWide$$' -fuzztime 20s ./internal/introspect
 
@@ -228,7 +229,7 @@ checkpoint-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCheckpoint$$' -fuzztime 20s ./internal/checkpoint
 
 # The paper, pinned: the no-flag benchtables run (every table and figure at
-# seed 1, about 17 s on one core of a 2-vCPU Xeon) must print exactly the
+# seed 1, about 9 s on one core of a 2-vCPU Xeon) must print exactly the
 # committed golden.
 # A driver error exits non-zero and fails the target too. Regenerate the
 # golden only when a change means to move the paper's numbers:
@@ -238,6 +239,24 @@ paper-check:
 	/tmp/benchtables > /tmp/paper.stdout
 	cmp /tmp/paper.stdout cmd/benchtables/testdata/paper.stdout.golden || { echo "the paper run drifted from cmd/benchtables/testdata/paper.stdout.golden"; exit 1; }
 	@echo "the paper run reproduces its golden byte for byte"
+
+# The benchmark, vetted and smoke-run. perfbench/ is its own Go module
+# (replace satin => ../), so build, vet and test never compile it, yet it
+# calls the kernel, golden-table, image, engine, campaign and serve APIs.
+# Each workload runs for a second untraced and traced; perfbench exits
+# non-zero when a pass misses its perfbench/refs.json digest or the smoke
+# campaign misses its golden. run.sh builds into the gitignored
+# .bench_build/.
+perfbench-smoke:
+	GOWORK=off GOFLAGS=-buildvcs=false $(GO) -C perfbench vet ./...
+	@set -e; for w in sweep-forked campaign-served; do \
+		for t in 0 1; do \
+			echo "bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace $$t"; \
+			bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace $$t > /tmp/perfbench_smoke.txt 2>&1 \
+				|| { cat /tmp/perfbench_smoke.txt; echo "perfbench $$w --trace $$t failed"; exit 1; }; \
+		done; \
+	done
+	@echo "perfbench vets clean, and both workloads run untraced and traced to exit status 0"
 
 # The example programs, run end to end: `go build ./...` only compiles them.
 # Each must exit 0. examples/overhead drives the rich OS's scheduling path
@@ -291,7 +310,8 @@ profile:
 	@echo "inspect with: $(GO) tool pprof /tmp/satin.test /tmp/satin_cpu.prof"
 
 # Every blocking gate of the workflow's test job, in its order, so a local
-# `make ci` pass means they all pass. Only the workflow runs the four 20 s
-# fuzz smokes (spec-fuzz-smoke, campaign-fuzz-smoke, hash-fuzz-smoke,
-# checkpoint-fuzz-smoke) and cover.
-ci: vet fmt-check build test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke paper-check examples-check docs-check
+# `make ci` pass means they all pass; perfbench-smoke, after paper-check,
+# is the one that builds and runs the benchmark module. Only the workflow
+# runs the four 20 s fuzz smokes (spec-fuzz-smoke, campaign-fuzz-smoke,
+# hash-fuzz-smoke, checkpoint-fuzz-smoke) and cover.
+ci: vet fmt-check build test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke paper-check perfbench-smoke examples-check docs-check

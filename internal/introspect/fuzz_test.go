@@ -1,6 +1,7 @@
 package introspect
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -37,16 +38,19 @@ func FuzzHashIncremental(f *testing.F) {
 	})
 }
 
-// FuzzHashWordWide fuzzes the word-wide kernel against the byte-at-a-time
+// FuzzHashWordWide fuzzes the lane kernel against the byte-at-a-time
 // reference from arbitrary states: the optimization must be bit-identical
 // for every (seed, data, offset) — offsets exercise tails of every residue
-// mod 8 and misaligned starts. It also fuzzes the affine split the boot
+// mod 32 and misaligned starts. It also fuzzes the affine split the boot
 // terms rest on: the fold equals h·33^len plus the chunk's term.
 func FuzzHashWordWide(f *testing.F) {
 	f.Add(uint64(Djb2Seed), []byte("the quick brown fox jumps over"), 0)
 	f.Add(uint64(0x0123456789abcdef), []byte{0xFF, 0x00, 0x80, 0x7F, 1, 2, 3, 4, 5}, 3)
 	f.Add(uint64(0), []byte{}, 0)
 	f.Add(^uint64(0), []byte("0123456789abcdef"), 7)
+	// A 100-byte 0xFF run at offset 3: every lane at its bound, misaligned,
+	// over three 32-byte steps and a tail.
+	f.Add(uint64(Djb2Seed), append([]byte{1, 2, 3}, bytes.Repeat([]byte{0xFF}, 100)...), 3)
 	f.Fuzz(func(t *testing.T, h uint64, data []byte, off int) {
 		if off < 0 {
 			off = -off

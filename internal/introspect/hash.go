@@ -11,41 +11,44 @@ import "encoding/binary"
 // Djb2Seed is the djb2 initial value ("hash = 5381").
 const Djb2Seed uint64 = 5381
 
-// Powers of the djb2 multiplier, precomputed so the word-wide kernel can
-// fold 8 bytes per iteration: applying h = h*33 + c eight times expands to
-// h*33^8 + c0*33^7 + c1*33^6 + … + c7, and every multiply below is
-// independent of the others, so the CPU pipelines them. All arithmetic is
-// mod 2^64 either way, which is what makes the expansion bit-identical to
-// the byte loop (proved exhaustively and by fuzzing in hash_test.go).
+// Powers of the djb2 multiplier. Applying h = h*33 + c once per byte of a
+// block B expands to h·33^len(B) + Σ c_i·33^(len(B)-1-i), so the kernel can
+// weight a block's bytes by these powers and step the state once per block;
+// all arithmetic is mod 2^64 either way, which keeps the expansion
+// bit-identical to the byte loop. 33^16 and beyond exceed 2^64, which Go's
+// exact constant arithmetic refuses, so they are written reduced mod 2^64
+// (TestPow33 checks them against pow33).
 const (
-	djb2p1 = 33
-	djb2p2 = djb2p1 * 33
-	djb2p3 = djb2p2 * 33
-	djb2p4 = djb2p3 * 33
-	djb2p5 = djb2p4 * 33
-	djb2p6 = djb2p5 * 33
-	djb2p7 = djb2p6 * 33
-	djb2p8 = djb2p7 * 33
+	djb2p1  = 33
+	djb2p2  = djb2p1 * djb2p1
+	djb2p4  = djb2p2 * djb2p2
+	djb2p8  = djb2p4 * djb2p4
+	djb2p16 = 0xcae9b37492d9e201
+	djb2p24 = 0x4671b37fac185301
+	djb2p32 = 0x159176221137c401
 )
 
 // Djb2Update folds data into h with the classic djb2 step
 // (hash = hash*33 + c), the hash function the paper's prototype uses
 // (§IV-B1, citing Bernstein via the "Hash functions" page). The 64-bit
-// variant keeps collisions irrelevant at kernel scale. The kernel processes
-// 8 bytes per iteration using the precomputed multiplier powers; the result
-// is bit-identical to djb2UpdateRef.
+// variant keeps collisions irrelevant at kernel scale.
+//
+// The kernel reads 32 bytes as four little-endian words, reduces each to its
+// term Σ c_i·33^(7-i) with djb2Word, and steps the state once:
+// h·33^32 + t0·33^24 + t1·33^16 + t2·33^8 + t3. An 8-byte loop and the byte
+// loop take the tail. The result is bit-identical to djb2UpdateRef
+// (hash_test.go proves it exhaustively at the lane bounds and by fuzzing).
 func Djb2Update(h uint64, data []byte) uint64 {
+	for len(data) >= 32 {
+		t0 := djb2Word(binary.LittleEndian.Uint64(data))
+		t1 := djb2Word(binary.LittleEndian.Uint64(data[8:]))
+		t2 := djb2Word(binary.LittleEndian.Uint64(data[16:]))
+		t3 := djb2Word(binary.LittleEndian.Uint64(data[24:]))
+		h = h*djb2p32 + t0*djb2p24 + t1*djb2p16 + t2*djb2p8 + t3
+		data = data[32:]
+	}
 	for len(data) >= 8 {
-		w := binary.LittleEndian.Uint64(data)
-		h = h*djb2p8 +
-			uint64(byte(w))*djb2p7 +
-			uint64(byte(w>>8))*djb2p6 +
-			uint64(byte(w>>16))*djb2p5 +
-			uint64(byte(w>>24))*djb2p4 +
-			uint64(byte(w>>32))*djb2p3 +
-			uint64(byte(w>>40))*djb2p2 +
-			uint64(byte(w>>48))*djb2p1 +
-			uint64(byte(w>>56))
+		h = h*djb2p8 + djb2Word(binary.LittleEndian.Uint64(data))
 		data = data[8:]
 	}
 	for _, c := range data {
@@ -54,8 +57,21 @@ func Djb2Update(h uint64, data []byte) uint64 {
 	return h
 }
 
-// djb2UpdateRef is the byte-at-a-time reference the word-wide kernel is
-// proved against. Tests only.
+// djb2Word returns the djb2 term of a little-endian word's bytes c0..c7,
+// Σ c_i·33^(7-i), by reducing them through lanes. Adjacent bytes pair into
+// four 16-bit lanes c_{2j}·33 + c_{2j+1} (at most 255·33 + 255 = 8,670),
+// adjacent lanes into two 32-bit lanes (at most 8,670·1,089 + 8,670 =
+// 9,450,300), and the halves into the term with 33^4. No lane can carry
+// into its neighbour, so each multiply weights every lane at once.
+func djb2Word(w uint64) uint64 {
+	const bytes, halves = 0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF
+	w = (w&bytes)*djb2p1 + (w>>8)&bytes
+	w = (w&halves)*djb2p2 + (w>>16)&halves
+	return (w&0xFFFFFFFF)*djb2p4 + w>>32
+}
+
+// djb2UpdateRef is the byte-at-a-time reference the lane kernel is proved
+// against. Tests only.
 func djb2UpdateRef(h uint64, data []byte) uint64 {
 	for _, c := range data {
 		h = h*33 + uint64(c)

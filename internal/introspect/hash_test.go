@@ -1,9 +1,15 @@
 package introspect
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"satin/internal/mem"
 )
 
 func TestDjb2KnownValues(t *testing.T) {
@@ -39,28 +45,55 @@ func TestHashIncrementalEqualsWhole(t *testing.T) {
 	}
 }
 
-// TestWordWideKernelsExhaustiveSmall proves the 8-byte kernel bit-identical
-// to the byte-at-a-time reference on every length from 0 through 33 (both
-// sides of the word boundary, plus tails of every residue) with varied
-// contents and seeds, and on every possible single byte.
+// TestWordWideKernelsExhaustiveSmall proves the lane kernel bit-identical
+// to the byte-at-a-time reference from four states: on every length from 0
+// through 100 (both sides of the 8- and 32-byte steps, three blocks and
+// tails of every residue) at start offsets 0 through 7 into a larger
+// buffer, for a varied pattern, all 0xFF (the only input that fills every
+// lane to its bound, 8,670 and 9,450,300) and alternating 0xFF/0x00; on
+// every value of every byte of a 32-byte block whose other bytes are 0xFF;
+// and on every possible single byte.
 func TestWordWideKernelsExhaustiveSmall(t *testing.T) {
 	seeds := []uint64{0, Djb2Seed, ^uint64(0), 0x0123456789abcdef}
-	for n := 0; n <= 33; n++ {
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = byte(i*37 + 11)
-		}
+	check := func(what string, data []byte) {
+		t.Helper()
 		for _, h := range seeds {
 			if got, want := Djb2Update(h, data), djb2UpdateRef(h, data); got != want {
-				t.Fatalf("Djb2Update(h=%#x, len=%d) = %#x, ref %#x", h, n, got, want)
+				t.Fatalf("%s: Djb2Update(h=%#x, len=%d) = %#x, ref %#x", what, h, len(data), got, want)
 			}
 		}
 	}
-	for b := 0; b < 256; b++ {
-		data := []byte{byte(b)}
-		if got, want := Djb2Update(Djb2Seed, data), djb2UpdateRef(Djb2Seed, data); got != want {
-			t.Fatalf("Djb2Update single byte %#x = %#x, ref %#x", b, got, want)
+	patterns := []struct {
+		name string
+		fill func(i int) byte
+	}{
+		{"varied", func(i int) byte { return byte(i*37 + 11) }},
+		{"0xFF", func(int) byte { return 0xFF }},
+		{"0xFF/0x00", func(i int) byte { return byte(^i&1) * 0xFF }},
+	}
+	buf := make([]byte, 100+7)
+	for _, p := range patterns {
+		for i := range buf {
+			buf[i] = p.fill(i)
 		}
+		for off := 0; off <= 7; off++ {
+			for n := 0; n <= 100; n++ {
+				check(fmt.Sprintf("%s at offset %d", p.name, off), buf[off:off+n])
+			}
+		}
+	}
+	block := make([]byte, 32)
+	for i := range block {
+		for j := range block {
+			block[j] = 0xFF
+		}
+		for b := 0; b < 256; b++ {
+			block[i] = byte(b)
+			check(fmt.Sprintf("0xFF block with byte %d = %#x", i, b), block)
+		}
+	}
+	for b := 0; b < 256; b++ {
+		check(fmt.Sprintf("single byte %#x", b), []byte{byte(b)})
 	}
 }
 
@@ -76,7 +109,8 @@ func TestWordWideKernelsProperty(t *testing.T) {
 }
 
 // TestPow33 checks pow33 against repeated multiplication, across the chunk
-// sizes the checker folds and a little past them.
+// sizes the checker folds and a little past them, and the kernel's power
+// constants against pow33 (the ones past 2^64 are written reduced).
 func TestPow33(t *testing.T) {
 	want := uint64(1)
 	for n := 0; n <= 3*DefaultChunkSize+1; n++ {
@@ -84,6 +118,68 @@ func TestPow33(t *testing.T) {
 			t.Fatalf("pow33(%d) = %#x, want %#x", n, got, want)
 		}
 		want *= 33
+	}
+	for _, c := range []struct {
+		n int
+		p uint64
+	}{{1, djb2p1}, {2, djb2p2}, {4, djb2p4}, {8, djb2p8}, {16, djb2p16}, {24, djb2p24}, {32, djb2p32}} {
+		if got := pow33(c.n); got != c.p {
+			t.Errorf("djb2p%d = %#x, pow33(%d) = %#x", c.n, c.p, c.n, got)
+		}
+	}
+}
+
+// TestDjb2SumsPinned pins the sums themselves to values computed outside
+// the code: for two seeds' Juno images, the golden table of the 19 areas and
+// the golden hash of the whole static kernel, digested as SHA-256 over the
+// 20 sums in order, each as 8 little-endian bytes. Every other hash test
+// compares the kernel against djb2UpdateRef or two folds made by the same
+// code, so a change to the reference, the fold or the boot fill's bytes
+// would pass them; it cannot pass this one.
+func TestDjb2SumsPinned(t *testing.T) {
+	cases := []struct {
+		seed   uint64
+		digest string
+		spot   map[int]uint64 // sum index → value; index 19 is the whole kernel
+	}{
+		{1, "47068f4a91bc4fad66019577ede0d799242632eed43c5fbddd4b46ac274fdd27",
+			map[int]uint64{0: 0x3dd2ec639eebf350, 14: 0x0973404619c37d33, 19: 0x251bca39d2a8a739}},
+		{3, "3cfaceee9a969ea443461255ab8cdc6e356d67e181b8bb57028f2af0b6b38f87", nil},
+	}
+	for _, tc := range cases {
+		im, err := mem.NewJunoImage(tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout := im.Layout()
+		areas, err := mem.BuildAreas(layout, mem.JunoAreaGroups())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums, err := GoldenTable(im, HashDjb2, areas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := GoldenRange(im, HashDjb2, layout.Base, layout.TotalSize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums = append(sums, whole)
+		if len(sums) != 20 {
+			t.Fatalf("seed %d: %d sums, want 19 areas and the whole kernel", tc.seed, len(sums))
+		}
+		for i, want := range tc.spot {
+			if sums[i] != want {
+				t.Errorf("seed %d: sum %d = %#x, want %#x", tc.seed, i, sums[i], want)
+			}
+		}
+		d := sha256.New()
+		for _, s := range sums {
+			d.Write(binary.LittleEndian.AppendUint64(nil, s))
+		}
+		if got := hex.EncodeToString(d.Sum(nil)); got != tc.digest {
+			t.Errorf("seed %d: sums digest %s, want %s", tc.seed, got, tc.digest)
+		}
 	}
 }
 
