@@ -1,12 +1,16 @@
 // Command tzevader runs the attack-side studies: probing threshold
 // calibration (§VII-B), the prober's detection delay against a live secure
-// entry, and the KProber-I trace demonstration.
+// entry, the KProber-I trace demonstration, and the §V-B interrupt flood.
 //
 // Usage:
 //
 //	tzevader -mode calibrate -observe 30s     # learn Tns_threshold on a quiet device
 //	tzevader -mode detect                     # measure Tns_delay against one secure entry
 //	tzevader -mode kprober1                   # show KProber-I's tick reports and its memory trace
+//	tzevader -mode flood                      # raise a 30 kHz SGI flood on every core for 2s
+//
+// -observe is read only by calibrate, and -prober (user | kprober2) only by
+// calibrate and detect; setting either for another mode is an error.
 package main
 
 import (
@@ -14,12 +18,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"satin/internal/attack"
+	"satin/internal/experiment"
 	"satin/internal/hw"
-	"satin/internal/mem"
-	"satin/internal/richos"
 	"satin/internal/simclock"
 )
 
@@ -30,33 +35,33 @@ func main() {
 	}
 }
 
-type rig struct {
-	engine *simclock.Engine
-	plat   *hw.Platform
-	image  *mem.Image
-	os     *richos.OS
-	buffer *attack.ReportBuffer
+// modeFlags lists, for each -mode, the flags it reads besides -seed and
+// -mode.
+var modeFlags = map[string][]string{
+	"calibrate": {"observe", "prober"},
+	"detect":    {"prober"},
+	"kprober1":  nil,
+	"flood":     nil,
 }
 
-func newRig(seed uint64) (*rig, error) {
-	e := simclock.NewEngine()
-	p, err := hw.NewJunoR1(e)
-	if err != nil {
-		return nil, err
+// checkFlags rejects an unknown -mode and names every flag set on the
+// command line that the mode does not read, so that none is silently
+// dropped.
+func checkFlags(fs *flag.FlagSet, mode string) error {
+	reads, ok := modeFlags[mode]
+	if !ok {
+		return fmt.Errorf("unknown mode %q", mode)
 	}
-	im, err := mem.NewJunoImage(seed)
-	if err != nil {
-		return nil, err
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "seed" && f.Name != "mode" && !slices.Contains(reads, f.Name) {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return fmt.Errorf("%s: flags that -mode %s does not read", strings.Join(unread, ", "), mode)
 	}
-	osim, err := richos.NewOS(p, im, richos.Config{Seed: seed + 1})
-	if err != nil {
-		return nil, err
-	}
-	buf, err := attack.NewReportBuffer(p.NumCores(), attack.JunoCrossCoreNoise(), seed+2)
-	if err != nil {
-		return nil, err
-	}
-	return &rig{engine: e, plat: p, image: im, os: osim, buffer: buf}, nil
+	return nil
 }
 
 func run(args []string, out io.Writer) error {
@@ -69,6 +74,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkFlags(fs, *mode); err != nil {
+		return err
+	}
 
 	proberKind := attack.KProberII
 	if *kind == "user" {
@@ -77,17 +85,23 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown prober %q", *kind)
 	}
 
-	r, err := newRig(*seed)
+	r, err := experiment.NewRig(*seed)
+	if err != nil {
+		return err
+	}
+	// The probers' report buffer draws from its own named stream, so
+	// sharing seed+2 with the rig's checker couples no draws.
+	buffer, err := attack.NewReportBuffer(r.Plat.NumCores(), attack.JunoCrossCoreNoise(), *seed+2)
 	if err != nil {
 		return err
 	}
 	switch *mode {
 	case "calibrate":
-		finish, err := attack.CalibrateThreshold(r.os, r.buffer, proberKind, *observe, attack.DefaultThresholdSafety)
+		finish, err := attack.CalibrateThreshold(r.OS, buffer, proberKind, *observe, attack.DefaultThresholdSafety)
 		if err != nil {
 			return err
 		}
-		r.engine.RunFor(*observe + time.Second)
+		r.Engine.RunFor(*observe + time.Second)
 		threshold, err := finish()
 		if err != nil {
 			return err
@@ -98,7 +112,7 @@ func run(args []string, out io.Writer) error {
 
 	case "detect":
 		var suspectAt simclock.Time
-		prober, err := attack.NewThreadProber(r.os, r.buffer, attack.ProberConfig{
+		prober, err := attack.NewThreadProber(r.OS, buffer, attack.ProberConfig{
 			Kind:      proberKind,
 			Threshold: 1800 * time.Microsecond,
 			OnSuspect: func(core int, at simclock.Time) {
@@ -115,9 +129,9 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		const entry = 2 * time.Second
-		r.engine.After(entry, "steal", func() { r.plat.Core(4).SetWorld(hw.SecureWorld) })
-		r.engine.After(entry+80*time.Millisecond, "release", func() { r.plat.Core(4).SetWorld(hw.NormalWorld) })
-		r.engine.RunFor(3 * time.Second)
+		r.Engine.After(entry, "steal", func() { r.Plat.Core(4).SetWorld(hw.SecureWorld) })
+		r.Engine.After(entry+80*time.Millisecond, "release", func() { r.Plat.Core(4).SetWorld(hw.NormalWorld) })
+		r.Engine.RunFor(3 * time.Second)
 		if suspectAt == 0 {
 			return fmt.Errorf("prober missed the secure entry")
 		}
@@ -125,34 +139,31 @@ func run(args []string, out io.Writer) error {
 		return nil
 
 	case "kprober1":
-		kp1 := attack.NewKProber1(r.os, r.buffer)
+		kp1 := attack.NewKProber1(r.OS, buffer)
 		if err := kp1.Install(true); err != nil {
 			return err
 		}
-		r.engine.RunFor(2 * time.Second)
+		r.Engine.RunFor(2 * time.Second)
 		fmt.Fprintf(out, "KProber-I installed at %#x (IRQ vector hijack)\n", kp1.HijackAddr())
-		for c := 0; c < r.plat.NumCores(); c++ {
-			fmt.Fprintf(out, "  core %d reported %d times in 2s (HZ=%d)\n", c, kp1.ReportCount(c), r.os.Config().HZ)
+		for c := 0; c < r.Plat.NumCores(); c++ {
+			fmt.Fprintf(out, "  core %d reported %d times in 2s (HZ=%d)\n", c, kp1.ReportCount(c), r.OS.Config().HZ)
 		}
-		mod := r.image.Modified()
+		mod := r.Image.Modified()
 		fmt.Fprintf(out, "memory trace: %d modified bytes in kernel text (introspection of area 0 finds them)\n", len(mod))
 		return nil
 
-	case "flood":
-		flood, err := attack.NewInterruptFlood(r.plat, 30000, nil)
+	default: // "flood"; checkFlags admits no other mode
+		flood, err := attack.NewInterruptFlood(r.Plat, 30000, nil)
 		if err != nil {
 			return err
 		}
 		if err := flood.Start(); err != nil {
 			return err
 		}
-		r.engine.RunFor(2 * time.Second)
+		r.Engine.RunFor(2 * time.Second)
 		fmt.Fprintf(out, "SGI flood: %d interrupts raised in 2s across %d cores (30 kHz per core)\n",
-			flood.Raised(), r.plat.NumCores())
+			flood.Raised(), r.Plat.NumCores())
 		fmt.Fprintln(out, "against SATIN's SCR_EL3.IRQ=0 routing this is inert; see `benchtables -only flood`")
 		return nil
-
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
 	}
 }

@@ -327,6 +327,48 @@ func TestSingleCoreProberMorePrecise(t *testing.T) {
 	}
 }
 
+// TestSingleCoreProberSuspectsSecureResidency: with a threshold set, one
+// secure residency on the target fires OnSuspect once and then OnRecover
+// once, both naming the target.
+func TestSingleCoreProberSuspectsSecureResidency(t *testing.T) {
+	r := newRig(t)
+	var suspects, recovers []int
+	var suspectAt, recoverAt simclock.Time
+	p, err := NewSingleCoreProber(r.os, r.buffer, 4, 0, ProberConfig{
+		Kind:      KProberII,
+		Threshold: 1800 * time.Microsecond,
+		OnSuspect: func(core int, at simclock.Time) { suspects, suspectAt = append(suspects, core), at },
+		OnRecover: func(core int, at simclock.Time) { recovers, recoverAt = append(recovers, core), at },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const entry = 2 * time.Second
+	const exit = entry + 50*time.Millisecond
+	r.engine.After(entry, "steal", func() { r.plat.Core(4).SetWorld(hw.SecureWorld) })
+	r.engine.After(exit, "release", func() { r.plat.Core(4).SetWorld(hw.NormalWorld) })
+	r.engine.RunFor(3 * time.Second)
+
+	if len(suspects) != 1 || suspects[0] != 4 {
+		t.Fatalf("OnSuspect fired for cores %v, want once for core 4", suspects)
+	}
+	if len(recovers) != 1 || recovers[0] != 4 {
+		t.Fatalf("OnRecover fired for cores %v, want once for core 4", recovers)
+	}
+	if delay := suspectAt.Sub(simclock.Time(entry)); delay <= 0 || delay > 3*time.Millisecond {
+		t.Errorf("detection delay = %v, want within 3ms of the entry", delay)
+	}
+	if back := recoverAt.Sub(simclock.Time(exit)); back <= 0 || back > 2*time.Millisecond {
+		t.Errorf("recovery observation delay = %v", back)
+	}
+	if p.Suspected() {
+		t.Error("target still suspected after recovery")
+	}
+}
+
 func TestSingleCoreProberValidation(t *testing.T) {
 	r := newRig(t)
 	if _, err := NewSingleCoreProber(r.os, r.buffer, 2, 2, ProberConfig{Kind: KProberII}); err == nil {

@@ -256,35 +256,11 @@ func (s *SingleCoreProber) Start() error {
 	if err != nil {
 		return fmt.Errorf("attack: spawning spin reporter: %w", err)
 	}
-	// Reporter+Comparer on the observer core.
+	// Reporter+Comparer on the observer core: with Cores = {target,
+	// observer}, the observer's probing round compares the target alone.
 	_, err = p.os.Spawn("observer", policy, prio, []int{s.observer},
 		richos.ProgramFunc(func(tc *richos.ThreadContext) richos.Step {
-			now := tc.Now()
-			p.buffer.Write(s.observer, now, now)
-			v, ok := p.buffer.Read(s.target, now)
-			if ok {
-				staleness := now.Sub(v)
-				p.observations++
-				if staleness > p.maxStaleness {
-					p.maxStaleness = staleness
-				}
-				if p.cfg.Threshold > 0 {
-					if staleness > p.cfg.Threshold {
-						if !p.suspected[s.target] && now.Sub(p.clearedAt[s.target]) > p.cfg.Threshold {
-							p.suspected[s.target] = true
-							if p.cfg.OnSuspect != nil {
-								p.cfg.OnSuspect(s.target, now)
-							}
-						}
-					} else if p.suspected[s.target] {
-						p.suspected[s.target] = false
-						p.clearedAt[s.target] = now
-						if p.cfg.OnRecover != nil {
-							p.cfg.OnRecover(s.target, now)
-						}
-					}
-				}
-			}
+			p.probeOnce(tc, s.observer)
 			return richos.Sleep(p.cfg.Sleep)
 		}))
 	if err != nil {

@@ -67,7 +67,7 @@ func RunDecomposition(seed uint64, window time.Duration) (DecompositionResult, e
 		return DecompositionResult{}, err
 	}
 	structural := func(withSATIN bool) (int64, error) {
-		rig, err := newRig(seed, boot)
+		rig, err := NewRigFrom(seed, boot)
 		if err != nil {
 			return 0, err
 		}

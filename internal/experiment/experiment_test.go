@@ -25,6 +25,39 @@ func TestRigAssembly(t *testing.T) {
 	}
 }
 
+// TestNewRigFromBootState: a rig built from a boot state holds the same
+// kernel as one booted from the seed, and a boot state of another seed is
+// refused.
+func TestNewRigFromBootState(t *testing.T) {
+	boot, err := bootJuno(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRigFrom(2, boot); err == nil {
+		t.Fatal("NewRigFrom built a seed-2 rig from a seed-1 boot state")
+	}
+	shared, err := NewRigFrom(1, boot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewRig(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := fresh.Image.Layout()
+	a := make([]byte, l.TotalSize())
+	b := make([]byte, l.TotalSize())
+	if err := shared.Image.Mem().Read(l.Base, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Image.Mem().Read(l.Base, b); err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Error("the kernel built from the boot state differs from the one booted from the seed")
+	}
+}
+
 func TestTable1ReproducesPaper(t *testing.T) {
 	res, err := RunTable1(1)
 	if err != nil {

@@ -6,11 +6,7 @@ import (
 	"time"
 
 	"satin/internal/attack"
-	"satin/internal/core"
-	"satin/internal/hw"
-	"satin/internal/introspect"
 	"satin/internal/stats"
-	"satin/internal/trustzone"
 )
 
 // Fig3Result reproduces Figure 3 ("Race Condition Between Two Worlds on
@@ -97,67 +93,25 @@ func fig3Race(seed uint64, satinSized bool) (Fig3Result, error) {
 	area := areas[14]
 	// The trace sits mid-area so both outcomes are unambiguous.
 	target := area.Addr + uint64(area.Size/2)
-	rootkit := attack.NewRootkitAt(rig.OS, rig.Image, target)
-	evader, err := attack.NewFastEvader(rig.Plat, rig.Image, rootkit,
-		attack.DefaultProberSleep, core.DefaultTnsThreshold, seed+7)
-	if err != nil {
-		return Fig3Result{}, err
-	}
-	if err := evader.Start(); err != nil {
-		return Fig3Result{}, err
-	}
-
 	checkAddr, checkSize := rig.Image.Layout().Base, rig.Image.Layout().TotalSize()
 	scenario := "baseline: whole-kernel check, trace ~82% deep"
 	if satinSized {
 		checkAddr, checkSize = area.Addr, area.Size
 		scenario = "SATIN: single-area check (area 14), same trace"
 	}
-	golden, err := introspect.GoldenRange(rig.Image, introspect.HashDjb2, checkAddr, checkSize)
-	if err != nil {
-		return Fig3Result{}, err
-	}
-	a57, err := rig.Plat.FirstCoreOfType(hw.CortexA57)
-	if err != nil {
-		return Fig3Result{}, err
-	}
 
 	const tStart = 100 * time.Millisecond
-	result := Fig3Result{TStart: tStart, Scenario: scenario}
-	rig.Engine.After(tStart, "race", func() {
-		err := rig.Monitor.RequestSecure(a57.ID(), func(ctx *trustzone.Context) {
-			result.SecureStart = ctx.Now().Duration()
-			// Touch time of the malicious bytes: offset into the checked
-			// range at the drawn scan rate — read off the result below.
-			cerr := rig.Checker.Check(ctx, introspect.DirectHash, checkAddr, checkSize, func(res introspect.Result) {
-				offset := float64(target - checkAddr)
-				perByte := res.Elapsed().Seconds() / float64(checkSize)
-				result.TouchMalicious = result.SecureStart + time.Duration(offset*perByte*float64(time.Second))
-				result.Detected = res.Sum != golden
-				ctx.Exit()
-			})
-			if cerr != nil {
-				panic(cerr) // unreachable: range validated
-			}
-		})
-		if err != nil {
-			panic(err) // unreachable: core free
-		}
-	})
-	rig.Engine.Run()
-
-	for _, e := range evader.Events() {
-		switch e.Kind {
-		case attack.EventSuspect:
-			if result.EvaderDetect == 0 {
-				result.EvaderDetect = e.At.Duration()
-			}
-		case attack.EventHidden:
-			if result.TraceGone == 0 {
-				result.TraceGone = e.At.Duration()
-			}
-		}
+	race, err := rig.raceCheck(attack.NewRootkitAt(rig.OS, rig.Image, target), seed+7, tStart, checkAddr, checkSize)
+	if err != nil {
+		return Fig3Result{}, err
 	}
+	result := Fig3Result{TStart: tStart, SecureStart: race.Started.Duration(), Detected: race.detected, Scenario: scenario}
+	// Touch time of the malicious bytes: offset into the checked range at
+	// the check's drawn scan rate.
+	offset := float64(target - checkAddr)
+	perByte := race.Elapsed().Seconds() / float64(checkSize)
+	result.TouchMalicious = result.SecureStart + time.Duration(offset*perByte*float64(time.Second))
+	result.EvaderDetect, result.TraceGone = race.firstReactions()
 	if result.EvaderDetect == 0 || result.TraceGone == 0 {
 		return Fig3Result{}, fmt.Errorf("experiment: evader never reacted in the Fig 3 race")
 	}

@@ -189,7 +189,7 @@ func RunFig7(cfg Fig7Config) (Fig7Result, error) {
 
 // fig7Run measures one benchmark configuration on a rig built from boot.
 func fig7Run(cfg Fig7Config, boot *mem.BootState, spec workload.Spec, tasks int, withSATIN bool) (score int64, pauses int, err error) {
-	rig, err := newRig(cfg.Seed, boot)
+	rig, err := NewRigFrom(cfg.Seed, boot)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -6,11 +6,8 @@ import (
 
 	"satin/internal/attack"
 	"satin/internal/core"
-	"satin/internal/hw"
-	"satin/internal/introspect"
 	"satin/internal/mem"
 	"satin/internal/stats"
-	"satin/internal/trustzone"
 )
 
 // MSweepTrial is one trace-size race.
@@ -112,54 +109,13 @@ func runMSweepTrial(seed uint64, depth float64, m int) (MSweepTrial, error) {
 		targets = append(targets, anchor+uint64(i)*64)
 	}
 	rootkit := attack.NewRootkitSpread(rig.OS, rig.Image, targets)
-	evader, err := attack.NewFastEvader(rig.Plat, rig.Image, rootkit,
-		attack.DefaultProberSleep, core.DefaultTnsThreshold, seed+7)
+	race, err := rig.raceCheck(rootkit, seed+7, 100*time.Millisecond, layout.Base, kernelSize)
 	if err != nil {
 		return MSweepTrial{}, err
 	}
-	if err := evader.Start(); err != nil {
-		return MSweepTrial{}, err
-	}
-	golden, err := introspect.GoldenRange(rig.Image, introspect.HashDjb2, layout.Base, kernelSize)
-	if err != nil {
-		return MSweepTrial{}, err
-	}
-	a57, err := rig.Plat.FirstCoreOfType(hw.CortexA57)
-	if err != nil {
-		return MSweepTrial{}, err
-	}
-	trial := MSweepTrial{M: m}
-	rig.Engine.After(100*time.Millisecond, "check", func() {
-		err := rig.Monitor.RequestSecure(a57.ID(), func(ctx *trustzone.Context) {
-			cerr := rig.Checker.Check(ctx, introspect.DirectHash, layout.Base, kernelSize, func(res introspect.Result) {
-				trial.Detected = res.Sum != golden
-				ctx.Exit()
-			})
-			if cerr != nil {
-				panic(cerr) // unreachable: range validated
-			}
-		})
-		if err != nil {
-			panic(err) // unreachable: core free
-		}
-	})
-	rig.Engine.Run()
-
 	// Measured recovery time: suspect -> hidden gap from the event log.
-	var suspectAt, hiddenAt time.Duration
-	for _, e := range evader.Events() {
-		switch e.Kind {
-		case attack.EventSuspect:
-			if suspectAt == 0 {
-				suspectAt = e.At.Duration()
-			}
-		case attack.EventHidden:
-			if hiddenAt == 0 {
-				hiddenAt = e.At.Duration()
-			}
-		}
-	}
-	if hiddenAt > suspectAt && suspectAt > 0 {
+	trial := MSweepTrial{M: m, Detected: race.detected}
+	if suspectAt, hiddenAt := race.firstReactions(); hiddenAt > suspectAt && suspectAt > 0 {
 		trial.RecoverTime = hiddenAt - suspectAt
 	}
 	return trial, nil

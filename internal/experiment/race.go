@@ -6,10 +6,7 @@ import (
 
 	"satin/internal/attack"
 	"satin/internal/core"
-	"satin/internal/hw"
-	"satin/internal/introspect"
 	"satin/internal/stats"
-	"satin/internal/trustzone"
 )
 
 // RaceResult reproduces the §IV-C race-condition analysis: the analytic S
@@ -92,45 +89,17 @@ func raceTrial(seed uint64, frac float64) (detected bool, kernelSize int, err er
 	}
 	layout := rig.Image.Layout()
 	kernelSize = layout.TotalSize()
-	// Plant the 8-byte trace, aligned and clamped inside the kernel.
+	// Plant the 8-byte trace at depth frac, clamped inside the kernel; the
+	// offset is not rounded to an 8-byte boundary.
 	offset := uint64(frac * float64(kernelSize))
 	if offset+8 > uint64(kernelSize) {
 		offset = uint64(kernelSize) - 8
 	}
-	target := layout.Base + offset
-	rootkit := attack.NewRootkitAt(rig.OS, rig.Image, target)
-	evader, err := attack.NewFastEvader(rig.Plat, rig.Image, rootkit,
-		attack.DefaultProberSleep, core.DefaultTnsThreshold, seed+7)
-	if err != nil {
-		return false, 0, err
-	}
-	if err := evader.Start(); err != nil {
-		return false, 0, err
-	}
-	golden, err := introspect.GoldenRange(rig.Image, introspect.HashDjb2, layout.Base, kernelSize)
-	if err != nil {
-		return false, 0, err
-	}
-	a57, err := rig.Plat.FirstCoreOfType(hw.CortexA57)
-	if err != nil {
-		return false, 0, err
-	}
-	clean := true
+	rootkit := attack.NewRootkitAt(rig.OS, rig.Image, layout.Base+offset)
 	// Give the evader a moment of steady state, then check.
-	rig.Engine.After(100*time.Millisecond, "check", func() {
-		err := rig.Monitor.RequestSecure(a57.ID(), func(ctx *trustzone.Context) {
-			cerr := rig.Checker.Check(ctx, introspect.DirectHash, layout.Base, kernelSize, func(res introspect.Result) {
-				clean = res.Sum == golden
-				ctx.Exit()
-			})
-			if cerr != nil {
-				panic(cerr) // unreachable: range validated by construction
-			}
-		})
-		if err != nil {
-			panic(err) // unreachable: core exists and is free
-		}
-	})
-	rig.Engine.Run()
-	return !clean, kernelSize, nil
+	race, err := rig.raceCheck(rootkit, seed+7, 100*time.Millisecond, layout.Base, kernelSize)
+	if err != nil {
+		return false, 0, err
+	}
+	return race.detected, kernelSize, nil
 }

@@ -30,7 +30,10 @@ import (
 // scan hits, and steady-state rounds cost two integer compares per 4 KiB
 // instead of a hash over them.
 type hashCache struct {
+	// entries is allocated by the first store, with room for size entries,
+	// so a full first scan never rehashes it.
 	entries map[uint64]chunkEntry
+	size    int
 	hits    uint64
 	misses  uint64
 }
@@ -43,8 +46,13 @@ type chunkEntry struct {
 	genSum uint64 // mem.GenSum over the chunk's pages when stored
 }
 
-func newHashCache() *hashCache {
-	return &hashCache{entries: make(map[uint64]chunkEntry)}
+// newHashCache sizes the cache for one full scan of the static kernel in l:
+// one entry per chunk, plus one per section for the partial chunk an area
+// may end on (areas are runs of whole sections, so no partition has more
+// areas than sections).
+func newHashCache(l mem.Layout) *hashCache {
+	chunks := (l.TotalSize() + DefaultChunkSize - 1) / DefaultChunkSize
+	return &hashCache{size: chunks + len(l.Sections)}
 }
 
 // lookup returns the memoized outgoing hash state for the chunk at
@@ -64,5 +72,8 @@ func (hc *hashCache) lookup(m *mem.Memory, addr uint64, n int, hIn uint64) (uint
 // stamped with the pages' current generation sum. Must be called at the
 // same virtual instant the bytes were read.
 func (hc *hashCache) store(m *mem.Memory, addr uint64, n int, hIn, hOut uint64) {
+	if hc.entries == nil {
+		hc.entries = make(map[uint64]chunkEntry, hc.size)
+	}
 	hc.entries[addr] = chunkEntry{n: n, hIn: hIn, hOut: hOut, genSum: m.GenSum(addr, n)}
 }

@@ -1,6 +1,7 @@
 package introspect
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -269,4 +270,52 @@ func TestPooledRunsSurviveBackToBackChecks(t *testing.T) {
 			t.Errorf("chained check %d sum %#x != naive %#x", i, got[i], want[i])
 		}
 	}
+}
+
+// TestHashCacheFirstScanAllocatesOnce: one full first scan of the kernel's
+// areas with the cache on allocates the cache map once, at its final size,
+// instead of growing it through repeated rehashes. The budget is what the
+// same scan allocates with the cache off, plus one map made for exactly the
+// entries the scan stored.
+func TestHashCacheFirstScanAllocatesOnce(t *testing.T) {
+	scan := func(cache bool) (bytes uint64, entries int) {
+		r := newRig(t)
+		r.checker.SetHashCache(cache)
+		areas, err := mem.BuildAreas(r.image.Layout(), mem.JunoAreaGroups())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The golden pass memoizes the boot terms the scan asks for, as
+		// SATIN's boot does, so the scan adds nothing to the boot's memo.
+		if _, err := GoldenTable(r.image, HashDjb2, areas); err != nil {
+			t.Fatal(err)
+		}
+		before := totalAlloc()
+		for _, a := range areas {
+			r.checkOn(t, 4, DirectHash, a.Addr, a.Size)
+		}
+		bytes = totalAlloc() - before
+		if r.checker.cache != nil {
+			entries = len(r.checker.cache.entries)
+		}
+		return bytes, entries
+	}
+	on, entries := scan(true)
+	off, _ := scan(false)
+	before := totalAlloc()
+	m := make(map[uint64]chunkEntry, entries)
+	one := totalAlloc() - before
+	runtime.KeepAlive(m)
+	if budget := off + one + 16<<10; on > budget {
+		t.Errorf("first scan with the cache on allocated %d bytes, want at most %d (cache off %d + one %d-entry map %d + 16 KiB)",
+			on, budget, off, entries, one)
+	}
+}
+
+// totalAlloc reports the bytes allocated so far, after a collection.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }

@@ -123,7 +123,7 @@ func NewChecker(image *mem.Image, perf hw.PerfModel, seed uint64) (*Checker, err
 	return &Checker{
 		image: image,
 		rng:   simclock.NewRNG(seed, "introspect.checker"),
-		cache: newHashCache(),
+		cache: newHashCache(image.Layout()),
 	}, nil
 }
 
@@ -139,7 +139,7 @@ func (c *Checker) SetHashCache(enabled bool) {
 		return
 	}
 	if c.cache == nil {
-		c.cache = newHashCache()
+		c.cache = newHashCache(c.image.Layout())
 	}
 }
 

@@ -71,7 +71,7 @@ func (c *Checker) RestoreState(st CheckerState) error {
 	if c.cache != nil {
 		c.cache.hits = st.CacheHits
 		c.cache.misses = st.CacheMisses
-		c.cache.entries = make(map[uint64]chunkEntry, len(st.CacheEntries))
+		c.cache.entries = make(map[uint64]chunkEntry, max(len(st.CacheEntries), c.cache.size))
 		for _, e := range st.CacheEntries {
 			c.cache.entries[e.Addr] = chunkEntry{n: e.N, hIn: e.HIn, hOut: e.HOut, genSum: e.GenSum}
 		}

@@ -31,6 +31,7 @@ import (
 
 	"satin/internal/attack"
 	"satin/internal/core"
+	"satin/internal/experiment"
 	"satin/internal/faultinject"
 	"satin/internal/hw"
 	"satin/internal/introspect"
@@ -483,7 +484,11 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 }
 
 // newScenario is NewScenario building the kernel image from boot, when it
-// is not nil, instead of booting it from the seed (see bootImage).
+// is not nil, instead of booting it from the seed: the boot state of the
+// prefix an in-process fork resumes from, or of an earlier member of the
+// same campaign group, which has already filled the kernel and hashed its
+// golden table (see experiment.NewRigFrom, which refuses one booted from
+// another seed).
 func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
 	o := options{
 		seed:         1,
@@ -509,30 +514,18 @@ func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
 		return nil, fmt.Errorf("satin: unknown routing mode %v", o.routing)
 	}
 
-	engine := simclock.NewEngine()
-	plat, err := hw.NewJunoR1(engine)
+	rig, err := experiment.NewRigFrom(o.seed, boot)
 	if err != nil {
 		return nil, err
 	}
-	image, err := bootImage(o.seed, boot)
-	if err != nil {
-		return nil, err
-	}
-	osim, err := richos.NewOS(plat, image, richos.Config{Seed: o.seed + 1})
-	if err != nil {
-		return nil, err
-	}
-	checker, err := introspect.NewChecker(image, plat.Perf(), o.seed+2)
-	if err != nil {
-		return nil, err
-	}
+	plat, image, osim, checker := rig.Plat, rig.Image, rig.OS, rig.Checker
 	checker.SetHashCache(!o.noHashCache)
 	sc := &Scenario{
 		seed:     o.seed,
-		engine:   engine,
+		engine:   rig.Engine,
 		plat:     plat,
 		image:    image,
-		monitor:  trustzone.NewMonitor(plat, o.seed+3),
+		monitor:  rig.Monitor,
 		os:       osim,
 		checker:  checker,
 		timeline: &trace.Timeline{},
@@ -664,20 +657,6 @@ func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
 	}
 	sc.bootGens = image.Mem().PageGens()
 	return sc, nil
-}
-
-// bootImage boots the scenario's kernel image from the seed, or builds it
-// from boot — the boot state of the prefix an in-process fork resumes from,
-// or of an earlier member of the same campaign group, which has already
-// filled the kernel and hashed its golden table.
-func bootImage(seed uint64, boot *mem.BootState) (*mem.Image, error) {
-	if boot == nil {
-		return mem.NewJunoImage(seed)
-	}
-	if boot.Seed() != seed {
-		return nil, fmt.Errorf("satin: boot state was booted from seed %d, not the scenario's seed %d", boot.Seed(), seed)
-	}
-	return boot.NewImage()
 }
 
 // Run advances virtual time by d.
