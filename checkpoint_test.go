@@ -303,9 +303,10 @@ func TestForkIdentityHashCacheOff(t *testing.T) {
 }
 
 // TestForkIdentitySyncGuardBypassed forks a member whose sync guard is
-// installed and bypassed. The guard's trusted boot recaptures the pristine
-// image, so this is where a member built from a shared boot state must take
-// a private pristine copy and hash its own golden table.
+// installed and bypassed. The guard's trusted boot recaptures the trusted
+// image, so this is where a member built from a shared boot state takes a
+// trusted page table of its own (copies of the pages the guard wrote, the
+// boot's pages elsewhere) and folds its own golden table from it.
 func TestForkIdentitySyncGuardBypassed(t *testing.T) {
 	member := ckptSpec(45*time.Second, "dvfs:at=35s,factor=0.8")
 	member.Guard = "bypassed"

@@ -88,6 +88,29 @@ func TestCacheKeysChunkLength(t *testing.T) {
 	}
 }
 
+// TestRestoreStateRefusesOtherCacheMode: a state captured in either cache
+// mode, after a check that moved its counters, does not restore into a
+// checker running the other mode.
+func TestRestoreStateRefusesOtherCacheMode(t *testing.T) {
+	for _, captured := range []bool{true, false} {
+		r := newRig(t)
+		r.checker.SetHashCache(captured)
+		r.checkOn(t, 4, DirectHash, r.image.Layout().Base, 3*DefaultChunkSize)
+		st, err := r.checker.CheckpointState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := newRig(t)
+		other.checker.SetHashCache(!captured)
+		if err := other.checker.RestoreState(st); err == nil {
+			t.Errorf("a state captured with the cache enabled=%v restored into a checker with enabled=%v", captured, !captured)
+		}
+		if err := r.checker.RestoreState(st); err != nil {
+			t.Errorf("a state captured with the cache enabled=%v did not restore into its own mode: %v", captured, err)
+		}
+	}
+}
+
 // TestCacheTransparentUnderRacingWrites runs the Figure 3 TOCTTOU race —
 // writes landing mid-check, both before and after the scan touches them — on
 // two identical rigs, cache on and cache off. Sums AND virtual timings must

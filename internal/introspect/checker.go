@@ -285,45 +285,53 @@ func (r *hashRun) advance() {
 }
 
 // hashChunk folds the n bytes at addr into h, consulting the incremental
-// cache first and then the boot state's chunk terms: while every page the
-// chunk spans still shares the boot bytes, its term over them is the one
-// the golden pass memoized, so a boot group hashes each chunk once. Both
-// count as the cache's; with the cache off the checker always hashes the
-// live bytes. Reads — cached or not — happen at the current virtual
-// instant, so racing writes are honored exactly as before: a write copies
-// its page first, which withdraws the boot term.
+// cache first and then foldChunk: while every page the chunk spans still
+// shares the boot bytes, its term over them is the one the golden pass
+// memoized, so a boot group hashes each chunk once. Both count as the
+// cache's; with the cache off the checker always hashes the live bytes.
+// Reads — cached or not — happen at the current virtual instant, so racing
+// writes are honored exactly as before: a write copies its page first,
+// which withdraws the boot term.
 func (c *Checker) hashChunk(addr uint64, n int, h uint64) uint64 {
-	if c.cache == nil {
-		return c.foldLive(addr, n, h)
-	}
 	m := c.image.Mem()
+	if c.cache == nil {
+		h, c.views = foldViews(m, addr, n, h, c.views)
+		return h
+	}
 	if out, ok := c.cache.lookup(m, addr, n, h); ok {
 		c.cacheHits.Inc()
 		return out
 	}
 	var out uint64
-	if term, ok := c.image.BootSum(djb2Term{}, addr, n); ok {
-		out = h*pow33(n) + term
-	} else {
-		out = c.foldLive(addr, n, h)
-	}
+	out, c.views = foldChunk(m, addr, n, h, c.views)
 	c.cache.store(m, addr, n, h, out)
 	c.cacheMisses.Inc()
 	return out
 }
 
-// foldLive folds the live bytes at [addr, addr+n) into h, one page view at
-// a time: djb2 is a streaming hash.
-func (c *Checker) foldLive(addr uint64, n int, h uint64) uint64 {
-	views, err := c.image.Mem().Views(addr, n, c.views[:0])
+// foldChunk folds the n bytes of m at addr into h. While every page the
+// chunk spans is still the boot state's, it takes the chunk's term from
+// the boot state's memo (mem.Memory.BootSum); otherwise it hashes the page
+// views. views is scratch for the page views, returned for reuse.
+func foldChunk(m *mem.Memory, addr uint64, n int, h uint64, views [][]byte) (uint64, [][]byte) {
+	if term, ok := m.BootSum(djb2Term{}, addr, n); ok {
+		return h*pow33(n) + term, views
+	}
+	return foldViews(m, addr, n, h, views)
+}
+
+// foldViews folds the bytes of m at [addr, addr+n) into h, one page view
+// at a time: djb2 is a streaming hash. views is scratch for the page
+// views, returned for reuse.
+func foldViews(m *mem.Memory, addr uint64, n int, h uint64, views [][]byte) (uint64, [][]byte) {
+	views, err := m.Views(addr, n, views[:0])
 	if err != nil {
 		panic(fmt.Sprintf("introspect: validated range became unreadable: %v", err))
 	}
 	for _, v := range views {
 		h = Djb2Update(h, v)
 	}
-	c.views = views
-	return h
+	return h, views
 }
 
 // captureRun is the pooled state of one in-flight SnapshotHash capture
@@ -403,31 +411,22 @@ func secondsDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// GoldenArea computes the boot-time (pristine) hash of one area. djb2 is
-// the only hash kind.
-func GoldenArea(image *mem.Image, hash HashKind, a mem.Area) (uint64, error) {
-	h, err := goldenSum(image, a.Addr, a.Size)
-	if err != nil {
-		return 0, fmt.Errorf("introspect: golden hash of %v: %w", a, err)
-	}
-	return h, nil
-}
-
 // GoldenTable computes the authorized hash of every area — the table SATIN
-// prepares "during booting stage" and stores in secure memory (§V-B).
+// prepares "during booting stage" and stores in secure memory (§V-B). djb2
+// is the only hash kind.
 func GoldenTable(image *mem.Image, hash HashKind, areas []mem.Area) ([]uint64, error) {
 	out := make([]uint64, len(areas))
 	for i, a := range areas {
-		h, err := GoldenArea(image, hash, a)
+		h, err := goldenSum(image, a.Addr, a.Size)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("introspect: golden hash of %v: %w", a, err)
 		}
 		out[i] = h
 	}
 	return out, nil
 }
 
-// GoldenRange computes the pristine hash of an arbitrary static-kernel
+// GoldenRange computes the trusted hash of an arbitrary static-kernel
 // range, used by the full-kernel baseline.
 func GoldenRange(image *mem.Image, hash HashKind, addr uint64, size int) (uint64, error) {
 	h, err := goldenSum(image, addr, size)
@@ -437,25 +436,23 @@ func GoldenRange(image *mem.Image, hash HashKind, addr uint64, size int) (uint64
 	return h, nil
 }
 
-// goldenSum is the golden pass over the pristine range [addr, addr+n):
-// once the whole range validates, it folds the range in the checker's own
-// steps, DefaultChunkSize from addr, taking each chunk's term from the
-// image's pristine-sum memo. Images sharing a boot state share that memo,
-// so the pass hashes once per boot rather than once per image, and the
-// memo then holds exactly the terms a checker's first scan of the range
-// asks the boot state for (Image.BootSum).
+// goldenSum is the golden pass over the trusted range [addr, addr+n): once
+// the whole range validates, it folds the image's trusted copy through
+// foldChunk in the checker's own steps, DefaultChunkSize from addr. Images
+// sharing a boot state share its memo, so the pass hashes each chunk the
+// trusted copy still shares with the boot once per boot rather than once
+// per image, and the memo then holds exactly the terms a checker's first
+// scan of the range asks the boot state for.
 func goldenSum(image *mem.Image, addr uint64, n int) (uint64, error) {
-	if err := image.CheckPristine(addr, n); err != nil {
-		return 0, err
+	trusted := image.Trusted()
+	if !trusted.Contains(addr, n) {
+		return 0, fmt.Errorf("range outside the static kernel")
 	}
 	h := Djb2Seed
+	var views [][]byte
 	for ; n > 0; n -= DefaultChunkSize {
 		k := min(n, DefaultChunkSize)
-		term, err := image.PristineSum(djb2Term{}, addr, k)
-		if err != nil {
-			return 0, err
-		}
-		h = h*pow33(k) + term
+		h, views = foldChunk(trusted, addr, k, h, views)
 		addr += uint64(k)
 	}
 	return h, nil

@@ -189,7 +189,7 @@ func TestSnapshotTimingAndResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := areas[3] // largest
-	golden, err := GoldenArea(r.image, HashDjb2, a)
+	golden, err := GoldenRange(r.image, HashDjb2, a.Addr, a.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSnapshotFreezesBytesAtCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := areas[14]
-	golden, err := GoldenArea(r.image, HashDjb2, a)
+	golden, err := GoldenRange(r.image, HashDjb2, a.Addr, a.Size)
 	if err != nil {
 		t.Fatal(err)
 	}

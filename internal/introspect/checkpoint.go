@@ -58,9 +58,12 @@ func (c *Checker) CheckpointState() (CheckerState, error) {
 
 // RestoreState overwrites the checker's state with a captured one. The cache
 // configuration must match: a snapshot taken with the cache disabled can only
-// restore into a checker whose cache is also disabled, and vice versa —
-// cache hits change which instants the walk elapses through, so a mismatch
-// would silently fork the timeline.
+// restore into a checker whose cache is also disabled, and vice versa. The
+// timeline would not fork (a walk elapses rate·n for every chunk, hit or
+// miss), but the cache counters would: a cache-on prefix restored into a
+// cache-off checker would carry prefix counters that neither from-scratch
+// run has, and a cache-off prefix restored into a cache-on checker would
+// lack the ones a cache-on run counts.
 func (c *Checker) RestoreState(st CheckerState) error {
 	if st.CacheEnabled != (c.cache != nil) {
 		return fmt.Errorf("introspect: snapshot hash cache enabled=%v, checker has enabled=%v", st.CacheEnabled, c.cache != nil)

@@ -135,21 +135,29 @@ func TestPow33(t *testing.T) {
 // 20 sums in order, each as 8 little-endian bytes. Every other hash test
 // compares the kernel against djb2UpdateRef or two folds made by the same
 // code, so a change to the reference, the fold or the boot fill's bytes
-// would pass them; it cannot pass this one.
+// would pass them; it cannot pass this one. The guarded case takes the
+// sums after the sync guard's trusted boot, whose trusted copy mixes pages
+// the guard wrote with pages still the boot's.
 func TestDjb2SumsPinned(t *testing.T) {
 	cases := []struct {
-		seed   uint64
-		digest string
-		spot   map[int]uint64 // sum index → value; index 19 is the whole kernel
+		seed    uint64
+		guarded bool
+		digest  string
+		spot    map[int]uint64 // sum index → value; index 19 is the whole kernel
 	}{
-		{1, "47068f4a91bc4fad66019577ede0d799242632eed43c5fbddd4b46ac274fdd27",
+		{1, false, "47068f4a91bc4fad66019577ede0d799242632eed43c5fbddd4b46ac274fdd27",
 			map[int]uint64{0: 0x3dd2ec639eebf350, 14: 0x0973404619c37d33, 19: 0x251bca39d2a8a739}},
-		{3, "3cfaceee9a969ea443461255ab8cdc6e356d67e181b8bb57028f2af0b6b38f87", nil},
+		{3, false, "3cfaceee9a969ea443461255ab8cdc6e356d67e181b8bb57028f2af0b6b38f87", nil},
+		{1, true, "664b6f276119b2fcfa0bfeae18929591757a0b2cf0f327c4eb3e6330dee346bd",
+			map[int]uint64{14: 0x0973404619c37d33, 17: 0x9494059ad110e4c5, 19: 0xd80a5bad9e706839}},
 	}
 	for _, tc := range cases {
 		im, err := mem.NewJunoImage(tc.seed)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.guarded {
+			guardTrustedBoot(t, im)
 		}
 		layout := im.Layout()
 		areas, err := mem.BuildAreas(layout, mem.JunoAreaGroups())
@@ -170,7 +178,7 @@ func TestDjb2SumsPinned(t *testing.T) {
 		}
 		for i, want := range tc.spot {
 			if sums[i] != want {
-				t.Errorf("seed %d: sum %d = %#x, want %#x", tc.seed, i, sums[i], want)
+				t.Errorf("seed %d (guarded %v): sum %d = %#x, want %#x", tc.seed, tc.guarded, i, sums[i], want)
 			}
 		}
 		d := sha256.New()
@@ -178,9 +186,28 @@ func TestDjb2SumsPinned(t *testing.T) {
 			d.Write(binary.LittleEndian.AppendUint64(nil, s))
 		}
 		if got := hex.EncodeToString(d.Sum(nil)); got != tc.digest {
-			t.Errorf("seed %d: sums digest %s, want %s", tc.seed, got, tc.digest)
+			t.Errorf("seed %d (guarded %v): sums digest %s, want %s", tc.seed, tc.guarded, got, tc.digest)
 		}
 	}
+}
+
+// guardTrustedBoot makes the sync guard's boot-time changes to im: the two
+// Protect calls of syncguard's Install, then the recapture of the trusted
+// copy.
+func guardTrustedBoot(t *testing.T, im *mem.Image) {
+	t.Helper()
+	mmu, err := mem.NewMMU(im, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := im.Layout()
+	if err := mmu.Protect(l.VBAR, 16*mem.VectorSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := mmu.Protect(l.SyscallTableAddr, l.SyscallCount*mem.SyscallEntrySize); err != nil {
+		t.Fatal(err)
+	}
+	im.RecapturePristine()
 }
 
 // TestDjb2AffineSplit proves the split the boot terms rest on,

@@ -23,7 +23,7 @@ func (c crcSum) Sum(data []byte) uint64 {
 
 // refImage fills a flat live region in place from seed, with no boot state
 // or page sharing involved, and copies the static kernel out as the
-// pristine copy.
+// trusted copy.
 func refImage(t *testing.T, layout Layout, seed uint64) (live []byte, gens []uint64, pristine []byte) {
 	t.Helper()
 	live = make([]byte, layout.TotalSize()+ModuleArenaSize)
@@ -32,11 +32,12 @@ func refImage(t *testing.T, layout Layout, seed uint64) (live []byte, gens []uin
 	return live, m.gens, append([]byte(nil), live[:layout.TotalSize()]...)
 }
 
-// liveBytes reads an image's whole live region.
-func liveBytes(t *testing.T, im *Image) []byte {
+// regionBytes reads a whole region: an image's live memory or its trusted
+// copy.
+func regionBytes(t *testing.T, m *Memory) []byte {
 	t.Helper()
-	out := make([]byte, im.mem.Size())
-	if err := im.mem.Read(im.mem.Base(), out); err != nil {
+	out := make([]byte, m.Size())
+	if err := m.Read(m.Base(), out); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -54,8 +55,8 @@ func bootState(t *testing.T, layout Layout, seed uint64) *BootState {
 
 // TestBootStateImageMatchesReference pins byte identity: the image that
 // booted from the seed and a sibling built later from its boot state both
-// hold exactly the live bytes, page generations, pristine bytes and
-// pristine sums of an image filled in place from the same seed.
+// hold exactly the live bytes, page generations, trusted bytes and boot
+// sums of an image filled in place from the same seed.
 func TestBootStateImageMatchesReference(t *testing.T) {
 	layout := JunoKernelLayout()
 	areas := []Area{{Addr: layout.Base, Size: layout.TotalSize()}, {Addr: layout.SyscallTableAddr, Size: 4096}}
@@ -74,8 +75,8 @@ func TestBootStateImageMatchesReference(t *testing.T) {
 			t.Errorf("seed %d: Seed() = %d", seed, b.Seed())
 		}
 		for _, a := range areas {
-			if _, err := booted.PristineSum(crcSum{}, a.Addr, a.Size); err != nil {
-				t.Fatal(err)
+			if _, ok := booted.Trusted().BootSum(crcSum{}, a.Addr, a.Size); !ok {
+				t.Fatalf("seed %d: the trusted copy refused a boot sum over %v", seed, a)
 			}
 		}
 		sibling, err := b.NewImage()
@@ -83,34 +84,36 @@ func TestBootStateImageMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, im := range map[string]*Image{"booted": booted, "sibling": sibling} {
-			if !bytes.Equal(liveBytes(t, im), live) {
+			if !bytes.Equal(regionBytes(t, im.Mem()), live) {
 				t.Errorf("seed %d, %s: live bytes differ from the reference", seed, name)
 			}
 			if !slices.Equal(im.mem.gens, gens) {
 				t.Errorf("seed %d, %s: page generations differ from the reference", seed, name)
 			}
-			if !bytes.Equal(im.pristine.data, pristine) {
-				t.Errorf("seed %d, %s: pristine bytes differ from the reference", seed, name)
+			if !bytes.Equal(regionBytes(t, im.Trusted()), pristine) {
+				t.Errorf("seed %d, %s: trusted bytes differ from the reference", seed, name)
 			}
 			for i, a := range areas {
-				got, err := im.PristineSum(crcSum{}, a.Addr, a.Size)
-				if want := wants[i]; err != nil || got != want {
-					t.Errorf("seed %d, %s: PristineSum(%#x,+%d) = %#x, %v; want %#x", seed, name, a.Addr, a.Size, got, err, want)
+				for region, m := range map[string]*Memory{"live": im.Mem(), "trusted": im.Trusted()} {
+					got, ok := m.BootSum(crcSum{}, a.Addr, a.Size)
+					if want := wants[i]; !ok || got != want {
+						t.Errorf("seed %d, %s: %s BootSum(%#x,+%d) = %#x, %v; want %#x", seed, name, region, a.Addr, a.Size, got, ok, want)
+					}
 				}
 			}
 			if im.Boot() != b {
 				t.Errorf("seed %d, %s: image does not report its boot state", seed, name)
 			}
 		}
-		if sibling.pristine != booted.pristine {
-			t.Errorf("seed %d: siblings do not share the boot state's pristine copy", seed)
+		if sibling.Trusted() != booted.Trusted() {
+			t.Errorf("seed %d: siblings do not share the boot state's trusted copy", seed)
 		}
 	}
 }
 
 // TestBootStateSiblingIsolation: live memory is private to each image. A
 // write to one sibling reaches neither the other sibling nor the shared
-// pristine copy.
+// trusted copy.
 func TestBootStateSiblingIsolation(t *testing.T) {
 	layout := JunoKernelLayout()
 	_, gens, pristine := refImage(t, layout, 3)
@@ -145,14 +148,16 @@ func TestBootStateSiblingIsolation(t *testing.T) {
 	if !slices.Equal(c.mem.gens, gens) {
 		t.Error("the other sibling's page generations moved")
 	}
-	if !bytes.Equal(b.pristine.data, pristine) {
-		t.Error("a sibling's write reached the shared pristine copy")
+	if !bytes.Equal(regionBytes(t, b.trusted), pristine) {
+		t.Error("a sibling's write reached the shared trusted copy")
 	}
 }
 
 // TestRecapturePristineLeavesSiblings: the trusted boot's recapture gives
-// one image its own pristine copy and an empty memo, leaving the shared
-// copy, its memo, and every other sibling's view untouched.
+// one image a trusted page table of its own. Pages the image wrote are
+// copied into it, and later live writes do not reach them; pages it left
+// alone stay the boot state's and still answer from the shared memo. The
+// shared copy, its memo and every other sibling's view stay untouched.
 func TestRecapturePristineLeavesSiblings(t *testing.T) {
 	layout := JunoKernelLayout()
 	b := bootState(t, layout, 5)
@@ -165,57 +170,99 @@ func TestRecapturePristineLeavesSiblings(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := Area{Addr: layout.SyscallTableAddr, Size: layout.SyscallCount * SyscallEntrySize}
-	before, err := c.PristineSum(crcSum{}, table.Addr, table.Size)
-	if err != nil {
-		t.Fatal(err)
+	before, ok := c.Trusted().BootSum(crcSum{}, table.Addr, table.Size)
+	if !ok {
+		t.Fatal("the boot state's trusted copy refused a boot sum")
 	}
 	pristineBefore, err := c.Pristine(table.Addr, table.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memoBefore := len(b.pristine.sums)
+	memoBefore := len(b.sums)
 
 	entry := layout.SyscallEntryAddr(GettidNR)
 	if err := a.Mem().PutUint64(entry, 0xBADC0DE); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.RecapturePristine(); err != nil {
-		t.Fatal(err)
-	}
-	if a.pristine == b.pristine {
-		t.Fatal("RecapturePristine kept the shared pristine copy")
-	}
-	if len(a.pristine.sums) != 0 {
-		t.Errorf("recaptured image starts with %d memoized sums, want 0", len(a.pristine.sums))
+	a.RecapturePristine()
+	if a.Trusted() == b.trusted {
+		t.Fatal("RecapturePristine kept the shared trusted copy")
 	}
 	if mod := a.Modified(); len(mod) != 0 {
 		t.Errorf("recaptured image reports %d modified bytes, want 0", len(mod))
 	}
-	after, err := a.PristineSum(crcSum{}, table.Addr, table.Size)
-	if err != nil || after == before {
-		t.Errorf("recaptured image's sum = %#x, %v; want the recaptured bytes' sum, not the boot's %#x", after, err, before)
+	if !bytes.Equal(regionBytes(t, a.Trusted()), regionBytes(t, a.Mem())[:layout.TotalSize()]) {
+		t.Error("the recaptured trusted copy differs from the live static kernel")
+	}
+	if _, ok := a.Trusted().BootSum(crcSum{}, table.Addr, table.Size); ok {
+		t.Error("the recaptured copy answered a boot sum over a page the image wrote")
+	}
+	if err := a.Mem().PutUint64(entry, 0xFEED); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := a.Trusted().Uint64(entry); got != 0xBADC0DE {
+		t.Errorf("recaptured entry = %#x after a later live write, want 0xbadc0de", got)
 	}
 
-	if c.pristine != b.pristine {
-		t.Error("the other sibling lost the shared pristine copy")
+	if c.Trusted() != b.trusted {
+		t.Error("the other sibling lost the shared trusted copy")
 	}
 	if got, _ := c.Pristine(table.Addr, table.Size); !bytes.Equal(got, pristineBefore) {
-		t.Error("the other sibling's pristine bytes changed")
+		t.Error("the other sibling's trusted bytes changed")
 	}
-	if got, ok := b.pristine.sums[sumKey{h: crcSum{}, off: int(table.Addr - layout.Base), n: table.Size}]; !ok || got != before || len(b.pristine.sums) != memoBefore {
+	if got, ok := b.sums[sumKey{h: crcSum{}, off: int(table.Addr - layout.Base), n: table.Size}]; !ok || got != before || len(b.sums) != memoBefore {
 		t.Error("the shared memo changed")
 	}
-	if got, err := c.PristineSum(crcSum{}, table.Addr, table.Size); err != nil || got != before {
-		t.Errorf("the other sibling's sum = %#x, %v; want %#x", got, err, before)
+	if got, ok := c.Trusted().BootSum(crcSum{}, table.Addr, table.Size); !ok || got != before {
+		t.Errorf("the other sibling's sum = %#x, %v; want %#x", got, ok, before)
+	}
+	calls := 0
+	first := crcSum{calls: &calls}
+	want, _ := c.Trusted().BootSum(first, layout.Base, PageSize)
+	if got, ok := a.Trusted().BootSum(first, layout.Base, PageSize); !ok || got != want || calls != 1 {
+		t.Errorf("an unwritten page of the recaptured copy: sum %#x, %v after %d hashes; want %#x from the shared memo", got, ok, calls, want)
 	}
 	if a.Boot() != b {
 		t.Error("a recaptured image must still report the boot state it was built from")
 	}
 }
 
-// TestPristineSumMemoized: images sharing a boot state compute each
-// (summer, range) once between them.
-func TestPristineSumMemoized(t *testing.T) {
+// TestRecapturePristineAllocation: the sync guard's trusted boot — its two
+// Protect calls, then RecapturePristine — copies only the pages the guard
+// wrote, not the 11.9 MB static kernel.
+func TestRecapturePristineAllocation(t *testing.T) {
+	layout := JunoKernelLayout()
+	im, err := bootState(t, layout, 4).NewImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mmu, err := NewMMU(im, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mmu.Protect(layout.VBAR, 16*VectorSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := mmu.Protect(layout.SyscallTableAddr, layout.SyscallCount*SyscallEntrySize); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	im.RecapturePristine()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Errorf("RecapturePristine allocated %d bytes, want under 256 KiB", got)
+	}
+	if mod := im.Modified(); len(mod) != 0 {
+		t.Errorf("recaptured image reports %d modified bytes, want 0", len(mod))
+	}
+}
+
+// TestBootSumMemoized: images sharing a boot state compute each (summer,
+// range) once between them, through their live memory and their trusted
+// copy alike.
+func TestBootSumMemoized(t *testing.T) {
 	layout := JunoKernelLayout()
 	b := bootState(t, layout, 9)
 	calls := 0
@@ -225,8 +272,10 @@ func TestPristineSumMemoized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := im.PristineSum(h, layout.Base, 4096); err != nil {
-			t.Fatal(err)
+		for _, m := range []*Memory{im.Mem(), im.Trusted()} {
+			if _, ok := m.BootSum(h, layout.Base, 4096); !ok {
+				t.Fatal("BootSum refused an unwritten page")
+			}
 		}
 	}
 	if calls != 1 {
@@ -236,56 +285,70 @@ func TestPristineSumMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := im.PristineSum(h, layout.Base, 8192); err != nil {
-		t.Fatal(err)
+	if _, ok := im.Trusted().BootSum(h, layout.Base, 8192); !ok {
+		t.Fatal("BootSum refused unwritten pages")
 	}
 	if calls != 2 {
 		t.Errorf("a new range hashed %d times in total, want 2", calls)
 	}
 }
 
-// TestBootStateConcurrentImages builds, writes, reads and sums images from
-// one boot state on several goroutines at once (run under -race): each
-// image writes pages the others read through the shared boot bytes, and
-// BootSum answers from the shared memo for the pages it left alone.
+// TestBootStateConcurrentImages builds, writes, recaptures, reads and sums
+// images from one boot state on several goroutines at once (run under
+// -race): each even image writes a page the others read through the
+// shared boot bytes and recaptures its trusted copy, and BootSum answers
+// from the shared memo for the pages an image left alone.
 func TestBootStateConcurrentImages(t *testing.T) {
 	layout := JunoKernelLayout()
 	b := bootState(t, layout, 11)
-	want := crcSum{}.Sum(b.pristine.data)
+	want := crcSum{}.Sum(b.data[:layout.TotalSize()])
 	entry := layout.SyscallEntryAddr(GettidNR)
-	wantEntry := crcSum{}.Sum(b.pristine.data[entry-layout.Base:][:PageSize])
+	wantEntry := crcSum{}.Sum(b.data[entry-layout.Base:][:PageSize])
+	wantFirst := crcSum{}.Sum(b.data[:PageSize])
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
-	sums := make([]uint64, 4)
 	for g := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			im, err := b.NewImage()
-			if err != nil {
-				errs[g] = err
-				return
-			}
-			if g%2 == 0 {
+			errs[g] = func() error {
+				im, err := b.NewImage()
+				if err != nil {
+					return err
+				}
+				if g%2 == 1 {
+					if got, ok := im.Mem().BootSum(crcSum{}, entry, PageSize); !ok || got != wantEntry {
+						return fmt.Errorf("BootSum over an unwritten page = %#x, %v; want %#x", got, ok, wantEntry)
+					}
+					if got, ok := im.Trusted().BootSum(crcSum{}, layout.Base, layout.TotalSize()); !ok || got != want {
+						return fmt.Errorf("whole-kernel BootSum = %#x, %v; want %#x", got, ok, want)
+					}
+					return nil
+				}
 				if err := im.Mem().PutUint64(entry, uint64(g)); err != nil {
-					errs[g] = err
-					return
+					return err
 				}
-				if _, ok := im.BootSum(crcSum{}, entry, PageSize); ok {
-					errs[g] = fmt.Errorf("BootSum answered over a written page")
-					return
+				if _, ok := im.Mem().BootSum(crcSum{}, entry, PageSize); ok {
+					return fmt.Errorf("BootSum answered over a written page")
 				}
-			} else if got, ok := im.BootSum(crcSum{}, entry, PageSize); !ok || got != wantEntry {
-				errs[g] = fmt.Errorf("BootSum over an unwritten page = %#x, %v; want %#x", got, ok, wantEntry)
-				return
-			}
-			sums[g], errs[g] = im.PristineSum(crcSum{}, layout.Base, layout.TotalSize())
+				im.RecapturePristine()
+				if got, _ := im.Trusted().Uint64(entry); got != uint64(g) {
+					return fmt.Errorf("recaptured entry = %#x, want %#x", got, g)
+				}
+				if _, ok := im.Trusted().BootSum(crcSum{}, layout.Base, layout.TotalSize()); ok {
+					return fmt.Errorf("the recaptured copy answered over a written page")
+				}
+				if got, ok := im.Trusted().BootSum(crcSum{}, layout.Base, PageSize); !ok || got != wantFirst {
+					return fmt.Errorf("the recaptured copy's first page = %#x, %v; want %#x", got, ok, wantFirst)
+				}
+				return nil
+			}()
 		}()
 	}
 	wg.Wait()
-	for g := range errs {
-		if errs[g] != nil || sums[g] != want {
-			t.Errorf("goroutine %d: sum %#x, %v; want %#x", g, sums[g], errs[g], want)
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
 		}
 	}
 }

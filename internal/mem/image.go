@@ -13,27 +13,26 @@ import (
 // through the 8 bytes it flips inside the syscall table (§IV-A2).
 const ModuleArenaSize = 2 << 20
 
-// Image is a booted kernel image: live memory, its layout, and a pristine
+// Image is a booted kernel image: live memory, its layout, and a trusted
 // copy of the static region captured at boot (the trusted state the
 // secure world hashes during the trusted boot, §V-B).
 type Image struct {
+	// mem is the live memory, sharing its boot state's pages until it
+	// writes them.
 	mem        *Memory
 	layout     Layout
 	moduleBase uint64
-	// boot is the state the image was built from; the live memory shares
-	// its pages until it writes them. pristine starts out as boot's shared
-	// copy and is replaced, never written, when the trusted state is
-	// recaptured.
-	boot     *BootState
-	pristine *pristine
+	// trusted starts out as the boot state's shared copy and is replaced,
+	// never written, when the trusted state is recaptured.
+	trusted *Memory
 }
 
 // NewImage boots an image with the given layout, filling the static kernel
 // with deterministic pseudo-random content derived from seed and installing
 // a plausible syscall table and exception vector table. The fill is written
 // in place into the buffer that becomes the image's boot state (Boot): the
-// image's pages share it, it is the pristine copy, and further images of
-// the same seed can be built from it.
+// image's pages and its trusted copy share it, and further images of the
+// same seed can be built from it.
 func NewImage(layout Layout, seed uint64) (*Image, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, fmt.Errorf("mem: invalid layout: %w", err)
@@ -44,14 +43,14 @@ func NewImage(layout Layout, seed uint64) (*Image, error) {
 	m := newImageMemory(layout, data, true)
 	fill(m, data, layout, seed)
 	clear(m.owned) // from here on the filled pages are the boot state's
-	p := &pristine{data: data[:layout.TotalSize()]}
-	b := &BootState{layout: layout, seed: seed, data: data, gens: m.PageGens(), pristine: p}
+	b := &BootState{layout: layout, seed: seed, data: data, gens: m.PageGens()}
+	b.trusted = newMemory(layout.Base, layout.TotalSize(), data, false)
+	b.trusted.boot, m.boot = b, b
 	return &Image{
 		mem:        m,
 		layout:     layout,
 		moduleBase: layout.End(),
-		boot:       b,
-		pristine:   p,
+		trusted:    b.trusted,
 	}, nil
 }
 
@@ -127,20 +126,16 @@ func fillRandom(data []byte, seed uint64) {
 // RecapturePristine refreshes the trusted (golden) copy from live memory.
 // The trusted-boot sequence calls it after applying boot-time protections
 // (e.g. a synchronous guard setting PTE bits), so the authorized hashes
-// describe the protected state rather than the raw image. The image gets a
-// pristine copy of its own, with an empty sum memo; the boot state it may
-// share with other images is left untouched.
-func (im *Image) RecapturePristine() error {
-	p := &pristine{data: make([]byte, im.layout.TotalSize())}
-	if err := im.mem.Read(im.layout.Base, p.data); err != nil {
-		return err
-	}
-	im.pristine = p
-	return nil
+// describe the protected state rather than the raw image. The new trusted
+// copy is a page table like live memory's: pages the image has not written
+// stay the boot state's, and only written pages are copied. The boot state
+// and every other image's trusted copy are left untouched.
+func (im *Image) RecapturePristine() {
+	im.trusted = im.mem.freeze(im.layout.TotalSize())
 }
 
 // BenignHandler returns the legitimate handler address for syscall nr, the
-// value the pristine table holds.
+// value the trusted table holds.
 func (im *Image) BenignHandler(nr int) uint64 {
 	return benignHandler(im.layout, nr)
 }
@@ -161,81 +156,39 @@ func (im *Image) ModuleBase() uint64 { return im.moduleBase }
 // Boot returns the boot state the image was built from. RecapturePristine
 // does not change it: an image built from it starts from the seed's fill,
 // and its own trusted boot recaptures again.
-func (im *Image) Boot() *BootState { return im.boot }
+func (im *Image) Boot() *BootState { return im.mem.boot }
 
-// pristineOffset validates that the n-byte range at addr lies in the static
-// kernel and converts addr to an offset into the pristine copy. The
-// comparison never adds to addr, so a negative or huge n cannot wrap past
-// the check.
-func (im *Image) pristineOffset(addr uint64, n int) (int, error) {
-	size := uint64(im.layout.TotalSize())
-	if n < 0 || addr < im.layout.Base || addr-im.layout.Base > size || uint64(n) > size-(addr-im.layout.Base) {
-		return 0, fmt.Errorf("mem: pristine range [%#x,+%d) outside static kernel", addr, n)
-	}
-	return int(addr - im.layout.Base), nil
-}
+// Trusted returns the trusted copy of the static kernel: a read-only
+// region spanning exactly the static kernel, whose bytes the golden hashes
+// describe. Callers must not mutate the views it hands out (Views,
+// PageView); pages it shares with the boot state serve its sums from the
+// boot state's memo (BootSum).
+func (im *Image) Trusted() *Memory { return im.trusted }
 
-// CheckPristine reports an error unless the n-byte range at addr lies in
-// the static kernel, the region every pristine accessor reads.
-func (im *Image) CheckPristine(addr uint64, n int) error {
-	_, err := im.pristineOffset(addr, n)
-	return err
-}
-
-// Pristine returns a copy of the n pristine (boot-time) bytes at addr, which
-// must lie in the static kernel.
+// Pristine returns a copy of the n trusted (boot-time) bytes at addr,
+// which must lie in the static kernel.
 func (im *Image) Pristine(addr uint64, n int) ([]byte, error) {
-	off, err := im.pristineOffset(addr, n)
-	if err != nil {
-		return nil, err
+	if !im.trusted.Contains(addr, n) {
+		return nil, fmt.Errorf("mem: pristine range [%#x,+%d) outside static kernel", addr, n)
 	}
 	out := make([]byte, n)
-	copy(out, im.pristine.data[off:off+n])
-	return out, nil
-}
-
-// PristineSum returns h's sum over the n pristine bytes at addr. Sums are
-// memoized on the pristine copy, so images sharing a boot state hash each
-// range once between them — the golden table is computed "during booting
-// stage" (§V-B), not once per image.
-func (im *Image) PristineSum(h Summer, addr uint64, n int) (uint64, error) {
-	off, err := im.pristineOffset(addr, n)
-	if err != nil {
-		return 0, err
-	}
-	return im.pristine.sum(h, off, n), nil
-}
-
-// BootSum returns h's sum over the n boot bytes at addr, memoized on the
-// boot state like PristineSum's, when the range lies in the static kernel
-// and every page it spans still shares the boot state's bytes: the live
-// bytes are then the boot bytes, whatever the image's pristine copy says.
-// Otherwise it reports false. The answer holds at the instant of the call;
-// a later write copies the page first and so withdraws it.
-func (im *Image) BootSum(h Summer, addr uint64, n int) (uint64, bool) {
-	off, err := im.pristineOffset(addr, n)
-	if err != nil || !im.mem.shared(off, n) {
-		return 0, false
-	}
-	return im.boot.pristine.sum(h, off, n), true
+	return out, im.trusted.Read(addr, out)
 }
 
 // Modified returns the addresses (ascending) of static-kernel bytes whose
-// live value differs from the pristine copy. Diagnostics and tests use it;
-// the introspection mechanisms do not (they only see hashes, like the real
-// system).
+// live value differs from the trusted copy, comparing one page at a time.
+// Diagnostics and tests use it; the introspection mechanisms do not (they
+// only see hashes, like the real system).
 func (im *Image) Modified() []uint64 {
 	var out []uint64
-	size := im.layout.TotalSize()
-	for lo := 0; lo < size; lo += PageSize {
-		live := im.mem.pages[lo/PageSize][:min(PageSize, size-lo)]
-		want := im.pristine.data[lo : lo+len(live)]
+	for p, want := range im.trusted.pages {
+		live := im.mem.pages[p][:len(want)]
 		if bytes.Equal(live, want) {
 			continue
 		}
-		for i := range live {
+		for i := range want {
 			if live[i] != want[i] {
-				out = append(out, im.layout.Base+uint64(lo+i))
+				out = append(out, im.layout.Base+uint64(p*PageSize+i))
 			}
 		}
 	}

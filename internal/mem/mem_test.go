@@ -406,16 +406,18 @@ func TestImageModifyAndRestore(t *testing.T) {
 	}
 }
 
-// TestImagePristineBounds: every pristine accessor rejects a range outside
-// the static kernel, with an error or (BootSum) ok=false. The negative and
-// huge lengths wrap addr+n past the end check at the kernel's high base
-// address, so the check must never add n to addr.
+// TestImagePristineBounds: the trusted copy spans exactly the static
+// kernel, so Pristine rejects a range outside it with an error and
+// BootSum, over live memory or the trusted copy, with ok=false. The
+// negative and huge lengths wrap addr+n past the end check at the kernel's
+// high base address, so the check must never add n to addr.
 func TestImagePristineBounds(t *testing.T) {
 	im, err := NewJunoImage(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := im.Layout()
+	regions := map[string]*Memory{"live": im.Mem(), "trusted": im.Trusted()}
 	cases := []struct {
 		name string
 		addr uint64
@@ -433,14 +435,13 @@ func TestImagePristineBounds(t *testing.T) {
 			if _, err := im.Pristine(tc.addr, tc.n); err == nil {
 				t.Error("Pristine accepted the range")
 			}
-			if err := im.CheckPristine(tc.addr, tc.n); err == nil {
-				t.Error("CheckPristine accepted the range")
+			if im.Trusted().Contains(tc.addr, tc.n) {
+				t.Error("the trusted copy contains the range")
 			}
-			if _, ok := im.BootSum(crcSum{}, tc.addr, tc.n); ok {
-				t.Error("BootSum answered for the range")
-			}
-			if _, err := im.PristineSum(crcSum{}, tc.addr, tc.n); err == nil {
-				t.Error("PristineSum accepted the range")
+			for name, m := range regions {
+				if _, ok := m.BootSum(crcSum{}, tc.addr, tc.n); ok {
+					t.Errorf("%s BootSum answered for the range", name)
+				}
 			}
 		})
 	}
@@ -448,9 +449,21 @@ func TestImagePristineBounds(t *testing.T) {
 		if v, err := im.Pristine(addr, 16); err != nil || len(v) != 16 {
 			t.Errorf("Pristine(%#x, 16) = %d bytes, %v", addr, len(v), err)
 		}
-		if _, ok := im.BootSum(crcSum{}, addr, 16); !ok {
-			t.Errorf("BootSum(%#x, 16) did not answer for an unwritten range", addr)
+		for name, m := range regions {
+			if _, ok := m.BootSum(crcSum{}, addr, 16); !ok {
+				t.Errorf("%s BootSum(%#x, 16) did not answer for an unwritten range", name, addr)
+			}
 		}
+	}
+	if base, size := im.Trusted().Base(), im.Trusted().Size(); base != l.Base || size != l.TotalSize() {
+		t.Errorf("trusted copy spans [%#x,+%d), want the static kernel [%#x,+%d)", base, size, l.Base, l.TotalSize())
+	}
+	fresh, err := NewMemory(l.Base, PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fresh.BootSum(crcSum{}, l.Base, 16); ok {
+		t.Error("BootSum answered for a region with no boot state")
 	}
 }
 

@@ -37,6 +37,9 @@ import (
 type Memory struct {
 	base uint64
 	size int
+	// boot is the boot state whose bytes the region's unowned leading pages
+	// are; nil for NewMemory, whose every page starts as the zero page.
+	boot *BootState
 	// pages[p] holds page p's bytes; every page but the last is PageSize
 	// long. owned[p] reports whether pages[p] is the region's private copy.
 	pages [][]byte
@@ -119,15 +122,40 @@ func (m *Memory) own(p int) []byte {
 	return m.pages[p]
 }
 
-// shared reports whether every page overlapping the n bytes at offset off
-// is still shared: no Write or RestorePage has copied it.
-func (m *Memory) shared(off, n int) bool {
+// BootSum returns h's sum over the n bytes at addr, memoized on the boot
+// state the region was built from, when the range lies in that boot
+// state's static kernel and every page it spans is still the boot's (no
+// Write or RestorePage has copied it): the bytes are then the boot bytes.
+// Otherwise, and always for a region with no boot state, it reports false.
+// The answer holds at the instant of the call; a later write copies the
+// page first and so withdraws it.
+func (m *Memory) BootSum(h Summer, addr uint64, n int) (uint64, bool) {
+	if m.boot == nil || !m.boot.trusted.Contains(addr, n) {
+		return 0, false
+	}
+	off := int(addr - m.base)
 	for p := off / PageSize; p*PageSize < off+n; p++ {
 		if m.owned[p] {
-			return false
+			return 0, false
 		}
 	}
-	return true
+	return m.boot.sum(h, off, n), true
+}
+
+// freeze returns a read-only region over m's first n bytes as they are
+// now: pages m still shares stay shared, and pages m owns are copied.
+func (m *Memory) freeze(n int) *Memory {
+	f := newMemory(m.base, n, nil, false)
+	f.boot = m.boot
+	for p, page := range f.pages {
+		page = m.pages[p][:len(page):len(page)]
+		if m.owned[p] {
+			page = slices.Clone(page)
+			f.owned[p] = true
+		}
+		f.pages[p] = page
+	}
+	return f
 }
 
 // Read copies len(buf) bytes starting at addr into buf.

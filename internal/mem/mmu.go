@@ -26,7 +26,7 @@ type FaultHandler func(addr uint64, data []byte) error
 // vulnerability — both possible and, in turn, visible to asynchronous
 // introspection: the flipped PTE bytes are in a checked area.
 type MMU struct {
-	mem    *Memory
+	image  *Image
 	layout Layout
 	fault  FaultHandler
 }
@@ -38,18 +38,17 @@ func NewMMU(image *Image, fault FaultHandler) (*MMU, error) {
 	if layout.PTBase == 0 {
 		return nil, fmt.Errorf("mem: layout has no page table")
 	}
-	return &MMU{mem: image.Mem(), layout: layout, fault: fault}, nil
+	return &MMU{image: image, layout: layout, fault: fault}, nil
 }
 
 // pteAddr returns the PTE byte governing addr, or an error for addresses
 // outside the static kernel (the module arena is always writable — loadable
 // module space is not under the static protections).
 func (m *MMU) pteAddr(addr uint64) (uint64, bool) {
-	if addr < m.layout.Base || addr >= m.layout.End() {
+	if !m.image.trusted.Contains(addr, 1) {
 		return 0, false
 	}
-	page := (addr - m.layout.Base) / PageSize
-	return m.layout.PTBase + page, true
+	return m.layout.PTBase + (addr-m.layout.Base)/PageSize, true
 }
 
 // ReadOnly reports whether the page holding addr is write-protected.
@@ -58,7 +57,7 @@ func (m *MMU) ReadOnly(addr uint64) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	b, err := m.mem.ByteAt(pte)
+	b, err := m.image.mem.ByteAt(pte)
 	if err != nil {
 		return false, fmt.Errorf("mem: reading PTE: %w", err)
 	}
@@ -93,7 +92,7 @@ func (m *MMU) Write(addr uint64, data []byte) error {
 			}
 		}
 	}
-	return m.mem.Write(addr, data)
+	return m.image.mem.Write(addr, data)
 }
 
 // PutUint64 writes a 64-bit little-endian value through the permission
@@ -108,7 +107,8 @@ func (m *MMU) PutUint64(addr uint64, v uint64) error {
 
 // Protect marks every page overlapping [addr, addr+size) read-only. It
 // writes the PTE bytes directly (boot/secure-world privilege); the guarded
-// range must lie in the static kernel.
+// range must lie in the static kernel, and a range that does not changes
+// no PTE.
 func (m *MMU) Protect(addr uint64, size int) error {
 	return m.setPermission(addr, size, true)
 }
@@ -122,12 +122,15 @@ func (m *MMU) setPermission(addr uint64, size int, ro bool) error {
 	if size <= 0 {
 		return fmt.Errorf("mem: protection range size %d must be positive", size)
 	}
-	for a := addr; a < addr+uint64(size); a += PageSize {
-		pte, ok := m.pteAddr(a)
-		if !ok {
-			return fmt.Errorf("mem: address %#x outside the static kernel", a)
-		}
-		b, err := m.mem.ByteAt(pte)
+	// The whole range is checked before any PTE is written, and without
+	// adding size to addr, which would wrap near 2^64.
+	if !m.image.trusted.Contains(addr, size) {
+		return fmt.Errorf("mem: protection range [%#x,+%d) outside the static kernel", addr, size)
+	}
+	off := addr - m.layout.Base
+	for page := off / PageSize; page <= (off+uint64(size)-1)/PageSize; page++ {
+		pte := m.layout.PTBase + page
+		b, err := m.image.mem.ByteAt(pte)
 		if err != nil {
 			return err
 		}
@@ -136,7 +139,7 @@ func (m *MMU) setPermission(addr uint64, size int, ro bool) error {
 		} else {
 			b &^= PTEReadOnly
 		}
-		if err := m.mem.Write(pte, []byte{b}); err != nil {
+		if err := m.image.mem.Write(pte, []byte{b}); err != nil {
 			return err
 		}
 	}

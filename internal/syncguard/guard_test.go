@@ -1,6 +1,7 @@
 package syncguard
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -123,16 +124,45 @@ func TestAPFlipBypassesGuard(t *testing.T) {
 	}
 }
 
+// TestAPFlipExploitValidation: the exploit's range comes from outside
+// input (a spec's rootkit_addr). One that is empty or leaves the static
+// kernel is refused whole and flips no PTE; the huge and wrapping ranges
+// would pass a check that adds size to addr.
 func TestAPFlipExploitValidation(t *testing.T) {
 	r := newRig(t)
-	if _, err := APFlipExploit(r.image, r.image.Layout().Base, 0); err == nil {
-		t.Error("zero-size exploit accepted")
+	installedGuard(t, r)
+	layout := r.image.Layout()
+	ptes := func() []byte {
+		b := make([]byte, layout.PageCount())
+		if err := r.image.Mem().Read(layout.PTBase, b); err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	if _, err := APFlipExploit(r.image, r.image.ModuleBase(), 8); err == nil {
-		t.Error("exploit outside kernel accepted")
+	before := ptes()
+	cases := []struct {
+		name string
+		addr uint64
+		size int
+	}{
+		{"zero size", layout.Base, 0},
+		{"module arena", r.image.ModuleBase(), 8},
+		{"below base", layout.Base - 8, 16},
+		{"past the end", layout.End() - 8, 4097},
+		{"huge", layout.Base, 1 << 62},
+		{"huge from the table", layout.SyscallTableAddr, 1 << 62},
+		{"wraps", 0xFFFFFFFFFFFFFFFC, 8},
+	}
+	for _, tc := range cases {
+		if flipped, err := APFlipExploit(r.image, tc.addr, tc.size); err == nil {
+			t.Errorf("%s: exploit accepted, flipped %d PTEs", tc.name, len(flipped))
+		}
+	}
+	if !bytes.Equal(ptes(), before) {
+		t.Error("a refused exploit changed the page table")
 	}
 	// Flipping an already-writable page is a no-op.
-	flipped, err := APFlipExploit(r.image, r.image.Layout().Base, 8)
+	flipped, err := APFlipExploit(r.image, layout.Base, 8)
 	if err != nil || len(flipped) != 0 {
 		t.Errorf("no-op exploit: %v, %v", flipped, err)
 	}
