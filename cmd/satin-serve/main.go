@@ -72,7 +72,7 @@ func run(args []string, out, errOut io.Writer) error {
 	leaseTTL := fs.Duration("lease-ttl", serve.DefaultLeaseTTL, "serve mode: shard lease expiry (renewed by every progress report)")
 	urlFlag := fs.String("url", "", "client modes: server base URL, e.g. http://127.0.0.1:8373")
 	submit := fs.String("submit", "", "submit this campaign spec file to -url and print the job status")
-	shards := fs.Int("shards", 1, "submit mode: number of shards to partition the campaign into")
+	shards := fs.Int("shards", 1, "submit mode: number of shards to partition the campaign into (1 to its cell count)")
 	fs.Bool("worker", false, "run the pull worker loop against -url until no work remains")
 	name := fs.String("name", "", "worker mode: worker name (default w<pid>)")
 	dir := fs.String("dir", "", "worker mode: scratch directory for per-shard result files (default a temp dir)")

@@ -77,7 +77,7 @@ func run(args []string, out io.Writer) error {
 	diffBudget := fs.Duration("diff-budget", 0, "largest per-span timing divergence -diff tolerates (0 = exact)")
 	lintChrome := fs.String("lint-chrome", "", "validate a Chrome trace_event JSON file and exit")
 	routing := fs.String("routing", "nonpreemptive", "NS interrupt routing: nonpreemptive | preemptive")
-	flood := fs.Float64("flood", 0, "SGI flood rate per core (interrupts/s); 0 disables")
+	flood := fs.Float64("flood", 0, "SGI flood rate per core (interrupts/s, at most 1e9); 0 disables")
 	guard := fs.String("guard", "off", "synchronous guard: off | on | bypassed")
 	faults := fs.String("faults", "", `fault-injection plan, e.g. "scale:2" or "dvfs:at=10s,factor=0.5;irq:p=0.1,delay=100us" (empty = none)`)
 	checkpointOut := fs.String("checkpoint-out", "", "run the (fault-free) scenario to its horizon, snapshot it there, and write the checkpoint to this file (see docs/CHECKPOINT.md)")

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -425,8 +426,15 @@ func TestUserProberLeavesNoKernelTrace(t *testing.T) {
 
 func TestFloodValidation(t *testing.T) {
 	r := newRig(t)
-	if _, err := NewInterruptFlood(r.plat, 0, nil); err == nil {
-		t.Error("zero rate accepted")
+	// Past one burst per virtual nanosecond, every burst would re-arm at
+	// the same instant. None of these floods is started.
+	for _, rate := range []float64{0, math.Nextafter(MaxFloodRate, math.Inf(1)), 2e9, math.Inf(1), math.NaN()} {
+		if _, err := NewInterruptFlood(r.plat, rate, nil); err == nil {
+			t.Errorf("rate %v accepted", rate)
+		}
+	}
+	if _, err := NewInterruptFlood(r.plat, MaxFloodRate, nil); err != nil {
+		t.Errorf("rate %v: %v", float64(MaxFloodRate), err)
 	}
 	if _, err := NewInterruptFlood(r.plat, 1000, []int{99}); err == nil {
 		t.Error("bad core accepted")

@@ -31,11 +31,18 @@ type InterruptFlood struct {
 // floodTickName names the flood's burst event and its claim.
 const floodTickName = "sgi-flood"
 
+// MaxFloodRate is the highest per-core flood rate, one burst per virtual
+// nanosecond: the engine's resolution. A faster rate would round the burst
+// period to zero, so every burst would re-arm at the same instant and
+// virtual time would never advance.
+const MaxFloodRate = 1e9
+
 // NewInterruptFlood prepares a flood at the given per-core rate (interrupts
-// per second) against the listed cores (nil means all).
+// per second, at most MaxFloodRate) against the listed cores (nil means
+// all).
 func NewInterruptFlood(p *hw.Platform, rate float64, cores []int) (*InterruptFlood, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("attack: flood rate %v must be positive", rate)
+	if !(rate > 0 && rate <= MaxFloodRate) {
+		return nil, fmt.Errorf("attack: flood rate %v outside (0, %g] per second", rate, float64(MaxFloodRate))
 	}
 	if len(cores) == 0 {
 		cores = make([]int, p.NumCores())

@@ -155,8 +155,9 @@ func (in *Injector) scheduleAt(at time.Duration, name string, fn func()) {
 func (in *Injector) applyRates(i int) {
 	scale := in.jitter[i] / in.freq[i]
 	if err := in.platform.Core(i).SetRates(in.base[i].Scaled(scale)); err != nil {
-		// Plan validation bounds jitter to (0, 2) and factors to > 0, so a
-		// rejected rescale means the injector itself is broken.
+		// Plan validation bounds jitter to (0, 2) and factors to at least
+		// MinDVFSFactor, so a rejected rescale means the injector itself is
+		// broken.
 		panic(fmt.Sprintf("faultinject: rescaling core %d by %v: %v", i, scale, err))
 	}
 }

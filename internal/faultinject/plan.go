@@ -37,12 +37,19 @@ import (
 // DVFSStep is one scheduled frequency change: at virtual time At, the
 // target core's clock moves to Factor times the calibrated frequency, so
 // its per-byte rates (seconds per byte) scale by 1/Factor. Factor 0.5 halves
-// the clock and doubles every per-byte time.
+// the clock and doubles every per-byte time. Factor must be finite and at
+// least MinDVFSFactor.
 type DVFSStep struct {
 	At     time.Duration
 	Core   int // core ID, or -1 for all cores
 	Factor float64
 }
+
+// MinDVFSFactor is the floor of a DVFS step's factor: a 100× slowdown,
+// which no real frequency step comes near. Far below it, stretched chunk
+// times sum past the virtual clock's int64 nanoseconds. "scale:MAG" steps
+// every clock to 1/(1+MAG), so the floor bounds MAG at 99.
+const MinDVFSFactor = 0.01
 
 // HotplugEvent is one scheduled hotplug transition for a core. If the core
 // is executing in the secure world at At, the transition waits until it
@@ -127,6 +134,9 @@ func (p Plan) Validate(numCores int) error {
 		}
 		if !(s.Factor > 0) || math.IsInf(s.Factor, 0) {
 			return fmt.Errorf("faultinject: dvfs step %d has non-positive factor %v", i, s.Factor)
+		}
+		if s.Factor < MinDVFSFactor {
+			return fmt.Errorf("faultinject: dvfs step %d factor %v is below the floor %v", i, s.Factor, MinDVFSFactor)
 		}
 	}
 	for i, h := range p.Hotplug {

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,6 +159,36 @@ func TestParseDistTriple(t *testing.T) {
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
+		}
+	}
+}
+
+// TestDVFSFactorFloor: a DVFS factor below MinDVFSFactor is refused, from a
+// dvfs clause and from the step "scale:MAG" installs (1/(1+MAG)) alike.
+func TestDVFSFactorFloor(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"dvfs:at=1s,factor=1e-12", false},
+		{"dvfs:at=1s,factor=0.0099", false},
+		{"dvfs:at=1s,factor=0.01", true},
+		{"dvfs:at=1s,factor=2", true},
+		{"dvfs:at=1s,factor=0.5;dvfs:at=2s,core=3,factor=0.001", false},
+		{"scale:8", true},
+		{"scale:99", true},
+		{"scale:100", false},
+	} {
+		plan, err := ParsePlan(tc.spec)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q): %v", tc.spec, err)
+		}
+		err = plan.Validate(6)
+		if tc.ok && err != nil {
+			t.Errorf("%q: %v", tc.spec, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "below the floor")) {
+			t.Errorf("%q: error %v, want a factor below the floor", tc.spec, err)
 		}
 	}
 }

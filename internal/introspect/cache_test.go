@@ -249,9 +249,9 @@ func TestCacheSnapshotPathUnaffected(t *testing.T) {
 }
 
 // TestPooledRunsSurviveBackToBackChecks drives many sequential checks through
-// one checker to exercise run recycling: a run is returned to the pool before
-// its done callback fires, so a callback that immediately starts the next
-// check reuses the same struct.
+// one checker to exercise walk recycling: a walk is returned to the pool
+// before its done callback fires, so a callback that immediately starts the
+// next check reuses the same struct, here alternating the two techniques.
 func TestPooledRunsSurviveBackToBackChecks(t *testing.T) {
 	r := newRig(t)
 	areas, err := mem.BuildAreas(r.image.Layout(), mem.JunoAreaGroups())
@@ -267,11 +267,15 @@ func TestPooledRunsSurviveBackToBackChecks(t *testing.T) {
 	var launch func(ctx *trustzone.Context)
 	launch = func(ctx *trustzone.Context) {
 		a := areas[idx]
-		err := r.checker.Check(ctx, DirectHash, a.Addr, a.Size, func(res Result) {
+		tech := DirectHash
+		if idx%2 == 1 {
+			tech = SnapshotHash
+		}
+		err := r.checker.Check(ctx, tech, a.Addr, a.Size, func(res Result) {
 			got = append(got, res.Sum)
 			idx++
 			if idx < len(want) {
-				launch(ctx) // chained from inside done: reuses the pooled run
+				launch(ctx) // chained from inside done: reuses the pooled walk
 				return
 			}
 			ctx.Exit()

@@ -55,13 +55,18 @@ const DefaultChunkSize = 4096
 
 // Checker reads and hashes normal-world memory from the secure world.
 //
-// The wall-clock hot path is allocation-free in steady state: chunk walks
-// run through pooled run states instead of per-chunk closures, snapshot
-// captures recycle their buffers, and the incremental hash cache (on by
-// default; see SetHashCache) skips re-hashing chunks whose pages have not
-// been written since they were last folded, or whose pages are still the
-// boot state's (their terms come from the golden pass). None of this moves
-// a single virtual-time instant: cached and naive checks are bit-identical.
+// Both techniques run one chunk walk: read a chunk at the virtual instant
+// the checker reaches it, fold it into the running djb2 state, elapse the
+// chunk's time, repeat. A snapshot folds each chunk as it copies it (djb2
+// streams, and a captured chunk is never read again), so it holds no copy
+// in simulator memory; Result.BufferBytes still charges the copy to the
+// technique. The wall-clock hot path is allocation-free in steady state:
+// walks are pooled instead of built from per-chunk closures, and the
+// incremental hash cache (on by default; see SetHashCache) lets DirectHash
+// skip re-hashing chunks whose pages have not been written since they were
+// last folded, or whose pages are still the boot state's (their terms come
+// from the golden pass). None of this moves a single virtual-time instant:
+// cached and naive checks are bit-identical.
 type Checker struct {
 	image *mem.Image
 	rng   *simclock.RNG
@@ -69,12 +74,10 @@ type Checker struct {
 	// cache memoizes chunk hash transitions; nil when disabled via
 	// SetHashCache(false).
 	cache *hashCache
-	// free lists for the allocation-free hot path; views is the page-view
-	// scratch a live chunk hash reuses.
-	hashRuns    []*hashRun
-	captureRuns []*captureRun
-	bufs        [][]byte
-	views       [][]byte
+	// walks is the free list of chunk walks; views is the page-view
+	// scratch a live chunk fold reuses.
+	walks []*walk
+	views [][]byte
 
 	// Observability (nil unless Observe was called; all nil-safe).
 	checks      *obs.Counter
@@ -179,6 +182,9 @@ func (r Result) Elapsed() time.Duration { return r.Finished.Sub(r.Started) }
 // Errors are impossible once the range validates; validation failures are
 // reported synchronously.
 func (c *Checker) Check(ctx *trustzone.Context, tech Technique, addr uint64, size int, done func(Result)) error {
+	if tech != DirectHash && tech != SnapshotHash {
+		return fmt.Errorf("introspect: unknown technique %v", tech)
+	}
 	if size <= 0 {
 		return fmt.Errorf("introspect: check size %d must be positive", size)
 	}
@@ -190,53 +196,40 @@ func (c *Checker) Check(ctx *trustzone.Context, tech Technique, addr uint64, siz
 	rates := ctx.Core().Rates()
 	res := Result{Technique: tech, Addr: addr, Size: size, Started: ctx.Now()}
 	c.checks.Inc()
-	if tech == SnapshotHash {
-		c.snapshots.Inc()
+	w := c.getWalk()
+	w.ctx, w.tech, w.addr, w.remaining, w.sum = ctx, tech, addr, size, Djb2Seed
+	finish := func(sum uint64) {
+		res.Sum = sum
+		res.Finished = ctx.Now()
+		done(res)
 	}
-	switch tech {
-	case DirectHash:
+	if tech == DirectHash {
 		// One per-byte rate per check, as the paper measures per run.
-		rate := rates.HashPerByte.Draw(c.rng)
-		r := c.getHashRun()
-		r.ctx, r.addr, r.remaining, r.rate = ctx, addr, size, rate
-		r.sum = Djb2Seed
-		r.done = func(sum uint64) {
-			res.Sum = sum
-			res.Finished = ctx.Now()
-			done(res)
-		}
-		r.advance()
-	case SnapshotHash:
+		w.rate = rates.HashPerByte.Draw(c.rng)
+		w.done = finish
+	} else {
+		c.snapshots.Inc()
 		total := rates.SnapshotPerByte.Draw(c.rng)
-		captureRate := total * SnapshotCaptureFraction
+		w.rate = total * SnapshotCaptureFraction
 		analysis := secondsDuration(total * (1 - SnapshotCaptureFraction) * float64(size))
 		res.BufferBytes = size
-		r := c.getCaptureRun()
-		r.ctx, r.addr, r.remaining, r.rate = ctx, addr, size, captureRate
-		r.buf = c.getBuf(size)
-		r.done = func(snapshot []byte) {
+		w.done = func(sum uint64) {
 			// Analysis of the frozen copy: one block of secure CPU time.
-			ctx.Elapse(analysis, func() {
-				res.Sum = Djb2(snapshot)
-				c.putBuf(snapshot)
-				res.Finished = ctx.Now()
-				done(res)
-			})
+			ctx.Elapse(analysis, func() { finish(sum) })
 		}
-		r.advance()
-	default:
-		return fmt.Errorf("introspect: unknown technique %v", tech)
 	}
+	w.advance()
 	return nil
 }
 
-// hashRun is the pooled state of one in-flight DirectHash chunk walk. The
-// walk carries its state here instead of in per-chunk closures so a
-// steady-state round schedules its chunks without allocating: step is the
-// single func value handed to Elapse for every chunk.
-type hashRun struct {
+// walk is the pooled state of one in-flight chunk walk. The walk carries
+// its state here instead of in per-chunk closures so a steady-state round
+// schedules its chunks without allocating: step is the single func value
+// handed to Elapse for every chunk.
+type walk struct {
 	c         *Checker
 	ctx       *trustzone.Context
+	tech      Technique
 	addr      uint64
 	remaining int
 	rate      float64
@@ -245,43 +238,51 @@ type hashRun struct {
 	step      func()
 }
 
-func (c *Checker) getHashRun() *hashRun {
-	if n := len(c.hashRuns); n > 0 {
-		r := c.hashRuns[n-1]
-		c.hashRuns = c.hashRuns[:n-1]
-		return r
+func (c *Checker) getWalk() *walk {
+	if n := len(c.walks); n > 0 {
+		w := c.walks[n-1]
+		c.walks = c.walks[:n-1]
+		return w
 	}
-	r := &hashRun{c: c}
-	r.step = r.advance
-	return r
+	w := &walk{c: c}
+	w.step = w.advance
+	return w
 }
 
 // advance folds the next chunk at the current virtual instant, then elapses
-// the chunk's secure CPU time. On completion the run is recycled before
-// done fires, so done may immediately start another check.
-func (r *hashRun) advance() {
-	c := r.c
-	if r.remaining == 0 {
-		done, sum := r.done, r.sum
-		r.ctx, r.done = nil, nil
-		c.hashRuns = append(c.hashRuns, r)
+// the chunk's secure CPU time. DirectHash folds the chunk in place through
+// hashChunk. SnapshotHash copies it out: it folds the chunk's live bytes
+// now, never the cache, which gives the frozen copy's sum because djb2
+// streams and a captured chunk is never read again. On completion the walk
+// is recycled before done fires, so done may immediately start another
+// check.
+func (w *walk) advance() {
+	c := w.c
+	if w.remaining == 0 {
+		done, sum := w.done, w.sum
+		w.ctx, w.done = nil, nil
+		c.walks = append(c.walks, w)
 		done(sum)
 		return
 	}
-	n := DefaultChunkSize
-	if n > r.remaining {
-		n = r.remaining
+	n := min(DefaultChunkSize, w.remaining)
+	span := profile.SpanHashChunk
+	if w.tech == DirectHash {
+		w.sum = c.hashChunk(w.addr, n, w.sum)
+		c.bytesHashed.Add(int64(n))
+	} else {
+		w.sum, c.views = foldViews(c.image.Mem(), w.addr, n, w.sum, c.views)
+		c.bytesCopied.Add(int64(n))
+		span = profile.SpanSnapshotChunk
 	}
-	r.sum = c.hashChunk(r.addr, n, r.sum)
-	c.bytesHashed.Add(int64(n))
-	d := secondsDuration(r.rate * float64(n))
+	d := secondsDuration(w.rate * float64(n))
 	if c.prof != nil {
-		at := r.ctx.Now().Duration()
-		c.prof.Complete(profile.SpanHashChunk, r.ctx.Core().ID(), -1, at, at+d)
+		at := w.ctx.Now().Duration()
+		c.prof.Complete(span, w.ctx.Core().ID(), -1, at, at+d)
 	}
-	r.addr += uint64(n)
-	r.remaining -= n
-	r.ctx.Elapse(d, r.step)
+	w.addr += uint64(n)
+	w.remaining -= n
+	w.ctx.Elapse(d, w.step)
 }
 
 // hashChunk folds the n bytes at addr into h, consulting the incremental
@@ -332,79 +333,6 @@ func foldViews(m *mem.Memory, addr uint64, n int, h uint64, views [][]byte) (uin
 		h = Djb2Update(h, v)
 	}
 	return h, views
-}
-
-// captureRun is the pooled state of one in-flight SnapshotHash capture
-// walk, the snapshot-technique analog of hashRun.
-type captureRun struct {
-	c         *Checker
-	ctx       *trustzone.Context
-	addr      uint64
-	remaining int
-	rate      float64
-	buf       []byte
-	done      func([]byte)
-	step      func()
-}
-
-func (c *Checker) getCaptureRun() *captureRun {
-	if n := len(c.captureRuns); n > 0 {
-		r := c.captureRuns[n-1]
-		c.captureRuns = c.captureRuns[:n-1]
-		return r
-	}
-	r := &captureRun{c: c}
-	r.step = r.advance
-	return r
-}
-
-// advance copies the next chunk into the capture buffer at the current
-// virtual instant, then elapses the chunk's copy time.
-func (r *captureRun) advance() {
-	c := r.c
-	if r.remaining == 0 {
-		done, buf := r.done, r.buf
-		r.ctx, r.done, r.buf = nil, nil, nil
-		c.captureRuns = append(c.captureRuns, r)
-		done(buf)
-		return
-	}
-	n := DefaultChunkSize
-	if n > r.remaining {
-		n = r.remaining
-	}
-	at := len(r.buf)
-	r.buf = r.buf[:at+n]
-	if err := c.image.Mem().Read(r.addr, r.buf[at:]); err != nil {
-		panic(fmt.Sprintf("introspect: validated range became unreadable: %v", err))
-	}
-	c.bytesCopied.Add(int64(n))
-	d := secondsDuration(r.rate * float64(n))
-	if c.prof != nil {
-		at := r.ctx.Now().Duration()
-		c.prof.Complete(profile.SpanSnapshotChunk, r.ctx.Core().ID(), -1, at, at+d)
-	}
-	r.addr += uint64(n)
-	r.remaining -= n
-	r.ctx.Elapse(d, r.step)
-}
-
-// getBuf returns a capture buffer with capacity >= n and length 0, reusing
-// a pooled one when possible.
-func (c *Checker) getBuf(n int) []byte {
-	for k := len(c.bufs) - 1; k >= 0; k-- {
-		if b := c.bufs[k]; cap(b) >= n {
-			c.bufs = append(c.bufs[:k], c.bufs[k+1:]...)
-			return b[:0]
-		}
-	}
-	return make([]byte, 0, n)
-}
-
-// putBuf returns a capture buffer to the pool once its snapshot has been
-// analyzed.
-func (c *Checker) putBuf(b []byte) {
-	c.bufs = append(c.bufs, b)
 }
 
 func secondsDuration(s float64) time.Duration {

@@ -6,6 +6,7 @@ import (
 
 	"satin/internal/hw"
 	"satin/internal/mem"
+	"satin/internal/obs"
 	"satin/internal/simclock"
 	"satin/internal/trustzone"
 )
@@ -92,8 +93,12 @@ func TestNewCheckerValidation(t *testing.T) {
 	}
 }
 
+// TestCheckValidation: a check refused for its size, range or technique
+// fails synchronously and never reaches introspect.checks.
 func TestCheckValidation(t *testing.T) {
 	r := newRig(t)
+	reg := obs.NewRegistry()
+	r.checker.Observe(reg)
 	err := r.monitor.RequestSecure(0, func(ctx *trustzone.Context) {
 		defer ctx.Exit()
 		if err := r.checker.Check(ctx, DirectHash, r.image.Layout().Base, 0, nil); err == nil {
@@ -110,6 +115,9 @@ func TestCheckValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.engine.Run()
+	if got := reg.Counter("introspect.checks").Value(); got != 0 {
+		t.Errorf("introspect.checks = %d after three rejected checks, want 0", got)
+	}
 }
 
 func TestCleanKernelMatchesGolden(t *testing.T) {
@@ -233,6 +241,84 @@ func TestSnapshotFreezesBytesAtCapture(t *testing.T) {
 	res := r.checkOn(t, 4, SnapshotHash, a.Addr, a.Size)
 	if res.Sum == golden {
 		t.Error("snapshot technique missed bytes restored after capture")
+	}
+}
+
+// TestSnapshotSumIsTheCapturedBytes: a SnapshotHash sums each chunk as it
+// was when the capture pass copied it. Area 14's first chunk is the syscall
+// table; the capture pass over the area ends about 2.1 ms into the check
+// on an A57, and the analysis of the frozen copy about 2.1 ms later.
+func TestSnapshotSumIsTheCapturedBytes(t *testing.T) {
+	cases := []struct {
+		name string
+		// word picks the 8 bytes to overwrite, given the layout and area.
+		word func(l mem.Layout, a mem.Area) uint64
+		at   time.Duration
+		// live: the sum is the live area's at the end; otherwise the clean
+		// golden, though live memory is dirty.
+		live bool
+	}{
+		{"written after its chunk was captured",
+			func(l mem.Layout, _ mem.Area) uint64 { return l.SyscallEntryAddr(mem.GettidNR) },
+			time.Millisecond, false},
+		{"written before its chunk was captured",
+			func(_ mem.Layout, a mem.Area) uint64 { return a.Addr + uint64(a.Size) - 16 },
+			time.Millisecond, true},
+		{"written after the capture pass",
+			func(_ mem.Layout, a mem.Area) uint64 { return a.Addr + uint64(a.Size) - 16 },
+			3 * time.Millisecond, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			areas, err := mem.BuildAreas(r.image.Layout(), mem.JunoAreaGroups())
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := areas[14]
+			golden, err := GoldenRange(r.image, HashDjb2, a.Addr, a.Size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := tc.word(r.image.Layout(), a)
+			r.engine.After(tc.at, "write", func() {
+				v, err := r.image.Mem().Uint64(addr)
+				if err == nil {
+					err = r.image.Mem().PutUint64(addr, ^v)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			})
+			res := r.checkOn(t, 4, SnapshotHash, a.Addr, a.Size)
+			live := naiveSum(t, r.image, a.Addr, a.Size)
+			if live == golden {
+				t.Fatal("the write left the area clean")
+			}
+			want := golden
+			if tc.live {
+				want = live
+			}
+			if res.Sum != want {
+				t.Errorf("sum %#x, want %#x (golden %#x, live %#x)", res.Sum, want, golden, live)
+			}
+		})
+	}
+}
+
+// TestSnapshotAllocatesNoCopy: a snapshot folds each chunk as it copies it,
+// so even a whole-kernel SnapshotHash on a fresh checker holds no copy of
+// the range in simulator memory.
+func TestSnapshotAllocatesNoCopy(t *testing.T) {
+	r := newRig(t)
+	layout := r.image.Layout()
+	before := totalAlloc()
+	res := r.checkOn(t, 4, SnapshotHash, layout.Base, layout.TotalSize())
+	if got := totalAlloc() - before; got >= 64<<10 {
+		t.Errorf("whole-kernel snapshot allocated %d bytes, want under 64 KiB", got)
+	}
+	if want := naiveSum(t, r.image, layout.Base, layout.TotalSize()); res.Sum != want {
+		t.Errorf("sum %#x, want %#x", res.Sum, want)
 	}
 }
 

@@ -6,9 +6,11 @@ import (
 )
 
 // Checkpoint support. The checker never holds pending events at a claimable
-// instant: its hash/capture walks live entirely inside a secure-world
-// residence, which the protocol steps past before capturing, so the pooled
-// run structs are all parked on the free lists. What remains is pure state:
+// instant: its chunk walks (DirectHash and SnapshotHash alike) live
+// entirely inside a secure-world residence, which the protocol steps past
+// before capturing, so the pooled walks are all parked on the free list
+// and no walk carries a running sum across the instant. What remains is
+// pure state:
 // the dispersion RNG, and the incremental hash cache (entries plus its
 // internal hit/miss counters — the obs counters ride the registry snapshot
 // separately). The baseline service likewise schedules nothing itself — the

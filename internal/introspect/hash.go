@@ -1,9 +1,9 @@
 // Package introspect provides the secure-world introspection substrate
 // shared by the baseline checkers and SATIN: the djb2 hash the paper uses
 // (§IV-B1), a chunked memory checker whose reads interleave with normal-world
-// memory writes in virtual time (reproducing the TOCTTOU race of Figure 3),
-// a snapshot-then-hash engine, and the baseline periodic full-kernel
-// checker that TZ-Evader defeats.
+// memory writes in virtual time (reproducing the TOCTTOU race of Figure 3)
+// for both of Table I's techniques, hash in place and snapshot then hash,
+// and the baseline periodic full-kernel checker that TZ-Evader defeats.
 package introspect
 
 import "encoding/binary"

@@ -259,6 +259,38 @@ func TestRecapturePristineAllocation(t *testing.T) {
 	}
 }
 
+// TestTrustedCopyRefusesWrites: the trusted copy, the boot state's shared
+// one and a recaptured one alike, is read-only: Write and RestorePage fail
+// and leave its bytes as they were.
+func TestTrustedCopyRefusesWrites(t *testing.T) {
+	layout := JunoKernelLayout()
+	im, err := bootState(t, layout, 6).NewImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := layout.SyscallEntryAddr(GettidNR)
+	for _, name := range []string{"boot", "recaptured"} {
+		if name == "recaptured" {
+			if err := im.Mem().PutUint64(entry, 0xBADC0DE); err != nil {
+				t.Fatal(err)
+			}
+			im.RecapturePristine()
+		}
+		trusted := im.Trusted()
+		before := regionBytes(t, trusted)
+		if err := trusted.PutUint64(entry, 0xFEED); err == nil {
+			t.Errorf("%s trusted copy: Write accepted", name)
+		}
+		page := make([]byte, PageSize)
+		if err := trusted.RestorePage(0, page); err == nil {
+			t.Errorf("%s trusted copy: RestorePage accepted", name)
+		}
+		if !bytes.Equal(regionBytes(t, trusted), before) {
+			t.Errorf("%s trusted copy: bytes changed", name)
+		}
+	}
+}
+
 // TestBootSumMemoized: images sharing a boot state compute each (summer,
 // range) once between them, through their live memory and their trusted
 // copy alike.

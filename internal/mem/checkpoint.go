@@ -23,8 +23,12 @@ func (m *Memory) PageView(p int) ([]byte, error) {
 // RestorePage overwrites page p's bytes without bumping its generation —
 // the generation array is restored separately via SetPageGens. data must be
 // exactly the page's length (PageSize, or the tail for a partial last page).
-// Like Write, it copies a shared page before writing it.
+// Like Write, it copies a shared page before writing it and refuses a
+// read-only region.
 func (m *Memory) RestorePage(p int, data []byte) error {
+	if err := m.writable(); err != nil {
+		return err
+	}
 	view, err := m.PageView(p)
 	if err != nil {
 		return err

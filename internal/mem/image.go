@@ -44,7 +44,7 @@ func NewImage(layout Layout, seed uint64) (*Image, error) {
 	fill(m, data, layout, seed)
 	clear(m.owned) // from here on the filled pages are the boot state's
 	b := &BootState{layout: layout, seed: seed, data: data, gens: m.PageGens()}
-	b.trusted = newMemory(layout.Base, layout.TotalSize(), data, false)
+	b.trusted = newReadOnly(layout.Base, layout.TotalSize(), data, false)
 	b.trusted.boot, m.boot = b, b
 	return &Image{
 		mem:        m,
@@ -160,9 +160,10 @@ func (im *Image) Boot() *BootState { return im.mem.boot }
 
 // Trusted returns the trusted copy of the static kernel: a read-only
 // region spanning exactly the static kernel, whose bytes the golden hashes
-// describe. Callers must not mutate the views it hands out (Views,
-// PageView); pages it shares with the boot state serve its sums from the
-// boot state's memo (BootSum).
+// describe. It has no page generations, and Write and RestorePage refuse
+// it; callers must not mutate the views it hands out (Views, PageView).
+// Pages it shares with the boot state serve its sums from the boot state's
+// memo (BootSum).
 func (im *Image) Trusted() *Memory { return im.trusted }
 
 // Pristine returns a copy of the n trusted (boot-time) bytes at addr,

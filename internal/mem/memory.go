@@ -33,7 +33,9 @@ import (
 // substrate for anything that caches derived views of memory — the
 // introspection layer's incremental hash cache keys chunk digests on them —
 // and a reusable primitive for future diff-based features: two reads of a
-// page with the same generation are guaranteed byte-identical.
+// page with the same generation are guaranteed byte-identical. A region
+// without generations (an image's trusted copy) is read-only: Write and
+// RestorePage refuse it.
 type Memory struct {
 	base uint64
 	size int
@@ -45,7 +47,8 @@ type Memory struct {
 	pages [][]byte
 	owned []bool
 	// gens[p] counts writes that touched page p since boot. The boot-time
-	// fill happens before any observer exists, so it does not count.
+	// fill happens before any observer exists, so it does not count. nil
+	// for a read-only region.
 	gens []uint64
 }
 
@@ -62,18 +65,25 @@ func NewMemory(base uint64, n int) (*Memory, error) {
 	return newMemory(base, n, nil, false), nil
 }
 
-// newMemory builds an n-byte region at base whose leading pages are data's
-// bytes and whose remaining pages are the zero page. The region owns
+// newMemory builds a writable n-byte region at base whose leading pages are
+// data's bytes and whose remaining pages are the zero page. The region owns
 // data's pages when own is set; otherwise it shares them. Every page of
 // data but the region's last must be a full page.
 func newMemory(base uint64, n int, data []byte, own bool) *Memory {
+	m := newReadOnly(base, n, data, own)
+	m.gens = make([]uint64, len(m.pages))
+	return m
+}
+
+// newReadOnly builds the pages of newMemory's region without generations:
+// a read-only region.
+func newReadOnly(base uint64, n int, data []byte, own bool) *Memory {
 	np := (n + PageSize - 1) / PageSize
 	m := &Memory{
 		base:  base,
 		size:  n,
 		pages: make([][]byte, np),
 		owned: make([]bool, np),
-		gens:  make([]uint64, np),
 	}
 	for p := range m.pages {
 		lo := p * PageSize
@@ -112,6 +122,14 @@ func (m *Memory) check(addr uint64, n int) (int, error) {
 	return int(addr - m.base), nil
 }
 
+// writable refuses a read-only region.
+func (m *Memory) writable() error {
+	if m.gens == nil {
+		return fmt.Errorf("mem: region [%#x, %#x) is read-only", m.base, m.base+uint64(m.size))
+	}
+	return nil
+}
+
 // own returns page p's bytes for writing, copying the page on its first
 // write.
 func (m *Memory) own(p int) []byte {
@@ -145,7 +163,7 @@ func (m *Memory) BootSum(h Summer, addr uint64, n int) (uint64, bool) {
 // freeze returns a read-only region over m's first n bytes as they are
 // now: pages m still shares stay shared, and pages m owns are copied.
 func (m *Memory) freeze(n int) *Memory {
-	f := newMemory(m.base, n, nil, false)
+	f := newReadOnly(m.base, n, nil, false)
 	f.boot = m.boot
 	for p, page := range f.pages {
 		page = m.pages[p][:len(page):len(page)]
@@ -201,8 +219,11 @@ func (m *Memory) Views(addr uint64, n int, dst [][]byte) ([][]byte, error) {
 }
 
 // Write copies data into memory starting at addr and bumps the generation
-// of every page the write touches.
+// of every page the write touches. A read-only region refuses it.
 func (m *Memory) Write(addr uint64, data []byte) error {
+	if err := m.writable(); err != nil {
+		return err
+	}
 	off, err := m.check(addr, len(data))
 	if err != nil {
 		return err
@@ -221,7 +242,8 @@ func (m *Memory) Write(addr uint64, data []byte) error {
 // overlapping [addr, addr+n). Because generations only ever increase, the
 // sum changes if and only if some overlapping page was written — a single
 // uint64 compare validates an arbitrary range. The range must be mapped
-// (callers validate once up front); n <= 0 sums to 0.
+// (callers validate once up front) in a writable region, since a read-only
+// one has no generations; n <= 0 sums to 0.
 func (m *Memory) GenSum(addr uint64, n int) uint64 {
 	if n <= 0 {
 		return 0

@@ -157,12 +157,12 @@ func New(opt Options) (*Server, error) {
 	}, nil
 }
 
-// Submit registers a campaign split into `shards` shards and returns its
-// status. The campaign is canonicalized first — the job's identity is the
-// canonical form, exactly as in result files. Submitting a campaign whose
-// canonical bytes and shard count match an existing unfinished job returns
-// that job instead of forking a duplicate (so a retried submit is
-// idempotent).
+// Submit registers a campaign split into `shards` shards (1 to the
+// campaign's cell count) and returns its status. The campaign is
+// canonicalized first — the job's identity is the canonical form, exactly
+// as in result files. Submitting a campaign whose canonical bytes and shard
+// count match an existing unfinished job returns that job instead of
+// forking a duplicate (so a retried submit is idempotent).
 func (s *Server) Submit(campaignJSON []byte, shards int) (JobStatus, error) {
 	c, err := campaign.Parse(campaignJSON)
 	if err != nil {
@@ -180,8 +180,10 @@ func (s *Server) Submit(campaignJSON []byte, shards int) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, badRequest(err)
 	}
-	if shards < 1 {
-		return JobStatus{}, badRequest(fmt.Errorf("serve: shard count %d: need at least 1", shards))
+	// The shard count sizes the plan, the shard states and one histogram per
+	// shard, so it is bounded by the cells there are to run.
+	if shards < 1 || shards > len(cells) {
+		return JobStatus{}, badRequest(fmt.Errorf("serve: shard count %d: need 1 to %d, the campaign's cell count", shards, len(cells)))
 	}
 	plan, err := shard.PlanCells(cells, shards, s.opt.GroupKey)
 	if err != nil {

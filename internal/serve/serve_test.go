@@ -3,7 +3,9 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -430,6 +432,31 @@ func TestWorkerExitsWithoutWork(t *testing.T) {
 		Name: "idle", Dir: t.TempDir(), Trial: fakeTrial,
 	}); err != nil {
 		t.Fatalf("RunWorker: %v", err)
+	}
+}
+
+// TestSubmitRejectsMoreShardsThanCells: the shard count sizes the plan and
+// the coordinator's per-shard state, so it may not exceed the campaign's
+// cells; over HTTP the refusal is a 400.
+func TestSubmitRejectsMoreShardsThanCells(t *testing.T) {
+	s := newServer(t, serve.Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const cells = 6 // gridCampaign
+	body, err := json.Marshal(serve.SubmitRequest{Campaign: json.RawMessage(gridCampaign), Shards: cells + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("submit with %d shards for %d cells: status %d, want 400", cells+1, cells, resp.StatusCode)
+	}
+	if st, err := s.Submit([]byte(gridCampaign), cells); err != nil || len(st.Shards) != cells {
+		t.Errorf("submit with one shard per cell: %+v, %v", st, err)
 	}
 }
 

@@ -211,8 +211,8 @@ type Evader struct {
 
 // Workload adds background interference to the scenario.
 type Workload struct {
-	// FloodRate is the §V-B SGI flood rate per core (interrupts/second);
-	// 0 disables.
+	// FloodRate is the §V-B SGI flood rate per core (interrupts/second),
+	// at most attack.MaxFloodRate; 0 disables.
 	FloodRate float64 `json:"flood_rate,omitempty"`
 }
 
@@ -350,6 +350,9 @@ func Validate(s Spec) error {
 		}
 		if s.Workload.FloodRate < 0 {
 			return fmt.Errorf("spec: workload.flood_rate %v is negative", s.Workload.FloodRate)
+		}
+		if s.Workload.FloodRate > attack.MaxFloodRate {
+			return fmt.Errorf("spec: workload.flood_rate %v exceeds %g per second", s.Workload.FloodRate, float64(attack.MaxFloodRate))
 		}
 	}
 	if s.Faults != "" {

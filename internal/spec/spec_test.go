@@ -125,12 +125,18 @@ func TestValidateRejections(t *testing.T) {
 		"negative flood rate": {
 			func(s *Spec) { s.Workload = &Workload{FloodRate: -5} },
 			"workload.flood_rate -5 is negative"},
+		"flood rate past one burst per nanosecond": {
+			func(s *Spec) { s.Workload = &Workload{FloodRate: 2e9} },
+			"workload.flood_rate 2e+09 exceeds 1e+09"},
 		"malformed fault plan": {
 			func(s *Spec) { s.Faults = "jitter:lots" },
 			"spec: faults:"},
 		"fault plan out of range": {
 			func(s *Spec) { s.Faults = "hotplug:core=9,off=1s" },
 			"targets core 9 of 6"},
+		"dvfs factor below the floor": {
+			func(s *Spec) { s.Faults = "dvfs:at=1s,factor=1e-12" },
+			"factor 1e-12 is below the floor"},
 		"negative run horizon": {
 			func(s *Spec) { s.Run = Run{For: Duration(-time.Second)} },
 			"run.for -1s is negative"},
