@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke hash-fuzz-smoke checkpoint-fuzz-smoke checkpoint-smoke serve-smoke paper-check perfbench-smoke examples-check docs-check cover profile ci
+.PHONY: all build vet fmt-check test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke hash-fuzz-smoke checkpoint-fuzz-smoke checkpoint-smoke serve-smoke paper-check word-size-check fma-check perfbench-smoke examples-check docs-check cover profile ci
 
 all: build test
 
@@ -240,6 +240,30 @@ paper-check:
 	cmp /tmp/paper.stdout cmd/benchtables/testdata/paper.stdout.golden || { echo "the paper run drifted from cmd/benchtables/testdata/paper.stdout.golden"; exit 1; }
 	@echo "the paper run reproduces its golden byte for byte"
 
+# Same bytes on a 32-bit word: the whole suite built for 386 (int is 32
+# bits there), and a 32-bit no-flag paper run that must print exactly the
+# golden the 64-bit run prints.
+word-size-check:
+	GOARCH=386 $(GO) test ./...
+	GOARCH=386 $(GO) build -o /tmp/benchtables_386 ./cmd/benchtables
+	/tmp/benchtables_386 > /tmp/paper_386.stdout
+	cmp /tmp/paper_386.stdout cmd/benchtables/testdata/paper.stdout.golden || { echo "the 32-bit paper run drifted from cmd/benchtables/testdata/paper.stdout.golden"; exit 1; }
+	@echo "the 386 suite passes and the 32-bit paper run reproduces the golden byte for byte"
+
+# The timing draws round each product before the add on every
+# architecture. arm64's compiler fuses x + y*z into one rounding (FMADD and
+# kin) unless the product is converted explicitly, which would move draws'
+# last bits there. Fails when the arm64 assembly of Dist.Draw or
+# FloatDist.Draw holds a fused multiply-add, or when either is missing.
+fma-check:
+	@GOARCH=arm64 $(GO) build -gcflags='satin/internal/simclock=-S' -o /dev/null ./internal/simclock > /tmp/simclock_arm64.s 2>&1 || { cat /tmp/simclock_arm64.s; exit 1; }
+	@for f in Dist.Draw FloatDist.Draw; do \
+		grep -q "^satin/internal/simclock\.$$f STEXT" /tmp/simclock_arm64.s || { echo "fma-check: no arm64 assembly for simclock.$$f"; exit 1; }; \
+	done
+	@awk '/^[^ \t].* STEXT/ { f = ($$1 ~ /^satin\/internal\/simclock\.(Float)?Dist\.Draw$$/) } f && /\t(FMADD|FMSUB|FNMADD|FNMSUB)/' /tmp/simclock_arm64.s > /tmp/simclock_fma.txt
+	@if [ -s /tmp/simclock_fma.txt ]; then cat /tmp/simclock_fma.txt; echo "fma-check: the arm64 timing draws fuse a multiply-add"; exit 1; fi
+	@echo "the arm64 timing draws hold no fused multiply-add"
+
 # The benchmark, vetted and smoke-run. perfbench/ is its own Go module
 # (replace satin => ../), so build, vet and test never compile it, yet it
 # calls the kernel, golden-table, image, engine, campaign and serve APIs.
@@ -314,4 +338,4 @@ profile:
 # is the one that builds and runs the benchmark module. Only the workflow
 # runs the four 20 s fuzz smokes (spec-fuzz-smoke, campaign-fuzz-smoke,
 # hash-fuzz-smoke, checkpoint-fuzz-smoke) and cover.
-ci: vet fmt-check build test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke paper-check perfbench-smoke examples-check docs-check
+ci: vet fmt-check build test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke paper-check word-size-check fma-check perfbench-smoke examples-check docs-check

@@ -7,6 +7,7 @@ import (
 	"satin/internal/attack"
 	"satin/internal/core"
 	"satin/internal/introspect"
+	"satin/internal/simclock"
 	"satin/internal/stats"
 )
 
@@ -96,20 +97,20 @@ func activeFraction(rootkit *attack.Rootkit, rig *Rig) float64 {
 		return 0
 	}
 	var active time.Duration
-	var activeSince = -1
-	transitions := rootkit.Transitions()
-	for _, tr := range transitions {
+	var since simclock.Time // valid while on
+	on := false
+	for _, tr := range rootkit.Transitions() {
 		if tr.State == attack.RootkitActive {
-			if activeSince < 0 {
-				activeSince = int(tr.At)
+			if !on {
+				since, on = tr.At, true
 			}
-		} else if activeSince >= 0 {
-			active += tr.At.Duration() - time.Duration(activeSince)
-			activeSince = -1
+		} else if on {
+			active += tr.At.Sub(since)
+			on = false
 		}
 	}
-	if activeSince >= 0 {
-		active += total.Duration() - time.Duration(activeSince)
+	if on {
+		active += total.Sub(since)
 	}
 	return active.Seconds() / total.Duration().Seconds()
 }

@@ -134,11 +134,15 @@ func NewChecker(image *mem.Image, perf hw.PerfModel, seed uint64) (*Checker, err
 // the boot state's chunk terms. It is on by default; disabling it is the
 // escape hatch the golden byte-identity regression uses to prove cached and
 // naive runs agree, since the checker then hashes every chunk's live bytes.
-// Re-enabling starts from an empty cache. Results are identical either way
-// — only wall-clock time changes.
+// Because it will read every page, disabling it generates the image's boot
+// pages up front (mem.BootState.Generate): a golden pass run after it folds
+// those bytes, and no page is generated twice. Re-enabling starts from an
+// empty cache. Results are identical either way — only wall-clock time
+// changes.
 func (c *Checker) SetHashCache(enabled bool) {
 	if !enabled {
 		c.cache = nil
+		c.image.Boot().Generate()
 		return
 	}
 	if c.cache == nil {
@@ -251,11 +255,13 @@ func (c *Checker) getWalk() *walk {
 
 // advance folds the next chunk at the current virtual instant, then elapses
 // the chunk's secure CPU time. DirectHash folds the chunk in place through
-// hashChunk. SnapshotHash copies it out: it folds the chunk's live bytes
-// now, never the cache, which gives the frozen copy's sum because djb2
-// streams and a captured chunk is never read again. On completion the walk
-// is recycled before done fires, so done may immediately start another
-// check.
+// hashChunk. SnapshotHash copies it out: it folds the chunk's bytes as they
+// are now, never the cache, which gives the frozen copy's sum because djb2
+// streams and a captured chunk is never read again. With the cache on, a
+// chunk whose pages are still the boot's folds its boot term, as
+// hashChunk's miss path does; with it off, the live bytes. On completion
+// the walk is recycled before done fires, so done may immediately start
+// another check.
 func (w *walk) advance() {
 	c := w.c
 	if w.remaining == 0 {
@@ -271,7 +277,11 @@ func (w *walk) advance() {
 		w.sum = c.hashChunk(w.addr, n, w.sum)
 		c.bytesHashed.Add(int64(n))
 	} else {
-		w.sum, c.views = foldViews(c.image.Mem(), w.addr, n, w.sum, c.views)
+		if c.cache != nil {
+			w.sum, c.views = foldChunk(c.image.Mem(), w.addr, n, w.sum, c.views)
+		} else {
+			w.sum, c.views = foldViews(c.image.Mem(), w.addr, n, w.sum, c.views)
+		}
 		c.bytesCopied.Add(int64(n))
 		span = profile.SpanSnapshotChunk
 	}
@@ -312,8 +322,9 @@ func (c *Checker) hashChunk(addr uint64, n int, h uint64) uint64 {
 
 // foldChunk folds the n bytes of m at addr into h. While every page the
 // chunk spans is still the boot state's, it takes the chunk's term from
-// the boot state's memo (mem.Memory.BootSum); otherwise it hashes the page
-// views. views is scratch for the page views, returned for reuse.
+// the boot state's memo (mem.Memory.BootSum), which folds it from the
+// fill's words where no page has been generated; otherwise it hashes the
+// page views. views is scratch for the page views, returned for reuse.
 func foldChunk(m *mem.Memory, addr uint64, n int, h uint64, views [][]byte) (uint64, [][]byte) {
 	if term, ok := m.BootSum(djb2Term{}, addr, n); ok {
 		return h*pow33(n) + term, views

@@ -1,6 +1,7 @@
 package introspect
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -319,6 +320,56 @@ func TestSnapshotAllocatesNoCopy(t *testing.T) {
 	}
 	if want := naiveSum(t, r.image, layout.Base, layout.TotalSize()); res.Sum != want {
 		t.Errorf("sum %#x, want %#x", res.Sum, want)
+	}
+}
+
+// TestBootAllocatesNoKernel: booting the paper's kernel and taking its
+// golden table folds every chunk's term from the boot fill's words, so the
+// boot stage allocates page tables and the term memo, not the 11.9 MB
+// static kernel.
+func TestBootAllocatesNoKernel(t *testing.T) {
+	areas, err := mem.BuildAreas(mem.JunoKernelLayout(), mem.JunoAreaGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := totalAlloc()
+	im, err := mem.NewJunoImage(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GoldenTable(im, HashDjb2, areas); err != nil {
+		t.Fatal(err)
+	}
+	if got := totalAlloc() - before; got >= 1<<20 {
+		t.Errorf("boot and golden table allocated %d bytes, want under 1 MiB", got)
+	}
+	runtime.KeepAlive(im)
+}
+
+// TestHashCacheOffGeneratesPagesOnce: a checker with the cache off reads
+// every page, so turning the cache off generates the boot pages up front;
+// the golden pass then folds their bytes, and neither it nor a full scan
+// of the areas after it generates a page again (a generated page would
+// allocate 4 KiB).
+func TestHashCacheOffGeneratesPagesOnce(t *testing.T) {
+	r := newRig(t)
+	r.checker.SetHashCache(false)
+	areas, err := mem.BuildAreas(r.image.Layout(), mem.JunoAreaGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := totalAlloc()
+	golden, err := GoldenTable(r.image, HashDjb2, areas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range areas {
+		if res := r.checkOn(t, 4, DirectHash, a.Addr, a.Size); res.Sum != golden[i] {
+			t.Errorf("area %d: sum %#x, want the golden %#x", i, res.Sum, golden[i])
+		}
+	}
+	if got := totalAlloc() - before; got >= 64<<10 {
+		t.Errorf("golden pass and scan with the cache off allocated %d bytes, want under 64 KiB", got)
 	}
 }
 

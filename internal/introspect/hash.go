@@ -6,7 +6,11 @@
 // and the baseline periodic full-kernel checker that TZ-Evader defeats.
 package introspect
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"satin/internal/mem"
+)
 
 // Djb2Seed is the djb2 initial value ("hash = 5381").
 const Djb2Seed uint64 = 5381
@@ -79,8 +83,8 @@ func djb2UpdateRef(h uint64, data []byte) uint64 {
 	return h
 }
 
-// djb2Term is the mem.Summer of chunk terms. djb2 is affine in its state:
-// each step multiplies the state by 33 and adds a byte, so
+// djb2Term is the mem.TermFold of chunk terms. djb2 is affine in its
+// state: each step multiplies the state by 33 and adds a byte, so
 //
 //	Djb2Update(h, B) = h·33^len(B) + Djb2Update(0, B)  (mod 2^64).
 //
@@ -89,8 +93,28 @@ func djb2UpdateRef(h uint64, data []byte) uint64 {
 // term per chunk wherever the chunk holds the same bytes.
 type djb2Term struct{}
 
-// Sum returns data's term.
-func (djb2Term) Sum(data []byte) uint64 { return Djb2Update(0, data) }
+// Bytes folds b into h.
+func (djb2Term) Bytes(h uint64, b []byte) uint64 { return Djb2Update(h, b) }
+
+// Fill folds the n boot-fill words from word k of seed's static kernel into
+// h as they are generated, the way Djb2Update folds a little-endian word
+// of bytes: four words per state step, then one at a time. The words never
+// pass through memory.
+func (djb2Term) Fill(h, seed uint64, k, n int) uint64 {
+	for ; n >= 4; n -= 4 {
+		t0 := djb2Word(mem.FillWord(seed, k))
+		t1 := djb2Word(mem.FillWord(seed, k+1))
+		t2 := djb2Word(mem.FillWord(seed, k+2))
+		t3 := djb2Word(mem.FillWord(seed, k+3))
+		h = h*djb2p32 + t0*djb2p24 + t1*djb2p16 + t2*djb2p8 + t3
+		k += 4
+	}
+	for ; n > 0; n-- {
+		h = h*djb2p8 + djb2Word(mem.FillWord(seed, k))
+		k++
+	}
+	return h
+}
 
 // pow33 returns 33^n mod 2^64, the factor an n-byte chunk applies to the
 // state entering it.

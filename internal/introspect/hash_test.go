@@ -217,7 +217,7 @@ func guardTrustedBoot(t *testing.T, im *mem.Image) {
 func TestDjb2AffineSplit(t *testing.T) {
 	states := []uint64{0, 1, Djb2Seed, ^uint64(0), 0x0123456789abcdef}
 	split := func(h uint64, b []byte) bool {
-		return Djb2Update(h, b) == h*pow33(len(b))+(djb2Term{}).Sum(b)
+		return Djb2Update(h, b) == h*pow33(len(b))+(djb2Term{}).Bytes(0, b)
 	}
 	b := make([]byte, 2)
 	for _, h := range states {

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"runtime"
@@ -10,26 +11,94 @@ import (
 	"testing"
 )
 
-// crcSum is a Summer for tests (the package cannot import introspect's
-// hashes). calls, when set, counts how often a sum is actually computed.
+// crcSum is a TermFold for tests (the package cannot import introspect's
+// hashes): CRC-32 streams like djb2, so a range's term is the checksum of
+// its bytes. calls, when set, counts how often a fold is actually run.
 type crcSum struct{ calls *int }
 
-func (c crcSum) Sum(data []byte) uint64 {
+func (c crcSum) Bytes(h uint64, b []byte) uint64 {
 	if c.calls != nil {
 		*c.calls++
 	}
-	return uint64(crc32.ChecksumIEEE(data))
+	return uint64(crc32.Update(uint32(h), crc32.IEEETable, b))
 }
 
-// refImage fills a flat live region in place from seed, with no boot state
-// or page sharing involved, and copies the static kernel out as the
-// trusted copy.
+func (c crcSum) Fill(h, seed uint64, k, n int) uint64 {
+	if c.calls != nil {
+		*c.calls++
+	}
+	var w [8]byte
+	for ; n > 0; n-- {
+		binary.LittleEndian.PutUint64(w[:], FillWord(seed, k))
+		h = uint64(crc32.Update(uint32(h), crc32.IEEETable, w[:]))
+		k++
+	}
+	return h
+}
+
+// Sum returns data's term.
+func (crcSum) Sum(data []byte) uint64 { return uint64(crc32.ChecksumIEEE(data)) }
+
+// fillRandom is the boot fill as it once ran, eagerly over the whole
+// static kernel: splitmix64 stepped once per word, written little-endian,
+// the last word cut to the bytes left. FillWord and the generated pages
+// are checked against it.
+func fillRandom(data []byte, seed uint64) {
+	state := seed
+	next := func() uint64 {
+		state += 0x9E3779B97F4A7C15
+		z := state
+		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		return z ^ (z >> 31)
+	}
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		binary.LittleEndian.PutUint64(data[i:], next())
+	}
+	if i < len(data) {
+		v := next()
+		for j := 0; i+j < len(data); j++ {
+			data[i+j] = byte(v >> (8 * j))
+		}
+	}
+}
+
+// refImage fills a flat live region from seed with the eager fill, installs
+// the boot's tables over it with no boot state or page sharing involved,
+// and copies the static kernel out as the trusted copy.
 func refImage(t *testing.T, layout Layout, seed uint64) (live []byte, gens []uint64, pristine []byte) {
 	t.Helper()
 	live = make([]byte, layout.TotalSize()+ModuleArenaSize)
-	m := newMemory(layout.Base, len(live), live, true)
-	fill(m, live, layout, seed)
+	fillRandom(live[:layout.TotalSize()], seed)
+	m := newMemory(layout.Base, len(live), nil)
+	for p := range m.pages {
+		m.pages[p] = live[p*PageSize : p*PageSize+m.pageLen(p)]
+	}
+	install(m, layout)
 	return live, m.gens, append([]byte(nil), live[:layout.TotalSize()]...)
+}
+
+// bootBytes returns every static page of b, generating the pages nobody
+// has yet: the boot's static kernel, page-rounded with the module arena's
+// first zeros.
+func bootBytes(b *BootState) []byte {
+	out := make([]byte, 0, len(b.pages)*PageSize)
+	for p := range b.pages {
+		out = append(out, b.page(p)[:]...)
+	}
+	return out
+}
+
+// memoLen counts the terms b's memo holds.
+func memoLen(b *BootState) int {
+	n := 0
+	for _, s := range b.terms {
+		if s.n != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // regionBytes reads a whole region: an image's live memory or its trusted
@@ -178,7 +247,7 @@ func TestRecapturePristineLeavesSiblings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memoBefore := len(b.sums)
+	memoBefore := memoLen(b)
 
 	entry := layout.SyscallEntryAddr(GettidNR)
 	if err := a.Mem().PutUint64(entry, 0xBADC0DE); err != nil {
@@ -210,7 +279,7 @@ func TestRecapturePristineLeavesSiblings(t *testing.T) {
 	if got, _ := c.Pristine(table.Addr, table.Size); !bytes.Equal(got, pristineBefore) {
 		t.Error("the other sibling's trusted bytes changed")
 	}
-	if got, ok := b.sums[sumKey{h: crcSum{}, off: int(table.Addr - layout.Base), n: table.Size}]; !ok || got != before || len(b.sums) != memoBefore {
+	if got, ok := b.memoized(int(table.Addr-layout.Base), table.Size); !ok || got != before || memoLen(b) != memoBefore {
 		t.Error("the shared memo changed")
 	}
 	if got, ok := c.Trusted().BootSum(crcSum{}, table.Addr, table.Size); !ok || got != before {
@@ -333,10 +402,11 @@ func TestBootSumMemoized(t *testing.T) {
 func TestBootStateConcurrentImages(t *testing.T) {
 	layout := JunoKernelLayout()
 	b := bootState(t, layout, 11)
-	want := crcSum{}.Sum(b.data[:layout.TotalSize()])
+	data := bootBytes(b)
+	want := crcSum{}.Sum(data[:layout.TotalSize()])
 	entry := layout.SyscallEntryAddr(GettidNR)
-	wantEntry := crcSum{}.Sum(b.data[entry-layout.Base:][:PageSize])
-	wantFirst := crcSum{}.Sum(b.data[:PageSize])
+	wantEntry := crcSum{}.Sum(data[entry-layout.Base:][:PageSize])
+	wantFirst := crcSum{}.Sum(data[:PageSize])
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for g := range errs {
@@ -402,4 +472,69 @@ func TestBootStateNewImageAllocation(t *testing.T) {
 		t.Errorf("BootState.NewImage allocated %d bytes, want under 256 KiB", got)
 	}
 	runtime.KeepAlive(im)
+}
+
+// oddLayout is a small kernel whose size is a multiple of neither the page
+// nor the word: its last page is partial and its last fill word is cut.
+func oddLayout() Layout {
+	l := Layout{Base: 0x40000000, SyscallCount: 200}
+	addr := l.Base
+	for _, sp := range []struct {
+		name string
+		size int
+	}{{".text", 9000}, {".rodata", 7001}, {".data", 5003}} {
+		l.Sections = append(l.Sections, Section{Name: sp.name, Addr: addr, Size: sp.size})
+		addr += uint64(sp.size)
+	}
+	l.VBAR = l.Base
+	l.SyscallTableAddr = l.Sections[1].Addr
+	l.PTBase = l.Sections[2].Addr
+	return l
+}
+
+// TestGeneratedPagesMatchEagerFill: a boot makes only the pages its table
+// installs write, and every page a boot state generates later, published
+// on a read or straight into a copy-on-write, equals the eager fill's
+// bytes with the installs over them, byte for byte, the page-rounded tail
+// zero. FillWord is the eager fill's word sequence.
+func TestGeneratedPagesMatchEagerFill(t *testing.T) {
+	for _, layout := range []Layout{JunoKernelLayout(), oddLayout()} {
+		if err := layout.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		np := layout.PageCount()
+		for _, seed := range []uint64{2, 1<<63 + 99} {
+			live, gens, _ := refImage(t, layout, seed)
+			want := live[:np*PageSize]
+			raw := make([]byte, layout.TotalSize())
+			fillRandom(raw, seed)
+			for k := 0; k < 1000 && 8*k+8 <= len(raw); k++ {
+				if got := FillWord(seed, k); got != binary.LittleEndian.Uint64(raw[8*k:]) {
+					t.Fatalf("seed %d: FillWord(%d) = %#x, want the eager fill's %#x", seed, k, got, binary.LittleEndian.Uint64(raw[8*k:]))
+				}
+			}
+
+			b := bootState(t, layout, seed)
+			installs := 0
+			for p := range b.pages {
+				if gens[p] != 0 {
+					installs++
+				}
+				if published := b.pages[p].Load() != nil; published != (gens[p] != 0) {
+					t.Errorf("seed %d, page %d: published %v after the boot, but written by the installs %v", seed, p, published, gens[p] != 0)
+				}
+			}
+			if installs == 0 {
+				t.Fatalf("seed %d: the installs wrote no page", seed)
+			}
+			for p := range b.pages {
+				if got := b.copyPage(p, PageSize); !bytes.Equal(got, want[p*PageSize:][:PageSize]) {
+					t.Errorf("seed %d: page %d generated into a copy differs from the eager fill", seed, p)
+				}
+			}
+			if !bytes.Equal(bootBytes(b), want) {
+				t.Errorf("seed %d: published pages differ from the eager fill", seed)
+			}
+		}
+	}
 }

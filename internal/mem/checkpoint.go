@@ -13,30 +13,39 @@ import "fmt"
 // PageView returns a read-only view of page p's bytes, aliasing the live
 // memory. Callers must not mutate it.
 func (m *Memory) PageView(p int) ([]byte, error) {
-	if p < 0 || p >= len(m.pages) {
-		return nil, fmt.Errorf("mem: page %d outside [0, %d)", p, len(m.pages))
+	if err := m.checkPage(p); err != nil {
+		return nil, err
 	}
-	page := m.pages[p]
-	return page[:len(page):len(page)], nil
+	return m.page(p), nil
+}
+
+// checkPage validates a page index.
+func (m *Memory) checkPage(p int) error {
+	if p < 0 || p >= len(m.pages) {
+		return fmt.Errorf("mem: page %d outside [0, %d)", p, len(m.pages))
+	}
+	return nil
 }
 
 // RestorePage overwrites page p's bytes without bumping its generation —
 // the generation array is restored separately via SetPageGens. data must be
 // exactly the page's length (PageSize, or the tail for a partial last page).
-// Like Write, it copies a shared page before writing it and refuses a
-// read-only region.
+// Like Write, it gives a shared page a private copy, here without reading
+// the shared bytes it overwrites, and it refuses a read-only region.
 func (m *Memory) RestorePage(p int, data []byte) error {
 	if err := m.writable(); err != nil {
 		return err
 	}
-	view, err := m.PageView(p)
-	if err != nil {
+	if err := m.checkPage(p); err != nil {
 		return err
 	}
-	if len(data) != len(view) {
-		return fmt.Errorf("mem: page %d is %d bytes, restore data is %d", p, len(view), len(data))
+	if n := m.pageLen(p); len(data) != n {
+		return fmt.Errorf("mem: page %d is %d bytes, restore data is %d", p, n, len(data))
 	}
-	copy(m.own(p), data)
+	if m.pages[p] == nil {
+		m.pages[p] = make([]byte, len(data))
+	}
+	copy(m.pages[p], data)
 	return nil
 }
 

@@ -2,8 +2,8 @@ package mem
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 )
 
 // ModuleArenaSize is the size of the loadable-module arena mapped after the
@@ -27,25 +27,34 @@ type Image struct {
 	trusted *Memory
 }
 
-// NewImage boots an image with the given layout, filling the static kernel
-// with deterministic pseudo-random content derived from seed and installing
-// a plausible syscall table and exception vector table. The fill is written
-// in place into the buffer that becomes the image's boot state (Boot): the
-// image's pages and its trusted copy share it, and further images of the
-// same seed can be built from it.
+// NewImage boots an image with the given layout: the static kernel holds
+// deterministic pseudo-random content derived from seed (FillWord), with a
+// plausible syscall table, exception vector table and page-permission table
+// installed. The boot makes only the pages the installs write; the image's
+// boot state (Boot) generates the others when they are first read, and
+// further images of the same seed can be built from it.
 func NewImage(layout Layout, seed uint64) (*Image, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, fmt.Errorf("mem: invalid layout: %w", err)
 	}
-	// The boot bytes are page-rounded, so every boot page is a full page;
-	// the tail past the static kernel holds the module arena's first zeros.
-	data := make([]byte, layout.PageCount()*PageSize)
-	m := newImageMemory(layout, data, true)
-	fill(m, data, layout, seed)
-	clear(m.owned) // from here on the filled pages are the boot state's
-	b := &BootState{layout: layout, seed: seed, data: data, gens: m.PageGens()}
-	b.trusted = newReadOnly(layout.Base, layout.TotalSize(), data, false)
-	b.trusted.boot, m.boot = b, b
+	np := layout.PageCount()
+	b := &BootState{
+		layout: layout,
+		seed:   seed,
+		pages:  make([]atomic.Pointer[[PageSize]byte], np),
+		terms:  make([]termSlot, np*termSlots),
+	}
+	b.trusted = newReadOnly(layout.Base, layout.TotalSize(), b)
+	m := newImageMemory(b)
+	install(m, layout)
+	// From here on the pages the installs wrote are the boot state's.
+	for p, page := range m.pages[:np] {
+		if page != nil {
+			b.pages[p].Store((*[PageSize]byte)(page))
+			m.pages[p] = nil
+		}
+	}
+	b.gens = m.PageGens()
 	return &Image{
 		mem:        m,
 		layout:     layout,
@@ -55,9 +64,9 @@ func NewImage(layout Layout, seed uint64) (*Image, error) {
 }
 
 // newImageMemory builds the live region of an image: the static kernel,
-// whose pages are the boot bytes data, followed by the module arena.
-func newImageMemory(layout Layout, data []byte, own bool) *Memory {
-	return newMemory(layout.Base, layout.TotalSize()+ModuleArenaSize, data, own)
+// whose pages are b's, followed by the module arena.
+func newImageMemory(b *BootState) *Memory {
+	return newMemory(b.layout.Base, b.layout.TotalSize()+ModuleArenaSize, b)
 }
 
 // NewJunoImage boots the paper's synthetic lsk-4.4-armlt kernel.
@@ -65,11 +74,9 @@ func NewJunoImage(seed uint64) (*Image, error) {
 	return NewImage(JunoKernelLayout(), seed)
 }
 
-// fill populates the static kernel with deterministic content: data is the
-// buffer m's static pages own, and the installs write through m so they
-// count as page generations.
-func fill(m *Memory, data []byte, layout Layout, seed uint64) {
-	fillRandom(data[:layout.TotalSize()], seed)
+// install writes the boot's tables over the fill through m, so they count
+// as page generations.
+func install(m *Memory, layout Layout) {
 	// Install the syscall table: entry nr points at a distinct "handler"
 	// in kernel text.
 	for nr := 0; nr < layout.SyscallCount; nr++ {
@@ -94,31 +101,6 @@ func fill(m *Memory, data []byte, layout Layout, seed uint64) {
 		zeros := make([]byte, layout.PageCount())
 		if err := m.Write(layout.PTBase, zeros); err != nil {
 			panic(err) // unreachable: layout validated
-		}
-	}
-}
-
-// fillRandom fills data with splitmix64 output: tiny, deterministic, and
-// good enough to make every byte of "kernel text" unique so hash checks are
-// meaningful. It is its own function so the loop keeps its state in
-// registers; inside fill it spilled to the stack.
-func fillRandom(data []byte, seed uint64) {
-	state := seed
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	i := 0
-	for ; i+8 <= len(data); i += 8 {
-		binary.LittleEndian.PutUint64(data[i:], next())
-	}
-	if i < len(data) {
-		v := next()
-		for j := 0; i+j < len(data); j++ {
-			data[i+j] = byte(v >> (8 * j))
 		}
 	}
 }
@@ -162,8 +144,9 @@ func (im *Image) Boot() *BootState { return im.mem.boot }
 // region spanning exactly the static kernel, whose bytes the golden hashes
 // describe. It has no page generations, and Write and RestorePage refuse
 // it; callers must not mutate the views it hands out (Views, PageView).
-// Pages it shares with the boot state serve its sums from the boot state's
-// memo (BootSum).
+// Pages it shares with the boot state serve its terms from the boot
+// state's memo (BootSum), folded from the fill's words while nobody has
+// read the pages.
 func (im *Image) Trusted() *Memory { return im.trusted }
 
 // Pristine returns a copy of the n trusted (boot-time) bytes at addr,
@@ -177,13 +160,18 @@ func (im *Image) Pristine(addr uint64, n int) ([]byte, error) {
 }
 
 // Modified returns the addresses (ascending) of static-kernel bytes whose
-// live value differs from the trusted copy, comparing one page at a time.
+// live value differs from the trusted copy, comparing one page at a time
+// and skipping the pages both still share with the boot state.
 // Diagnostics and tests use it; the introspection mechanisms do not (they
 // only see hashes, like the real system).
 func (im *Image) Modified() []uint64 {
 	var out []uint64
-	for p, want := range im.trusted.pages {
-		live := im.mem.pages[p][:len(want)]
+	for p, copied := range im.trusted.pages {
+		if copied == nil && im.mem.pages[p] == nil {
+			continue
+		}
+		want := im.trusted.page(p)
+		live := im.mem.page(p)[:len(want)]
 		if bytes.Equal(live, want) {
 			continue
 		}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -45,7 +46,7 @@ func TestMemoryBounds(t *testing.T) {
 		{"past end", 0x1010, 1},
 		{"straddles end", 0x100F, 2},
 		{"negative length", 0x1000, -1},
-		{"huge length", 0x1000, 1 << 40},
+		{"huge length", 0x1000, int(min(uint64(1)<<40, uint64(math.MaxInt)))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -427,7 +428,7 @@ func TestImagePristineBounds(t *testing.T) {
 		{"below base", l.Base - 1, 8},
 		{"n=-1", l.Base, -1},
 		{"n=-50", l.Base + 100, -50},
-		{"n=1<<62", l.Base, 1 << 62},
+		{"n=1<<62", l.Base, int(min(uint64(1)<<62, uint64(math.MaxInt)))},
 		{"addr past end", l.End() + 1, 8},
 	}
 	for _, tc := range cases {

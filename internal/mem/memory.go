@@ -22,11 +22,11 @@ import (
 // pages.
 //
 // A page starts out shared: with the boot state the region was built from
-// (BootState), or, where the region holds no boot bytes, with one
-// read-only zero page. Write and RestorePage copy a shared page on its
-// first write, and nothing ever writes a shared page, so images built from
-// one boot state pay only for the pages they write and may run on
-// separate goroutines.
+// (BootState), which generates it from the seed when it is first read, or,
+// where the region holds no boot bytes, with one read-only zero page.
+// Write and RestorePage copy a shared page on its first write, and nothing
+// ever writes a shared page, so images built from one boot state pay only
+// for the pages they write and may run on separate goroutines.
 //
 // Every mutation through Write (and the helpers built on it) bumps a
 // per-page generation counter. Generations are the invalidation
@@ -39,16 +39,16 @@ import (
 type Memory struct {
 	base uint64
 	size int
-	// boot is the boot state whose bytes the region's unowned leading pages
-	// are; nil for NewMemory, whose every page starts as the zero page.
+	// boot is the boot state whose static pages are the region's leading
+	// pages; nil for NewMemory, whose every page starts as the zero page.
 	boot *BootState
-	// pages[p] holds page p's bytes; every page but the last is PageSize
-	// long. owned[p] reports whether pages[p] is the region's private copy.
+	// pages[p] is page p's private copy once the region has written it,
+	// and nil while the page is shared (page). Every page but the last is
+	// PageSize long.
 	pages [][]byte
-	owned []bool
-	// gens[p] counts writes that touched page p since boot. The boot-time
-	// fill happens before any observer exists, so it does not count. nil
-	// for a read-only region.
+	// gens[p] counts writes that touched page p since boot. The boot's
+	// table installs happen before any observer exists, so they do not
+	// count. nil for a read-only region.
 	gens []uint64
 }
 
@@ -62,40 +62,48 @@ func NewMemory(base uint64, n int) (*Memory, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mem: size %d must be positive", n)
 	}
-	return newMemory(base, n, nil, false), nil
+	return newMemory(base, n, nil), nil
 }
 
 // newMemory builds a writable n-byte region at base whose leading pages are
-// data's bytes and whose remaining pages are the zero page. The region owns
-// data's pages when own is set; otherwise it shares them. Every page of
-// data but the region's last must be a full page.
-func newMemory(base uint64, n int, data []byte, own bool) *Memory {
-	m := newReadOnly(base, n, data, own)
+// boot's static pages, when boot is not nil, and whose remaining pages are
+// the zero page, all shared.
+func newMemory(base uint64, n int, boot *BootState) *Memory {
+	m := newReadOnly(base, n, boot)
 	m.gens = make([]uint64, len(m.pages))
 	return m
 }
 
 // newReadOnly builds the pages of newMemory's region without generations:
 // a read-only region.
-func newReadOnly(base uint64, n int, data []byte, own bool) *Memory {
-	np := (n + PageSize - 1) / PageSize
-	m := &Memory{
+func newReadOnly(base uint64, n int, boot *BootState) *Memory {
+	return &Memory{
 		base:  base,
 		size:  n,
-		pages: make([][]byte, np),
-		owned: make([]bool, np),
+		boot:  boot,
+		pages: make([][]byte, (n+PageSize-1)/PageSize),
 	}
-	for p := range m.pages {
-		lo := p * PageSize
-		hi := min(lo+PageSize, n)
-		if hi <= len(data) {
-			m.pages[p] = data[lo:hi:hi]
-			m.owned[p] = own
-		} else {
-			m.pages[p] = zeroPage[: hi-lo : hi-lo]
-		}
+}
+
+// pageLen reports page p's length: PageSize, or the tail of a region that
+// ends mid-page.
+func (m *Memory) pageLen(p int) int { return min(PageSize, m.size-p*PageSize) }
+
+// bootPage reports whether page p, while shared, is the boot state's.
+func (m *Memory) bootPage(p int) bool { return m.boot != nil && p < len(m.boot.pages) }
+
+// page returns page p's bytes: the region's own copy, the boot state's page
+// (generated on first use) or the zero page. Callers must not mutate a
+// shared page.
+func (m *Memory) page(p int) []byte {
+	if page := m.pages[p]; page != nil {
+		return page
 	}
-	return m
+	n := m.pageLen(p)
+	if m.bootPage(p) {
+		return m.boot.page(p)[:n:n]
+	}
+	return zeroPage[:n:n]
 }
 
 // Base reports the first mapped address.
@@ -133,45 +141,44 @@ func (m *Memory) writable() error {
 // own returns page p's bytes for writing, copying the page on its first
 // write.
 func (m *Memory) own(p int) []byte {
-	if !m.owned[p] {
-		m.pages[p] = slices.Clone(m.pages[p])
-		m.owned[p] = true
+	if m.pages[p] == nil {
+		if m.bootPage(p) {
+			m.pages[p] = m.boot.copyPage(p, m.pageLen(p))
+		} else {
+			m.pages[p] = make([]byte, m.pageLen(p))
+		}
 	}
 	return m.pages[p]
 }
 
-// BootSum returns h's sum over the n bytes at addr, memoized on the boot
+// BootSum returns f's term over the n bytes at addr, memoized on the boot
 // state the region was built from, when the range lies in that boot
 // state's static kernel and every page it spans is still the boot's (no
 // Write or RestorePage has copied it): the bytes are then the boot bytes.
 // Otherwise, and always for a region with no boot state, it reports false.
 // The answer holds at the instant of the call; a later write copies the
 // page first and so withdraws it.
-func (m *Memory) BootSum(h Summer, addr uint64, n int) (uint64, bool) {
+func (m *Memory) BootSum(f TermFold, addr uint64, n int) (uint64, bool) {
 	if m.boot == nil || !m.boot.trusted.Contains(addr, n) {
 		return 0, false
 	}
 	off := int(addr - m.base)
 	for p := off / PageSize; p*PageSize < off+n; p++ {
-		if m.owned[p] {
+		if m.pages[p] != nil {
 			return 0, false
 		}
 	}
-	return m.boot.sum(h, off, n), true
+	return m.boot.sum(f, off, n), true
 }
 
 // freeze returns a read-only region over m's first n bytes as they are
 // now: pages m still shares stay shared, and pages m owns are copied.
 func (m *Memory) freeze(n int) *Memory {
-	f := newReadOnly(m.base, n, nil, false)
-	f.boot = m.boot
-	for p, page := range f.pages {
-		page = m.pages[p][:len(page):len(page)]
-		if m.owned[p] {
-			page = slices.Clone(page)
-			f.owned[p] = true
+	f := newReadOnly(m.base, n, m.boot)
+	for p := range f.pages {
+		if page := m.pages[p]; page != nil {
+			f.pages[p] = slices.Clone(page[:f.pageLen(p)])
 		}
-		f.pages[p] = page
 	}
 	return f
 }
@@ -183,7 +190,7 @@ func (m *Memory) Read(addr uint64, buf []byte) error {
 		return err
 	}
 	for len(buf) > 0 {
-		k := copy(buf, m.pages[off/PageSize][off%PageSize:])
+		k := copy(buf, m.page(off / PageSize)[off%PageSize:])
 		buf = buf[k:]
 		off += k
 	}
@@ -196,7 +203,7 @@ func (m *Memory) ByteAt(addr uint64) (byte, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.pages[off/PageSize][off%PageSize], nil
+	return m.page(off / PageSize)[off%PageSize], nil
 }
 
 // Views appends to dst one read-only view per page the n-byte range at
@@ -210,7 +217,7 @@ func (m *Memory) Views(addr uint64, n int, dst [][]byte) ([][]byte, error) {
 		return dst, err
 	}
 	for end := off + n; off < end; {
-		page, in := m.pages[off/PageSize], off%PageSize
+		page, in := m.page(off/PageSize), off%PageSize
 		k := min(len(page)-in, end-off)
 		dst = append(dst, page[in:in+k:in+k])
 		off += k

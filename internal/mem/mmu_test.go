@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -220,7 +221,7 @@ func TestMMUProtectValidation(t *testing.T) {
 		{"module arena", im.ModuleBase(), 8},
 		{"below base", l.Base - 8, 16},
 		{"past the end", l.End() - 8, 4097},
-		{"huge", l.Base, 1 << 62},
+		{"huge", l.Base, int(min(uint64(1)<<62, uint64(math.MaxInt)))},
 		{"wraps", 0xFFFFFFFFFFFFFFFC, 8},
 	}
 	for _, tc := range cases {

@@ -172,7 +172,7 @@ func TestCopyOnWriteMatchesFlatReference(t *testing.T) {
 	const seed = 21
 	flat, _, _ := refImage(t, layout, seed)
 	b := bootState(t, layout, seed)
-	bootDigest := sha256.Sum256(b.data)
+	bootDigest := sha256.Sum256(bootBytes(b))
 
 	type side struct {
 		im      *Image
@@ -252,7 +252,7 @@ func TestCopyOnWriteMatchesFlatReference(t *testing.T) {
 		}
 	}
 
-	if sha256.Sum256(b.data) != bootDigest {
+	if sha256.Sum256(bootBytes(b)) != bootDigest {
 		t.Fatal("writes through the images reached the boot bytes")
 	}
 	for i, s := range sides {

@@ -2,6 +2,7 @@ package syncguard
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -149,8 +150,8 @@ func TestAPFlipExploitValidation(t *testing.T) {
 		{"module arena", r.image.ModuleBase(), 8},
 		{"below base", layout.Base - 8, 16},
 		{"past the end", layout.End() - 8, 4097},
-		{"huge", layout.Base, 1 << 62},
-		{"huge from the table", layout.SyscallTableAddr, 1 << 62},
+		{"huge", layout.Base, int(min(uint64(1)<<62, uint64(math.MaxInt)))},
+		{"huge from the table", layout.SyscallTableAddr, int(min(uint64(1)<<62, uint64(math.MaxInt)))},
 		{"wraps", 0xFFFFFFFFFFFFFFFC, 8},
 	}
 	for _, tc := range cases {
