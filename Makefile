@@ -214,11 +214,12 @@ serve-smoke:
 campaign-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign$$' -fuzztime 20s ./internal/campaign
 
-# Short fuzz run over the djb2 kernel: from any state, the lane kernel
-# (each 8-byte word reduced through 16- and 32-bit lanes, the state stepped
-# once per 32 bytes) must equal the byte-at-a-time reference and split
-# affinely into h·33^len plus the chunk's term, the identity the boot-state
-# chunk terms rest on.
+# Short fuzz run over the djb2 kernels: from any state, each kernel must
+# equal the byte-at-a-time reference: the lane kernel (each 8-byte word
+# reduced through 16- and 32-bit lanes, the state stepped once per 32
+# bytes) and, on an AVX2 host, the vector kernel (128-byte blocks in four
+# accumulators). The fold must also split affinely into h·33^len plus the
+# chunk's term, the identity the boot-state chunk terms rest on.
 hash-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzHashWordWide$$' -fuzztime 20s ./internal/introspect
 
@@ -250,19 +251,27 @@ word-size-check:
 	cmp /tmp/paper_386.stdout cmd/benchtables/testdata/paper.stdout.golden || { echo "the 32-bit paper run drifted from cmd/benchtables/testdata/paper.stdout.golden"; exit 1; }
 	@echo "the 386 suite passes and the 32-bit paper run reproduces the golden byte for byte"
 
-# The timing draws round each product before the add on every
-# architecture. arm64's compiler fuses x + y*z into one rounding (FMADD and
-# kin) unless the product is converted explicitly, which would move draws'
-# last bits there. Fails when the arm64 assembly of Dist.Draw or
-# FloatDist.Draw holds a fused multiply-add, or when either is missing.
+# Floating-point products round before the add on every architecture.
+# arm64's compiler fuses x + y*z into one rounding (FMADD and kin) unless
+# the product is converted explicitly, even across an inlined call, which
+# would move the last bits of a draw or a statistic there. Fails when the
+# arm64 assembly of any function in FMA_CHECK_FUNCS holds a fused
+# multiply-add, or when one is missing. Building introspect for arm64 also
+# builds its non-amd64 djb2 kernel.
+FMA_CHECK_FUNCS := simclock.Dist.Draw simclock.FloatDist.Draw \
+	core.(*WakeQueue).refresh introspect.(*Baseline).armNext \
+	faultinject.Install experiment.RunMSweep \
+	stats.NewDist stats.NewBoxPlot stats.Percentile stats.Summarize stats.percentileSorted
+
 fma-check:
-	@GOARCH=arm64 $(GO) build -gcflags='satin/internal/simclock=-S' -o /dev/null ./internal/simclock > /tmp/simclock_arm64.s 2>&1 || { cat /tmp/simclock_arm64.s; exit 1; }
-	@for f in Dist.Draw FloatDist.Draw; do \
-		grep -q "^satin/internal/simclock\.$$f STEXT" /tmp/simclock_arm64.s || { echo "fma-check: no arm64 assembly for simclock.$$f"; exit 1; }; \
-	done
-	@awk '/^[^ \t].* STEXT/ { f = ($$1 ~ /^satin\/internal\/simclock\.(Float)?Dist\.Draw$$/) } f && /\t(FMADD|FMSUB|FNMADD|FNMSUB)/' /tmp/simclock_arm64.s > /tmp/simclock_fma.txt
-	@if [ -s /tmp/simclock_fma.txt ]; then cat /tmp/simclock_fma.txt; echo "fma-check: the arm64 timing draws fuse a multiply-add"; exit 1; fi
-	@echo "the arm64 timing draws hold no fused multiply-add"
+	@GOARCH=arm64 $(GO) build -gcflags='satin/internal/...=-S' ./internal/simclock ./internal/core ./internal/introspect ./internal/faultinject ./internal/experiment ./internal/stats > /tmp/satin_arm64.s 2>&1 || { cat /tmp/satin_arm64.s; exit 1; }
+	@awk -v funcs='$(FMA_CHECK_FUNCS)' ' \
+		BEGIN { n = split(funcs, fs, " "); for (i = 1; i <= n; i++) want["satin/internal/" fs[i]] = 1 } \
+		/^[^ \t].* STEXT/ { cur = ($$1 in want) ? $$1 : ""; if (cur != "") seen[cur] = 1 } \
+		cur != "" && /\t(FMADD|FMSUB|FNMADD|FNMSUB)/ { print cur ": " $$0; bad = 1 } \
+		END { for (f in want) if (!(f in seen)) { print "fma-check: no arm64 assembly for " f; bad = 1 }; exit bad }' /tmp/satin_arm64.s \
+		|| { echo "fma-check: an arm64 function above fuses a multiply-add, or is missing"; exit 1; }
+	@echo "the arm64 assembly of $(words $(FMA_CHECK_FUNCS)) functions holds no fused multiply-add"
 
 # The benchmark, vetted and smoke-run. perfbench/ is its own Go module
 # (replace satin => ../), so build, vet and test never compile it, yet it

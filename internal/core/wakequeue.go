@@ -50,8 +50,10 @@ func (q *WakeQueue) refresh() {
 	for k := range q.slots {
 		t := base.Add(time.Duration(k+1) * q.tp)
 		if q.deviation {
-			// td uniform in [-tp, +tp] (§V-C).
-			dev := time.Duration((q.rng.Float64()*2 - 1) * float64(q.tp))
+			// td uniform in [-tp, +tp] (§V-C). The conversion rounds the
+			// inlined Float64's product, so arm64 cannot fuse it into the
+			// add (make fma-check).
+			dev := time.Duration((float64(q.rng.Float64())*2 - 1) * float64(q.tp))
 			t = t.Add(dev)
 		}
 		if t.Before(base) {

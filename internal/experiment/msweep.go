@@ -73,9 +73,10 @@ func RunMSweep(seed uint64, depth float64) (MSweepResult, error) {
 	result := MSweepResult{TouchDepth: depth}
 	// Equation 1 solved for M: the evader wins while
 	// Tns_delay + M*Tns_1byte < Ts_switch + S*Ts_1byte, with S = depth *
-	// kernel. Use the calibrated averages.
+	// kernel. Use the calibrated averages. touch is converted so arm64
+	// cannot fuse its product into the subtraction below (make fma-check).
 	layout := mem.JunoKernelLayout()
-	touch := depth * float64(layout.TotalSize()) * 6.71e-9 // A57 scan to the anchor
+	touch := float64(depth * float64(layout.TotalSize()) * 6.71e-9) // A57 scan to the anchor
 	delay := (core.DefaultTnsSched + core.DefaultTnsThreshold).Seconds()
 	// Tns_1byte for recovery, A53 average: 5.80 ms / 8 B = 7.25e-4 s/B
 	// (the slow-cleaner case, as the paper's worst-case analysis uses).

@@ -89,7 +89,9 @@ func Install(plan Plan, plat *hw.Platform, mon *trustzone.Monitor, seed uint64, 
 		in.rngJitter = simclock.NewRNG(seed, "faultinject.jitter")
 		for i := 0; i < n; i++ {
 			j := plan.RateJitter
-			in.jitter[i] = 1 - j + 2*j*in.rngJitter.Float64()
+			// The conversion keeps arm64 from fusing the product into the
+			// add (make fma-check).
+			in.jitter[i] = 1 - j + float64(2*j*in.rngJitter.Float64())
 			in.applyRates(i)
 			in.record(trace.Event{
 				At: plat.Engine().Now().Duration(), Kind: trace.KindFault, Core: i, Area: -1,

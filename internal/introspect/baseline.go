@@ -220,7 +220,9 @@ func (b *Baseline) armNext(p *hw.Platform, now simclock.Time) error {
 	delay := b.cfg.Period
 	if b.cfg.RandomizePeriod {
 		// Uniform in [0, 2*Period): Period plus a deviation in [-P, +P).
-		delay = time.Duration(b.rng.Float64() * 2 * float64(b.cfg.Period))
+		// The conversion rounds the inlined Float64's product, so arm64
+		// cannot fuse it into the doubling's add (make fma-check).
+		delay = time.Duration(float64(b.rng.Float64()) * 2 * float64(b.cfg.Period))
 	}
 	st := p.Core(coreID).SecureTimer()
 	if err := st.WriteCVAL(hw.SecureWorld, now.Add(delay)); err != nil {

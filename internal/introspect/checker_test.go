@@ -346,6 +346,29 @@ func TestBootAllocatesNoKernel(t *testing.T) {
 	runtime.KeepAlive(im)
 }
 
+// TestBootTermSlotsAreCompact: the boot state's term memo keeps 4 slots
+// per static page, each a 32-bit offset and length and a term, 16 bytes.
+// With int fields a slot was 24 bytes on a 64-bit build, and booting the
+// paper's kernel plus its golden table allocated 551,304 bytes.
+func TestBootTermSlotsAreCompact(t *testing.T) {
+	areas, err := mem.BuildAreas(mem.JunoKernelLayout(), mem.JunoAreaGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := totalAlloc()
+	im, err := mem.NewJunoImage(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GoldenTable(im, HashDjb2, areas); err != nil {
+		t.Fatal(err)
+	}
+	if got := totalAlloc() - before; got >= 480_000 {
+		t.Errorf("boot and golden table allocated %d bytes, want under 480,000", got)
+	}
+	runtime.KeepAlive(im)
+}
+
 // TestHashCacheOffGeneratesPagesOnce: a checker with the cache off reads
 // every page, so turning the cache off generates the boot pages up front;
 // the golden pass then folds their bytes, and neither it nor a full scan

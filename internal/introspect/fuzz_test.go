@@ -38,11 +38,13 @@ func FuzzHashIncremental(f *testing.F) {
 	})
 }
 
-// FuzzHashWordWide fuzzes the lane kernel against the byte-at-a-time
-// reference from arbitrary states: the optimization must be bit-identical
-// for every (seed, data, offset) — offsets exercise tails of every residue
-// mod 32 and misaligned starts. It also fuzzes the affine split the boot
-// terms rest on: the fold equals h·33^len plus the chunk's term.
+// FuzzHashWordWide fuzzes each kernel (djb2Kernels: Djb2Update, the lane
+// kernel, and the vector kernel where the CPU has AVX2) against the
+// byte-at-a-time reference from arbitrary states: the optimization must be
+// bit-identical for every (seed, data, offset) — offsets exercise tails of
+// every residue mod 128 and misaligned starts. It also fuzzes the affine
+// split the boot terms rest on: the fold equals h·33^len plus the chunk's
+// term.
 func FuzzHashWordWide(f *testing.F) {
 	f.Add(uint64(Djb2Seed), []byte("the quick brown fox jumps over"), 0)
 	f.Add(uint64(0x0123456789abcdef), []byte{0xFF, 0x00, 0x80, 0x7F, 1, 2, 3, 4, 5}, 3)
@@ -51,6 +53,13 @@ func FuzzHashWordWide(f *testing.F) {
 	// A 100-byte 0xFF run at offset 3: every lane at its bound, misaligned,
 	// over three 32-byte steps and a tail.
 	f.Add(uint64(Djb2Seed), append([]byte{1, 2, 3}, bytes.Repeat([]byte{0xFF}, 100)...), 3)
+	// One vector block of 0xFF, every lane at its bound; two blocks and a
+	// tail, misaligned; and a page and a block plus a tail, which the
+	// vector kernel folds in two calls.
+	f.Add(uint64(0x0123456789abcdef), bytes.Repeat([]byte{0xFF}, 128), 0)
+	f.Add(^uint64(0), bytes.Repeat([]byte("kernel text, 0x00 and 0xFF: \x00\xff"), 12), 5)
+	f.Add(uint64(Djb2Seed), bytes.Repeat([]byte{0x80, 0x7F, 0xFF, 0x00, 0x21, 0x01, 0x41, 0x04}, 539), 37)
+	kernels := djb2Kernels()
 	f.Fuzz(func(t *testing.T, h uint64, data []byte, off int) {
 		if off < 0 {
 			off = -off
@@ -61,9 +70,11 @@ func FuzzHashWordWide(f *testing.F) {
 			off = 0
 		}
 		sub := data[off:]
-		got, want := Djb2Update(h, sub), djb2UpdateRef(h, sub)
-		if got != want {
-			t.Fatalf("Djb2Update(h=%#x, len=%d) = %#x, ref %#x", h, len(sub), got, want)
+		want := djb2UpdateRef(h, sub)
+		for _, k := range kernels {
+			if got := k.fold(h, sub); got != want {
+				t.Fatalf("%s(h=%#x, len=%d) = %#x, ref %#x", k.name, h, len(sub), got, want)
+			}
 		}
 		if split := h*pow33(len(sub)) + (djb2Term{}).Bytes(0, sub); split != want {
 			t.Fatalf("affine split of h=%#x, len=%d = %#x, ref %#x", h, len(sub), split, want)

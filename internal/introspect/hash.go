@@ -37,12 +37,54 @@ const (
 // (§IV-B1, citing Bernstein via the "Hash functions" page). The 64-bit
 // variant keeps collisions irrelevant at kernel scale.
 //
-// The kernel reads 32 bytes as four little-endian words, reduces each to its
-// term Σ c_i·33^(7-i) with djb2Word, and steps the state once:
-// h·33^32 + t0·33^24 + t1·33^16 + t2·33^8 + t3. An 8-byte loop and the byte
-// loop take the tail. The result is bit-identical to djb2UpdateRef
-// (hash_test.go proves it exhaustively at the lane bounds and by fuzzing).
+// On a CPU with AVX2 the vector kernel folds data's whole 128-byte blocks
+// (djb2UpdateAVX2) and the lane kernel the tail; elsewhere the lane kernel
+// folds it all (djb2Lanes). The kernel is chosen once, at init, from
+// CPUID. All arithmetic is mod 2^64 on the same affine expansion, so both
+// are bit-identical to djb2UpdateRef (hash_test.go proves each kernel
+// exhaustively at the lane bounds and by fuzzing).
 func Djb2Update(h uint64, data []byte) uint64 {
+	if hasAVX2 {
+		return djb2UpdateAVX2(h, data)
+	}
+	return djb2Lanes(h, data)
+}
+
+// djb2Block is the vector kernel's step: four 32-byte slots, one per
+// accumulator. djb2MaxBlocks, a page of blocks, is the most one kernel
+// call folds.
+const (
+	djb2Block     = 128
+	djb2MaxBlocks = mem.PageSize / djb2Block
+)
+
+// djb2BlockPow[n] is 33^(128n) mod 2^64, the factor n blocks apply to the
+// state entering them.
+var djb2BlockPow = func() (p [djb2MaxBlocks + 1]uint64) {
+	for n := range p {
+		p[n] = pow33(n * djb2Block)
+	}
+	return p
+}()
+
+// djb2UpdateAVX2 folds data into h on a CPU with AVX2: up to a page of
+// whole blocks at a time through djb2BlocksAVX2, whose term enters the
+// state by the affine split h·33^len + term, then the tail through the
+// lane kernel.
+func djb2UpdateAVX2(h uint64, data []byte) uint64 {
+	for len(data) >= djb2Block {
+		n := min(len(data)/djb2Block, djb2MaxBlocks)
+		h = h*djb2BlockPow[n] + djb2BlocksAVX2(data[:n*djb2Block])
+		data = data[n*djb2Block:]
+	}
+	return djb2Lanes(h, data)
+}
+
+// djb2Lanes is the lane kernel. It reads 32 bytes as four little-endian
+// words, reduces each to its term Σ c_i·33^(7-i) with djb2Word, and steps
+// the state once: h·33^32 + t0·33^24 + t1·33^16 + t2·33^8 + t3. An 8-byte
+// loop and the byte loop take the tail.
+func djb2Lanes(h uint64, data []byte) uint64 {
 	for len(data) >= 32 {
 		t0 := djb2Word(binary.LittleEndian.Uint64(data))
 		t1 := djb2Word(binary.LittleEndian.Uint64(data[8:]))
@@ -74,7 +116,7 @@ func djb2Word(w uint64) uint64 {
 	return (w&0xFFFFFFFF)*djb2p4 + w>>32
 }
 
-// djb2UpdateRef is the byte-at-a-time reference the lane kernel is proved
+// djb2UpdateRef is the byte-at-a-time reference both kernels are proved
 // against. Tests only.
 func djb2UpdateRef(h uint64, data []byte) uint64 {
 	for _, c := range data {
@@ -96,22 +138,17 @@ type djb2Term struct{}
 // Bytes folds b into h.
 func (djb2Term) Bytes(h uint64, b []byte) uint64 { return Djb2Update(h, b) }
 
-// Fill folds the n boot-fill words from word k of seed's static kernel into
-// h as they are generated, the way Djb2Update folds a little-endian word
-// of bytes: four words per state step, then one at a time. The words never
-// pass through memory.
+// Fill folds the n boot-fill words from word k of seed's static kernel
+// into h: it generates up to a page of them at a time into a block on the
+// stack (mem.FillWords) and folds the block with Djb2Update, so the fill
+// takes the kernels memory does and its words never reach the heap.
 func (djb2Term) Fill(h, seed uint64, k, n int) uint64 {
-	for ; n >= 4; n -= 4 {
-		t0 := djb2Word(mem.FillWord(seed, k))
-		t1 := djb2Word(mem.FillWord(seed, k+1))
-		t2 := djb2Word(mem.FillWord(seed, k+2))
-		t3 := djb2Word(mem.FillWord(seed, k+3))
-		h = h*djb2p32 + t0*djb2p24 + t1*djb2p16 + t2*djb2p8 + t3
-		k += 4
-	}
-	for ; n > 0; n-- {
-		h = h*djb2p8 + djb2Word(mem.FillWord(seed, k))
-		k++
+	var block [mem.PageSize]byte
+	for n > 0 {
+		w := min(n, len(block)/8)
+		mem.FillWords(block[:8*w], seed, k)
+		h = Djb2Update(h, block[:8*w])
+		k, n = k+w, n-w
 	}
 	return h
 }

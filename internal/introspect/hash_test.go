@@ -45,21 +45,44 @@ func TestHashIncrementalEqualsWhole(t *testing.T) {
 	}
 }
 
-// TestWordWideKernelsExhaustiveSmall proves the lane kernel bit-identical
-// to the byte-at-a-time reference from four states: on every length from 0
-// through 100 (both sides of the 8- and 32-byte steps, three blocks and
-// tails of every residue) at start offsets 0 through 7 into a larger
-// buffer, for a varied pattern, all 0xFF (the only input that fills every
-// lane to its bound, 8,670 and 9,450,300) and alternating 0xFF/0x00; on
-// every value of every byte of a 32-byte block whose other bytes are 0xFF;
-// and on every possible single byte.
+// djb2Kernel is one way to fold bytes into a djb2 state.
+type djb2Kernel struct {
+	name string
+	fold func(h uint64, data []byte) uint64
+}
+
+// djb2Kernels lists every kernel this host can run, each proved against
+// djb2UpdateRef directly rather than through the dispatch: Djb2Update
+// itself, the lane kernel, and the vector kernel where the CPU has AVX2.
+// The lane kernel is proved on an AVX2 host too, where Djb2Update uses it
+// only for tails.
+func djb2Kernels() []djb2Kernel {
+	ks := []djb2Kernel{{"Djb2Update", Djb2Update}, {"lanes", djb2Lanes}}
+	if hasAVX2 {
+		ks = append(ks, djb2Kernel{"avx2", djb2UpdateAVX2})
+	}
+	return ks
+}
+
+// TestWordWideKernelsExhaustiveSmall proves each kernel bit-identical to
+// the byte-at-a-time reference from four states: on every length from 0
+// through 520 (both sides of the 8-, 32- and 128-byte steps, four vector
+// blocks and tails of every residue) at start offsets 0 through 31 into a
+// larger buffer, for a varied pattern, all 0xFF (the only input that fills
+// every lane to its bound, 8,670 and 9,450,300) and alternating 0xFF/0x00;
+// on every value of every byte of a 128-byte block whose other bytes are
+// 0xFF; and on every possible single byte.
 func TestWordWideKernelsExhaustiveSmall(t *testing.T) {
 	seeds := []uint64{0, Djb2Seed, ^uint64(0), 0x0123456789abcdef}
-	check := func(what string, data []byte) {
+	kernels := djb2Kernels()
+	check := func(data []byte, what func() string) {
 		t.Helper()
 		for _, h := range seeds {
-			if got, want := Djb2Update(h, data), djb2UpdateRef(h, data); got != want {
-				t.Fatalf("%s: Djb2Update(h=%#x, len=%d) = %#x, ref %#x", what, h, len(data), got, want)
+			want := djb2UpdateRef(h, data)
+			for _, k := range kernels {
+				if got := k.fold(h, data); got != want {
+					t.Fatalf("%s: %s(h=%#x, len=%d) = %#x, ref %#x", what(), k.name, h, len(data), got, want)
+				}
 			}
 		}
 	}
@@ -71,40 +94,76 @@ func TestWordWideKernelsExhaustiveSmall(t *testing.T) {
 		{"0xFF", func(int) byte { return 0xFF }},
 		{"0xFF/0x00", func(i int) byte { return byte(^i&1) * 0xFF }},
 	}
-	buf := make([]byte, 100+7)
+	const maxLen, maxOff = 520, 31
+	buf := make([]byte, maxLen+maxOff)
 	for _, p := range patterns {
 		for i := range buf {
 			buf[i] = p.fill(i)
 		}
-		for off := 0; off <= 7; off++ {
-			for n := 0; n <= 100; n++ {
-				check(fmt.Sprintf("%s at offset %d", p.name, off), buf[off:off+n])
+		for off := 0; off <= maxOff; off++ {
+			for n := 0; n <= maxLen; n++ {
+				check(buf[off:off+n], func() string { return fmt.Sprintf("%s at offset %d", p.name, off) })
 			}
 		}
 	}
-	block := make([]byte, 32)
+	block := make([]byte, djb2Block)
 	for i := range block {
 		for j := range block {
 			block[j] = 0xFF
 		}
 		for b := 0; b < 256; b++ {
 			block[i] = byte(b)
-			check(fmt.Sprintf("0xFF block with byte %d = %#x", i, b), block)
+			check(block, func() string { return fmt.Sprintf("0xFF block with byte %d = %#x", i, b) })
 		}
 	}
 	for b := 0; b < 256; b++ {
-		check(fmt.Sprintf("single byte %#x", b), []byte{byte(b)})
+		check([]byte{byte(b)}, func() string { return fmt.Sprintf("single byte %#x", b) })
 	}
 }
 
-// TestWordWideKernelsProperty: same bit-identity over arbitrary data and
-// seeds, including word-aligned interior slices.
+// TestWordWideKernelsProperty: same bit-identity for each kernel over
+// arbitrary data and seeds, including word-aligned interior slices, and
+// over random runs of up to three pages at random offsets, which reach the
+// vector kernel's page-sized calls and the blocks after them.
 func TestWordWideKernelsProperty(t *testing.T) {
-	f := func(h uint64, data []byte) bool {
-		return Djb2Update(h, data) == djb2UpdateRef(h, data)
+	rng := rand.New(rand.NewSource(11))
+	data := make([]byte, 3*mem.PageSize+djb2Block)
+	rng.Read(data)
+	for _, k := range djb2Kernels() {
+		f := func(h uint64, data []byte) bool {
+			return k.fold(h, data) == djb2UpdateRef(h, data)
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("%s: %v", k.name, err)
+		}
+		for i := 0; i < 300; i++ {
+			n := rng.Intn(len(data) + 1)
+			off := rng.Intn(len(data) - n + 1)
+			h := rng.Uint64()
+			if got, want := k.fold(h, data[off:off+n]), djb2UpdateRef(h, data[off:off+n]); got != want {
+				t.Fatalf("%s(h=%#x, %d bytes at %d) = %#x, ref %#x", k.name, h, n, off, got, want)
+			}
+		}
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+}
+
+// TestDjb2TermFillFoldsTheFill: folding n fill words from word k equals
+// folding the bytes FillWord gives them, across the stack block's page
+// boundary and from unaligned word indices.
+func TestDjb2TermFillFoldsTheFill(t *testing.T) {
+	const seed = 3
+	for _, k := range []int{0, 1, 5, 511} {
+		for _, n := range []int{0, 1, 3, 4, 15, 16, 17, 511, 512, 513, 1100} {
+			words := make([]byte, 8*n)
+			for i := 0; i < n; i++ {
+				binary.LittleEndian.PutUint64(words[8*i:], mem.FillWord(seed, k+i))
+			}
+			for _, h := range []uint64{0, Djb2Seed, ^uint64(0)} {
+				if got, want := (djb2Term{}).Fill(h, seed, k, n), djb2UpdateRef(h, words); got != want {
+					t.Fatalf("Fill(h=%#x, k=%d, n=%d) = %#x, ref %#x", h, k, n, got, want)
+				}
+			}
+		}
 	}
 }
 

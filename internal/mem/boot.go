@@ -2,6 +2,7 @@ package mem
 
 import (
 	"encoding/binary"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -109,23 +110,29 @@ func fillMix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// FillWords writes len(dst)/8 fill words, from word k of the static
+// kernel booted from seed on, into dst, little-endian: the words FillWord
+// gives, with the counter stepped once per word rather than multiplied
+// out for each.
+func FillWords(dst []byte, seed uint64, k int) {
+	z := seed + uint64(k)*fillGamma
+	for ; len(dst) >= 8; dst = dst[8:] {
+		z += fillGamma
+		binary.LittleEndian.PutUint64(dst, fillMix(z))
+	}
+}
+
 // generate writes static page p's fill into dst, a zeroed buffer at most a
-// page long; bytes past the static kernel stay zero. It steps the counter
-// once per word rather than multiplying it out for each (FillWord).
+// page long; bytes past the static kernel stay zero.
 func (b *BootState) generate(p int, dst []byte) {
 	lo := p * PageSize
 	n := min(len(dst), b.trusted.size-lo)
-	z := b.seed + uint64(lo/8)*fillGamma
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		z += fillGamma
-		binary.LittleEndian.PutUint64(dst[i:], fillMix(z))
-	}
-	if i < n {
-		v := fillMix(z + fillGamma)
-		for j := 0; i+j < n; j++ {
-			dst[i+j] = byte(v >> (8 * j))
-		}
+	whole := n &^ 7
+	FillWords(dst[:whole], b.seed, lo/8)
+	if whole < n {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], FillWord(b.seed, (lo+whole)/8))
+		copy(dst[whole:n], w[:])
 	}
 }
 
@@ -178,19 +185,20 @@ type TermFold interface {
 const termSlots = 4
 
 // termSlot is one memoized term of the n > 0 bytes at offset off; n is 0
-// while the slot is free.
+// while the slot is free. Offset and length are 32-bit, so a slot is 16
+// bytes.
 type termSlot struct {
-	off, n int
+	off, n uint32
 	term   uint64
 }
 
 // sum returns f's term over the n boot bytes at offset off, from the memo
 // or folded and memoized in a free slot of its page. When the page's slots
-// are full the term is not kept, and the next call folds it again. The
-// fold runs outside the lock: two images missing on one range at once
-// both fold the same pure value.
+// are full, or the range does not fit a slot's 32 bits, the term is not
+// kept, and the next call folds it again. The fold runs outside the lock:
+// two images missing on one range at once both fold the same pure value.
 func (b *BootState) sum(f TermFold, off, n int) uint64 {
-	if n <= 0 {
+	if n <= 0 || uint64(off) > math.MaxUint32 || uint64(n) > math.MaxUint32 {
 		return b.fold(f, off, n)
 	}
 	if t, ok := b.memoized(off, n); ok {
@@ -202,7 +210,7 @@ func (b *BootState) sum(f TermFold, off, n int) uint64 {
 	slots := b.slots(off)
 	for i := range slots {
 		if slots[i].n == 0 {
-			slots[i] = termSlot{off: off, n: n, term: t}
+			slots[i] = termSlot{off: uint32(off), n: uint32(n), term: t}
 			break
 		}
 	}
@@ -215,7 +223,7 @@ func (b *BootState) memoized(off, n int) (uint64, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, s := range b.slots(off) {
-		if s.off == off && s.n == n {
+		if uint64(s.off) == uint64(off) && uint64(s.n) == uint64(n) {
 			return s.term, true
 		}
 	}

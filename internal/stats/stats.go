@@ -12,6 +12,11 @@ import (
 	"time"
 )
 
+// Every product below that meets an add is converted explicitly: a
+// conversion rounds, so arm64 cannot fuse the two into one multiply-add
+// where amd64 rounds twice, and every architecture prints the same
+// statistics (make fma-check).
+
 // Summary holds the basic statistics of a sample.
 type Summary struct {
 	N    int
@@ -42,7 +47,7 @@ func Summarize(xs []float64) Summary {
 	var ss float64
 	for _, x := range xs {
 		d := x - s.Mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	s.Std = math.Sqrt(ss / float64(s.N))
 	return s
@@ -77,14 +82,14 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	rank := p * float64(len(sorted)-1)
+	rank := float64(p * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // BoxPlot is a five-number summary with Tukey whiskers: the whiskers extend
@@ -120,8 +125,8 @@ func NewBoxPlot(xs []float64) BoxPlot {
 		N:      len(sorted),
 	}
 	iqr := b.Q3 - b.Q1
-	loFence := b.Q1 - 1.5*iqr
-	hiFence := b.Q3 + 1.5*iqr
+	loFence := b.Q1 - float64(1.5*iqr)
+	hiFence := b.Q3 + float64(1.5*iqr)
 	b.LowerWhisk = b.Q3
 	b.UpperWhisk = b.Q1
 	for _, x := range sorted {
