@@ -292,14 +292,18 @@ perfbench-smoke:
 	@echo "perfbench vets clean, and both workloads run untraced and traced to exit status 0"
 
 # The example programs, run end to end: `go build ./...` only compiles them.
-# Each must exit 0. examples/overhead drives the rich OS's scheduling path
-# and examples/evasion the thread-level evader.
+# Each must exit 0 and print exactly its committed stdout.golden (every
+# example is deterministic). examples/overhead drives the rich OS's
+# scheduling path and examples/evasion the thread-level evader. Regenerate a
+# golden only when a change means to move what its example prints:
+#   go run ./examples/<name> > examples/<name>/stdout.golden
 examples-check:
 	@set -e; for ex in examples/*/; do \
 		echo "go run ./$$ex"; \
-		$(GO) run ./$$ex > /dev/null || { echo "$$ex exited non-zero"; exit 1; }; \
+		$(GO) run ./$$ex > /tmp/example.stdout || { echo "$$ex exited non-zero"; exit 1; }; \
+		cmp /tmp/example.stdout $${ex}stdout.golden || { echo "$$ex drifted from $${ex}stdout.golden"; exit 1; }; \
 	done
-	@echo "every example runs to exit status 0"
+	@echo "every example runs to exit status 0 and prints its stdout.golden"
 
 # Docs stay in sync with the code: every internal package opens with a
 # '// Package <name>' doc comment (so `go doc` gives a real answer at each
