@@ -280,7 +280,7 @@ func TestBootTermsMatchSeedBoot(t *testing.T) {
 	}
 	drive := func(t *testing.T, c ScenarioSpec, boot *mem.BootState) (run, *mem.BootState) {
 		t.Helper()
-		sc, err := fromSpec(c, boot)
+		sc, err := newScenario(c, boot)
 		if err != nil {
 			return run{err: err.Error()}, nil
 		}

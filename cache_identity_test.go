@@ -4,7 +4,7 @@ package satin
 // (and the rest of the hot-path overhaul) may only change wall-clock time,
 // never a virtual-time outcome. The cache-enabled path is already locked by
 // the golden tests in obs_test.go and faults_test.go; here the same runs are
-// repeated with the cache force-disabled via WithHashCache(false) and
+// repeated with the cache force-disabled ("hash_cache": false) and
 // compared against the same checked-in goldens and against each other.
 
 import (
@@ -13,14 +13,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
-// runGoldenTrace runs the golden scenario with the given extra options and
+// runGoldenTrace runs the golden scenario with the given spec mutations and
 // returns its streamed JSONL, rendered timeline, and metrics snapshot.
-func runGoldenTrace(t *testing.T, extra ...Option) (trace, timeline, metrics string, sc *Scenario) {
+func runGoldenTrace(t *testing.T, muts ...func(*ScenarioSpec)) (trace, timeline, metrics string, sc *Scenario) {
 	t.Helper()
-	sc = goldenScenario(t, extra...)
+	sc = goldenScenario(t, muts...)
 	var out bytes.Buffer
 	sink, err := NewStreamSink(&out, ExportJSONL)
 	if err != nil {
@@ -43,7 +42,7 @@ func runGoldenTrace(t *testing.T, extra ...Option) (trace, timeline, metrics str
 // byte for byte — proving the naive path is still exactly the pre-overhaul
 // simulation.
 func TestHashCacheDisabledMatchesGoldens(t *testing.T) {
-	trace, timeline, _, sc := runGoldenTrace(t, WithHashCache(false))
+	trace, timeline, _, sc := runGoldenTrace(t, hashCacheOff)
 	if hits, misses := sc.Checker().CacheStats(); hits != 0 || misses != 0 {
 		t.Errorf("disabled cache saw traffic: %d hits / %d misses", hits, misses)
 	}
@@ -72,25 +71,19 @@ func TestHashCacheOnOffIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		wantHits bool
-		extra    func(t *testing.T) []Option
+		mut      func(*ScenarioSpec)
 	}{
 		// The 19-round golden budget is exactly one full scan — no chunk is
 		// visited twice, so these two variants exercise the all-miss path.
-		{"clean", false, func(*testing.T) []Option { return nil }},
-		{"faulted", false, func(t *testing.T) []Option { return []Option{WithFaultPlan(faultedGoldenPlan(t))} }},
+		{"clean", false, func(*ScenarioSpec) {}},
+		{"faulted", false, withFaults(faultedGolden)},
 		// Two full scans: the second scan is served almost entirely from the
 		// cache, so this variant exercises the hit path the others cannot.
-		{"two-scans", true, func(*testing.T) []Option {
-			cfg := DefaultConfig()
-			cfg.Tgoal = 19 * time.Second
-			cfg.MaxRounds = 38
-			cfg.Seed = 3
-			return []Option{WithSATIN(cfg)}
-		}},
+		{"two-scans", true, func(s *ScenarioSpec) { s.Defense.SATIN.MaxRounds = 38 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			onTrace, onTL, onMetrics, onSc := runGoldenTrace(t, tc.extra(t)...)
-			offTrace, offTL, offMetrics, offSc := runGoldenTrace(t, append(tc.extra(t), WithHashCache(false))...)
+			onTrace, onTL, onMetrics, onSc := runGoldenTrace(t, tc.mut)
+			offTrace, offTL, offMetrics, offSc := runGoldenTrace(t, tc.mut, hashCacheOff)
 			if !onSc.Checker().HashCacheEnabled() || offSc.Checker().HashCacheEnabled() {
 				t.Fatal("cache toggle not reflected by the checkers")
 			}

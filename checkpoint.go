@@ -442,7 +442,7 @@ func ResumeScenario(snap *Snapshot, member ScenarioSpec) (*Scenario, ScenarioSpe
 	if err != nil {
 		return nil, c, err
 	}
-	sc, err := fromSpec(c, snap.Boot)
+	sc, err := newScenario(c, snap.Boot)
 	if err != nil {
 		return nil, c, err
 	}
@@ -629,7 +629,7 @@ func forkPrefix(canon []ScenarioSpec) (*Snapshot, *mem.BootState) {
 	}
 	prefix := canon[0].Clone()
 	prefix.Faults = ""
-	psc, err := fromSpec(prefix, nil)
+	psc, err := newScenario(prefix, nil)
 	if err != nil {
 		return nil, nil
 	}

@@ -24,7 +24,11 @@
 //
 // -diff, -lint-trace and -lint-chrome are tool modes: each reads only its
 // trace file(s), and -diff its -diff-budget, so any other flag beside one,
-// or two of them together, is an error that names the flags.
+// or two of them together, is an error that names the flags. Likewise a
+// scenario flag the chosen -defense or -evader does not read (-scans
+// without SATIN, -rounds without the baseline, -tp under -defense none,
+// -threshold under -evader none) is an error that names it, and so is a
+// -tp or -threshold that is not positive.
 //
 // A spec file is the whole scenario (seed, defense, evader, faults, run
 // horizon — see EXPERIMENTS.md "Spec files"), so scenario-shaping flags
@@ -134,6 +138,9 @@ func run(args []string, out io.Writer) error {
 	} else {
 		var err error
 		if s, err = specFromFlags(*seed, *defense, *evader, *tp, *scans, *rounds, *threshold, *routing, *guard, *faults, *flood); err != nil {
+			return err
+		}
+		if err := checkScenarioFlags(fs, *defense, *evader, *tp, *threshold); err != nil {
 			return err
 		}
 	}
@@ -407,6 +414,41 @@ func scenarioFlagsSet(fs *flag.FlagSet) []string {
 		}
 	})
 	return set
+}
+
+// checkScenarioFlags names every flag set on the command line that the
+// chosen -defense or -evader does not read, so that none is silently
+// dropped, and rejects a -tp or -threshold that is not positive. -scans is
+// read by SATIN only, -rounds by the baseline only, -tp by either defense,
+// and -threshold by either evader.
+func checkScenarioFlags(fs *flag.FlagSet, defense, evader string, tp, threshold time.Duration) error {
+	var byDefense, byEvader []string
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case f.Name == "scans" && defense != "satin",
+			f.Name == "rounds" && defense != "baseline",
+			f.Name == "tp" && defense == "none":
+			byDefense = append(byDefense, "-"+f.Name)
+		case f.Name == "threshold" && evader == "none":
+			byEvader = append(byEvader, "-"+f.Name)
+		}
+	})
+	var unread []string
+	if len(byDefense) > 0 {
+		unread = append(unread, fmt.Sprintf("%s: flags that -defense %s does not read", strings.Join(byDefense, ", "), defense))
+	}
+	if len(byEvader) > 0 {
+		unread = append(unread, fmt.Sprintf("%s: flags that -evader %s does not read", strings.Join(byEvader, ", "), evader))
+	}
+	switch {
+	case len(unread) > 0:
+		return fmt.Errorf("%s", strings.Join(unread, "; "))
+	case tp <= 0:
+		return fmt.Errorf("-tp %v: the period must be positive", tp)
+	case threshold <= 0:
+		return fmt.Errorf("-threshold %v: the threshold must be positive", threshold)
+	}
+	return nil
 }
 
 // specFromFlags synthesizes a scenario spec from the classic flag surface —

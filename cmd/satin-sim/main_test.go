@@ -60,18 +60,39 @@ func TestRunTimelineFile(t *testing.T) {
 }
 
 func TestRunFlagValidation(t *testing.T) {
-	cases := [][]string{
-		{"-defense", "bogus"},
-		{"-evader", "bogus"},
-		{"-routing", "bogus"},
-		{"-guard", "bogus"},
-		{"-defense", "none", "-evader", "none"},
-		{"-no-such-flag"},
+	cases := []struct {
+		args []string
+		want string // a substring of the error; "" accepts any
+	}{
+		{[]string{"-defense", "bogus"}, ""},
+		{[]string{"-evader", "bogus"}, ""},
+		{[]string{"-routing", "bogus"}, ""},
+		{[]string{"-guard", "bogus"}, ""},
+		{[]string{"-defense", "none", "-evader", "none"}, ""},
+		{[]string{"-no-such-flag"}, ""},
+		// A flag the chosen defense or evader does not read is named, not
+		// dropped.
+		{[]string{"-rounds", "5"}, "-rounds: flags that -defense satin does not read"},
+		{[]string{"-defense", "baseline", "-scans", "7"}, "-scans: flags that -defense baseline does not read"},
+		{[]string{"-evader", "none", "-threshold", "5ms"}, "-threshold: flags that -evader none does not read"},
+		{[]string{"-defense", "none", "-tp", "3s", "-scans", "4"}, "-scans, -tp: flags that -defense none does not read"},
+		{[]string{"-defense", "baseline", "-evader", "none", "-scans", "2", "-threshold", "1ms"},
+			"-scans: flags that -defense baseline does not read; -threshold: flags that -evader none does not read"},
+		// A zero or negative period or threshold is refused by name rather
+		// than replaced with the paper's default.
+		{[]string{"-tp", "0"}, "-tp 0s"},
+		{[]string{"-threshold", "0"}, "-threshold 0s"},
+		{[]string{"-evader", "thread", "-tp", "0"}, "-tp 0s"},
+		{[]string{"-defense", "baseline", "-tp", "-1s"}, "-tp -1s"},
+		{[]string{"-threshold", "-1ms", "-dump-spec"}, "-threshold -1ms"},
 	}
-	for _, args := range cases {
+	for _, c := range cases {
 		var out strings.Builder
-		if err := run(args, &out); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+		err := run(c.args, &out)
+		if err == nil {
+			t.Errorf("run(%v) succeeded, want error", c.args)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v): error %q, want it to contain %q", c.args, err, c.want)
 		}
 	}
 }

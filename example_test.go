@@ -11,20 +11,23 @@ import (
 // attacked area raises an alarm even though the evader detects and reacts
 // to every single round.
 func Example() {
-	cfg := satin.DefaultConfig()
-	cfg.Tgoal = 19 * time.Second // tp = 1 s for a quick demo
-	cfg.MaxRounds = 38           // two full kernel scans
-
-	sc, err := satin.NewScenario(
-		satin.WithSeed(42),
-		satin.WithSATIN(cfg),
-		satin.WithFastEvader(0, satin.DefaultThreshold),
-	)
+	s := satin.ScenarioSpec{
+		Version: satin.ScenarioSpecVersion,
+		Seed:    42,
+		Defense: satin.SpecDefense{Kind: "satin", SATIN: &satin.SpecSATINConfig{
+			Tgoal:     satin.SpecDuration(19 * time.Second), // tp = 1 s for a quick demo
+			MaxRounds: 38,                                   // two full kernel scans
+			Seed:      1,
+		}},
+		Evader: satin.SpecEvader{Kind: "fast", Threshold: satin.SpecDuration(satin.DefaultThreshold)},
+		Run:    satin.SpecRun{ToCompletion: true},
+	}
+	sc, err := satin.FromSpec(s)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	sc.RunToCompletion()
+	satin.DriveSpec(sc, s)
 	fmt.Printf("rounds: %d\n", len(sc.SATIN().Rounds()))
 	fmt.Printf("alarms: %d\n", len(sc.SATIN().Alarms()))
 	// Output:
@@ -34,23 +37,26 @@ func Example() {
 
 // The baseline story: the same evader walks straight past a randomized
 // whole-kernel checker.
-func ExampleNewScenario_baseline() {
-	sc, err := satin.NewScenario(
-		satin.WithSeed(7),
-		satin.WithBaseline(satin.BaselineConfig{
-			Period:          4 * time.Second,
+func ExampleFromSpec_baseline() {
+	s := satin.ScenarioSpec{
+		Version: satin.ScenarioSpecVersion,
+		Seed:    7,
+		Defense: satin.SpecDefense{Kind: "baseline", Baseline: &satin.SpecBaselineConfig{
+			Period:          satin.SpecDuration(4 * time.Second),
 			RandomizePeriod: true,
-			Selection:       satin.RandomCore,
-			Technique:       satin.DirectHash,
+			Selection:       "random",
+			Technique:       "direct",
 			MaxRounds:       4,
-		}),
-		satin.WithFastEvader(0, 0),
-	)
+		}},
+		Evader: satin.SpecEvader{Kind: "fast"},
+		Run:    satin.SpecRun{ToCompletion: true},
+	}
+	sc, err := satin.FromSpec(s)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	sc.RunToCompletion()
+	satin.DriveSpec(sc, s)
 	clean := 0
 	for _, o := range sc.Baseline().Outcomes() {
 		if o.Clean {

@@ -15,16 +15,18 @@ import (
 )
 
 func main() {
-	cfg := satin.DefaultConfig()
-	cfg.Tgoal = 19 * 8 * time.Second // tp = 8 s, the paper's schedule
-	cfg.MaxRounds = 190              // ten full scans
-	cfg.Seed = 5
-
-	sc, err := satin.NewScenario(
-		satin.WithSeed(5),
-		satin.WithSATIN(cfg),
-		satin.WithFastEvader(0, satin.DefaultThreshold),
-	)
+	s := satin.ScenarioSpec{
+		Version: satin.ScenarioSpecVersion,
+		Seed:    5,
+		Defense: satin.SpecDefense{Kind: "satin", SATIN: &satin.SpecSATINConfig{
+			Tgoal:     satin.SpecDuration(19 * 8 * time.Second), // tp = 8 s, the paper's schedule
+			MaxRounds: 190,                                      // ten full scans
+			Seed:      5,
+		}},
+		Evader: satin.SpecEvader{Kind: "fast", Threshold: satin.SpecDuration(satin.DefaultThreshold)},
+		Run:    satin.SpecRun{ToCompletion: true},
+	}
+	sc, err := satin.FromSpec(s)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func main() {
 		fmt.Printf("ALARM at %8v: round %3d caught area %d dirty\n",
 			a.At.Duration().Truncate(time.Second), a.Round, a.Area)
 	})
-	sc.RunToCompletion()
+	satin.DriveSpec(sc, s)
 
 	// Headline numbers come from the scenario's Report; the per-area gap
 	// analysis below still reads the component log.

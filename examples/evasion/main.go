@@ -14,27 +14,30 @@ import (
 )
 
 func main() {
-	sc, err := satin.NewScenario(
-		satin.WithSeed(7),
+	s := satin.ScenarioSpec{
+		Version: satin.ScenarioSpecVersion,
+		Seed:    7,
 		// The strongest pre-SATIN defense: randomized schedule, random
 		// core, direct hashing of the whole kernel.
-		satin.WithBaseline(satin.BaselineConfig{
-			Period:          8 * time.Second,
+		Defense: satin.SpecDefense{Kind: "baseline", Baseline: &satin.SpecBaselineConfig{
+			Period:          satin.SpecDuration(8 * time.Second),
 			RandomizePeriod: true,
-			Selection:       satin.RandomCore,
-			Technique:       satin.DirectHash,
+			Selection:       "random",
+			Technique:       "direct",
 			MaxRounds:       8,
-		}),
+		}},
 		// The full thread-level TZ-Evader: KProber-II probing threads on
 		// every core at the paper's 1.8 ms threshold.
-		satin.WithThreadEvader(satin.DefaultThreshold),
-	)
+		Evader: satin.SpecEvader{Kind: "thread", Threshold: satin.SpecDuration(satin.DefaultThreshold)},
+		// The thread-level evader probes forever, so drive a bounded
+		// horizon: 8 randomized rounds land within 8 × 2·period plus slack.
+		Run: satin.SpecRun{For: satin.SpecDuration(150 * time.Second)},
+	}
+	sc, err := satin.FromSpec(s)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The thread-level evader probes forever, so drive a bounded horizon:
-	// 8 randomized rounds land within 8 × 2·period plus slack.
-	sc.Run(150 * time.Second)
+	satin.DriveSpec(sc, s)
 
 	for _, o := range sc.Baseline().Outcomes() {
 		verdict := "DETECTED"

@@ -15,11 +15,17 @@ func main() {
 	// SATIN with the paper's defaults, shortened to one full kernel scan
 	// with a 1-second average round period so the demo finishes quickly
 	// (in *virtual* time — wall time is milliseconds either way).
-	cfg := satin.DefaultConfig()
-	cfg.Tgoal = 19 * time.Second
-	cfg.MaxRounds = 19
-
-	sc, err := satin.NewScenario(satin.WithSeed(2024), satin.WithSATIN(cfg))
+	s := satin.ScenarioSpec{
+		Version: satin.ScenarioSpecVersion,
+		Seed:    2024,
+		Defense: satin.SpecDefense{Kind: "satin", SATIN: &satin.SpecSATINConfig{
+			Tgoal:     satin.SpecDuration(19 * time.Second),
+			MaxRounds: 19,
+			Seed:      1,
+		}},
+		Run: satin.SpecRun{ToCompletion: true},
+	}
+	sc, err := satin.FromSpec(s)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +44,7 @@ func main() {
 		fmt.Printf("!! ALARM at %v: round %d found area %d modified\n",
 			a.At.Duration().Truncate(time.Millisecond), a.Round, a.Area)
 	})
-	sc.RunToCompletion()
+	satin.DriveSpec(sc, s)
 
 	// The end-of-run summary comes straight from the scenario's Report.
 	rep := sc.Report()

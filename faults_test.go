@@ -11,31 +11,30 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
-// faultedGoldenPlan is the fixed plan behind testdata/
+// faultedGolden is the fixed plan behind testdata/
 // trace_faulted_seed1.jsonl.golden: every fault kind fires, including a
 // hotplug window that forces SATIN to re-route core 1's introspection slot.
-func faultedGoldenPlan(t *testing.T) FaultPlan {
-	t.Helper()
-	plan, err := ParseFaultPlan(
-		"jitter:0.05;dvfs:at=5s,factor=0.8;hotplug:core=1,off=2s,on=12s;" +
-			"irq:p=0.05,delay=100us;switch:p=0.1,spike=1ms")
-	if err != nil {
-		t.Fatalf("ParseFaultPlan: %v", err)
-	}
-	return plan
-}
+const faultedGolden = "jitter:0.05;dvfs:at=5s,factor=0.8;hotplug:core=1,off=2s,on=12s;" +
+	"irq:p=0.05,delay=100us;switch:p=0.1,spike=1ms"
 
 // TestFaultPlanEmptyGoldenIdentity is the zero-overhead acceptance check: a
-// scenario built with an explicitly empty FaultPlan must reproduce the PR 2
-// goldens byte for byte — the injector installs nothing, draws nothing, and
-// schedules nothing.
+// scenario whose fault plan is empty must reproduce the unfaulted goldens
+// byte for byte — the injector installs nothing, draws nothing, and
+// schedules nothing. "scale:0" canonicalizes to no plan at all; an IRQ
+// delay that never fires stays in the canonical string but is still empty.
 func TestFaultPlanEmptyGoldenIdentity(t *testing.T) {
-	sc := goldenScenario(t, WithFaultPlan(FaultPlan{}))
+	for _, plan := range []string{"scale:0", "irq:delay=100us"} {
+		t.Run(plan, func(t *testing.T) { emptyPlanMatchesGoldens(t, plan) })
+	}
+}
+
+// emptyPlanMatchesGoldens runs the golden scenario under an empty plan.
+func emptyPlanMatchesGoldens(t *testing.T, plan string) {
+	sc := goldenScenario(t, withFaults(plan))
 	if sc.Faults() != nil {
-		t.Fatal("empty FaultPlan installed an injector")
+		t.Fatal("empty fault plan installed an injector")
 	}
 	var trace bytes.Buffer
 	sink, err := NewStreamSink(&trace, ExportJSONL)
@@ -63,7 +62,7 @@ func TestFaultPlanEmptyGoldenIdentity(t *testing.T) {
 			t.Fatalf("reading golden: %v", err)
 		}
 		if !bytes.Equal(tc.got, want) {
-			t.Errorf("empty FaultPlan drifted from %s", tc.file)
+			t.Errorf("empty fault plan drifted from %s", tc.file)
 		}
 	}
 }
@@ -73,7 +72,7 @@ func TestFaultPlanEmptyGoldenIdentity(t *testing.T) {
 // run. Any drift in fault scheduling, RNG stream layout, or re-route
 // ordering shows up here.
 func TestFaultedTraceGolden(t *testing.T) {
-	sc := goldenScenario(t, WithFaultPlan(faultedGoldenPlan(t)))
+	sc := goldenScenario(t, withFaults(faultedGolden))
 	var out bytes.Buffer
 	sink, err := NewStreamSink(&out, ExportJSONL)
 	if err != nil {
@@ -86,7 +85,7 @@ func TestFaultedTraceGolden(t *testing.T) {
 	}
 	inj := sc.Faults()
 	if inj == nil {
-		t.Fatal("non-empty FaultPlan installed no injector")
+		t.Fatal("non-empty fault plan installed no injector")
 	}
 	if inj.Injected() == 0 {
 		t.Error("faulted golden run injected no faults")
@@ -120,12 +119,9 @@ func TestDeterminismFaultedAcrossWorkers(t *testing.T) {
 		metrics = make([]string, seeds)
 		_, err := RunSeeds("fault-determinism", 1, seeds, workers,
 			func(seed uint64) (SweepMetrics, error) {
-				cfg := DefaultConfig()
-				cfg.Tgoal = 19 * time.Second
-				cfg.MaxRounds = 19
-				cfg.Seed = 3
-				sc, err := NewScenario(WithSeed(seed), WithSATIN(cfg), WithFastEvader(0, 0),
-					WithFaultPlan(faultedGoldenPlan(t)))
+				s := goldenSpec(seed)
+				s.Faults = faultedGolden
+				sc, err := FromSpec(s)
 				if err != nil {
 					return nil, err
 				}
@@ -166,7 +162,7 @@ func TestDeterminismFaultedAcrossWorkers(t *testing.T) {
 // TestFaultMetricsRegistered checks the faulted run surfaces its injection
 // counters through the metrics registry.
 func TestFaultMetricsRegistered(t *testing.T) {
-	sc := goldenScenario(t, WithFaultPlan(faultedGoldenPlan(t)))
+	sc := goldenScenario(t, withFaults(faultedGolden))
 	sc.RunToCompletion()
 	snap := sc.Metrics()
 	total, ok := snap.Get("fault.injected")
@@ -185,8 +181,9 @@ func TestFaultMetricsRegistered(t *testing.T) {
 // TestFaultPlanRejected checks facade-level validation: a malformed plan
 // fails scenario construction instead of corrupting the run.
 func TestFaultPlanRejected(t *testing.T) {
-	bad := FaultPlan{DVFS: []FaultDVFSStep{{At: 0, Core: 99, Factor: 0.5}}}
-	if _, err := NewScenario(WithSeed(1), WithFaultPlan(bad)); err == nil {
+	bad := goldenSpec(1)
+	bad.Faults = "dvfs:at=0s,factor=0.5,core=99"
+	if _, err := FromSpec(bad); err == nil {
 		t.Error("out-of-range DVFS core accepted")
 	}
 	if _, err := ParseFaultPlan("scale:nope"); err == nil {

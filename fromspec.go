@@ -54,106 +54,16 @@ func InstantiateSpec(tmpl ScenarioSpec, seed uint64) ScenarioSpec {
 	return spec.Instantiate(tmpl, seed)
 }
 
-// FromSpec canonicalizes the spec and assembles the Scenario it describes —
-// the same Scenario the equivalent facade options build, a guarantee the
-// differential golden tests enforce byte for byte. The run horizon and
-// export switches are carried by the spec, not the Scenario; drive the
-// returned Scenario with DriveSpec (or Run/RunToCompletion directly).
+// FromSpec canonicalizes the spec and assembles the Scenario it describes;
+// it is the one way to build a Scenario. The run horizon and export
+// switches are carried by the spec, not the Scenario; drive the returned
+// Scenario with DriveSpec (or Run/RunToCompletion directly).
 func FromSpec(s ScenarioSpec) (*Scenario, error) {
-	return fromSpec(s, nil)
-}
-
-// fromSpec is FromSpec building the kernel image from boot, when it is not
-// nil, instead of booting it from the seed (see ResumeScenario and
-// RunCheckpointGroup).
-func fromSpec(s ScenarioSpec, boot *mem.BootState) (*Scenario, error) {
 	c, err := spec.Canonicalize(s)
 	if err != nil {
 		return nil, err
 	}
-	opts := []Option{WithSeed(c.Seed)}
-	if !c.ObservabilityEnabled() {
-		opts = append(opts, WithObservability(false))
-	}
-	if !c.HashCacheEnabled() {
-		opts = append(opts, WithHashCache(false))
-	}
-	if c.ProfilingEnabled() {
-		opts = append(opts, WithProfiling(true))
-	}
-	if c.Routing == spec.RoutingPreemptive {
-		opts = append(opts, WithRouting(Preemptive))
-	}
-	switch c.Guard {
-	case spec.GuardOn:
-		opts = append(opts, WithSyncGuard(false))
-	case spec.GuardBypassed:
-		opts = append(opts, WithSyncGuard(true))
-	}
-	if c.Workload != nil && c.Workload.FloodRate > 0 {
-		opts = append(opts, WithFlood(c.Workload.FloodRate))
-	}
-	if c.Faults != "" {
-		plan, err := ParseFaultPlan(c.Faults)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, WithFaultPlan(plan))
-	}
-	switch c.Evader.Kind {
-	case spec.EvaderFast:
-		opts = append(opts, WithFastEvader(time.Duration(c.Evader.Sleep), time.Duration(c.Evader.Threshold)))
-	case spec.EvaderThread:
-		opts = append(opts,
-			WithThreadEvader(time.Duration(c.Evader.Threshold)),
-			WithProberSleep(time.Duration(c.Evader.Sleep)))
-	}
-	if c.Evader.RootkitAddr != nil {
-		opts = append(opts, WithRootkitAt(*c.Evader.RootkitAddr))
-	}
-	switch c.Defense.Kind {
-	case spec.DefenseSATIN:
-		sat := c.Defense.SATIN
-		cfg := Config{
-			Tgoal:            time.Duration(sat.Tgoal),
-			Technique:        techniqueFromSpec(sat.Technique),
-			RandomDeviation:  *sat.RandomDeviation,
-			FixedCore:        *sat.FixedCore,
-			MaxRounds:        sat.MaxRounds,
-			AreaBound:        sat.AreaBound,
-			AllowUnsafeAreas: sat.AllowUnsafeAreas,
-			Seed:             sat.Seed,
-		}
-		if cfg.Seed == 0 {
-			// Zero means "derive from the root seed": root+2, the same
-			// convention satin-sim's flag path has always used, so sweep
-			// templates follow InstantiateSpec's per-trial seed.
-			cfg.Seed = c.Seed + 2
-		}
-		opts = append(opts, WithSATIN(cfg))
-	case spec.DefenseBaseline:
-		b := c.Defense.Baseline
-		sel := RandomCore
-		if b.Selection == spec.SelectFixed {
-			sel = FixedCore
-		}
-		opts = append(opts, WithBaseline(BaselineConfig{
-			Period:          time.Duration(b.Period),
-			RandomizePeriod: b.RandomizePeriod,
-			Selection:       sel,
-			Core:            b.Core,
-			Technique:       techniqueFromSpec(b.Technique),
-			MaxRounds:       b.MaxRounds,
-		}))
-	}
-	return newScenario(boot, opts...)
-}
-
-func techniqueFromSpec(v string) Technique {
-	if v == spec.TechniqueSnapshot {
-		return SnapshotHash
-	}
-	return DirectHash
+	return newScenario(c, nil)
 }
 
 // DriveSpec runs the scenario as the spec's run section instructs: drain to
@@ -183,11 +93,11 @@ func RunSpecTrial(s ScenarioSpec) (SweepMetrics, error) {
 }
 
 // runSpecTrial is RunSpecTrial for a canonical spec, building the kernel
-// image from boot when it is not nil (see fromSpec). It also returns the
+// image from boot when it is not nil (see newScenario). It also returns the
 // boot state of the scenario it built, nil when the build failed, so that
 // RunCheckpointGroup's later members of the seed can share it.
 func runSpecTrial(c ScenarioSpec, boot *mem.BootState) (SweepMetrics, *mem.BootState, error) {
-	sc, err := fromSpec(c, boot)
+	sc, err := newScenario(c, boot)
 	if err != nil {
 		return nil, nil, err
 	}

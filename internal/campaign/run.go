@@ -257,44 +257,51 @@ func Run(ctx context.Context, c Spec, resultPath string, opt RunOptions) (RunRes
 }
 
 // groupUnits partitions the cells this session will run into execution
-// units: with grouping enabled, cells whose group keys match form one
-// multi-cell unit (in expansion order); everything else — cells without a
-// key, experiment cells, singleton groups — runs alone. Unit boundaries
-// only shape scheduling and the order of result-file appends; the
-// finalized file sorts by index and is invariant to them.
+// units: with grouping enabled, the groups Partition forms; otherwise every
+// cell alone. Unit boundaries only shape scheduling and the order of
+// result-file appends; the finalized file sorts by index and is invariant
+// to them.
 func groupUnits(cells []Cell, opt RunOptions) [][]Cell {
-	if opt.GroupKey == nil || opt.GroupTrial == nil || opt.MaxCells > 0 {
-		units := make([][]Cell, len(cells))
-		for i, c := range cells {
-			units[i] = []Cell{c}
-		}
-		return units
+	if opt.GroupTrial == nil || opt.MaxCells > 0 {
+		return Partition(cells, nil)
 	}
+	return Partition(cells, opt.GroupKey)
+}
+
+// Partition is the one grouping rule, shared by the executor and the shard
+// planner: cells whose scenario keys match form one group, in the order
+// given; everything else — a cell without a key, an experiment cell, a key
+// no other cell shares — stands alone. Each group is emitted at its first
+// member, so groups come in the order of their first cells. A nil key
+// leaves every cell alone.
+func Partition(cells []Cell, key GroupKeyFunc) [][]Cell {
 	grouped := map[string][]Cell{}
 	keyOf := make([]string, len(cells))
-	for i, c := range cells {
-		if c.Scenario == nil {
-			continue
-		}
-		if key, ok := opt.GroupKey(*c.Scenario); ok {
-			keyOf[i] = key
-			grouped[key] = append(grouped[key], c)
+	if key != nil {
+		for i, c := range cells {
+			if c.Scenario == nil {
+				continue
+			}
+			if k, ok := key(*c.Scenario); ok {
+				keyOf[i] = k
+				grouped[k] = append(grouped[k], c)
+			}
 		}
 	}
-	var units [][]Cell
+	var groups [][]Cell
 	emitted := map[string]bool{}
 	for i, c := range cells {
-		key := keyOf[i]
-		if key == "" || len(grouped[key]) < 2 {
-			units = append(units, []Cell{c})
+		k := keyOf[i]
+		if k == "" || len(grouped[k]) < 2 {
+			groups = append(groups, []Cell{c})
 			continue
 		}
-		if !emitted[key] {
-			emitted[key] = true
-			units = append(units, grouped[key])
+		if !emitted[k] {
+			emitted[k] = true
+			groups = append(groups, grouped[k])
 		}
 	}
-	return units
+	return groups
 }
 
 // runUnit executes one unit and returns one result per member. A group

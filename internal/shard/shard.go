@@ -86,36 +86,18 @@ func PlanCells(cells []campaign.Cell, k int, key campaign.GroupKeyFunc) (Plan, e
 	return plan, nil
 }
 
-// blocksOf groups the cells into atomic blocks: groups of two or more stay
-// whole, everything else is a singleton. Mirrors the executor's groupUnits
-// — a group the executor would run as one unit is exactly a block the
-// planner keeps intact.
+// blocksOf makes each group campaign.Partition forms an atomic block, so a
+// group the executor would run as one unit is exactly a block the planner
+// keeps intact.
 func blocksOf(cells []campaign.Cell, key campaign.GroupKeyFunc) []block {
-	grouped := map[string][]int{}
-	keyOf := make([]string, len(cells))
-	if key != nil {
-		for i, c := range cells {
-			if c.Scenario == nil {
-				continue
-			}
-			if k, ok := key(*c.Scenario); ok {
-				keyOf[i] = k
-				grouped[k] = append(grouped[k], c.Index)
-			}
+	groups := campaign.Partition(cells, key)
+	blocks := make([]block, len(groups))
+	for i, g := range groups {
+		idx := make([]int, len(g))
+		for j, c := range g {
+			idx[j] = c.Index
 		}
-	}
-	var blocks []block
-	emitted := map[string]bool{}
-	for i, c := range cells {
-		k := keyOf[i]
-		if k == "" || len(grouped[k]) < 2 {
-			blocks = append(blocks, block{first: c.Index, cells: []int{c.Index}})
-			continue
-		}
-		if !emitted[k] {
-			emitted[k] = true
-			blocks = append(blocks, block{first: grouped[k][0], cells: grouped[k]})
-		}
+		blocks[i] = block{first: idx[0], cells: idx}
 	}
 	return blocks
 }

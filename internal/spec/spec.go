@@ -1,11 +1,10 @@
 // Package spec defines the versioned, serializable description of one
 // simulation cell: hardware profile, workload, evader choice and parameters,
 // defense configuration, fault plan, run horizon, and export switches — the
-// complete recipe for one deterministic run. Every ROADMAP north-star item
-// (the campaign engine, the co-evolution tournament, new scenario families)
-// consumes this artifact: a spec can be stored, diffed, sharded across
-// machines, swept over seeds, and fuzzed, none of which ad-hoc facade options
-// or CLI flags allow.
+// complete recipe for one deterministic run, and the only input the facade
+// builds a scenario from (satin.FromSpec). A spec can be stored, diffed,
+// sharded across machines, swept over seeds, and fuzzed; satin-sim's flags
+// synthesize one.
 //
 // The contract has three parts:
 //

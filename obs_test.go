@@ -13,23 +13,49 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"satin/internal/trustzone"
 )
 
-// goldenScenario builds the exact configuration the checked-in golden
-// timeline (testdata/timeline_seed1.golden) was captured from, on the
-// pre-observability code.
-func goldenScenario(t *testing.T, extra ...Option) *Scenario {
+// goldenSpec is the exact configuration the checked-in golden timeline
+// (testdata/timeline_seed1.golden) was captured from, on the
+// pre-observability code, at the given root seed: one full scan at tp = 1 s
+// against the fast evader, with SATIN's seed pinned to 3 (at root seed 1,
+// testdata/specs/clean.json).
+func goldenSpec(seed uint64) ScenarioSpec {
+	return ScenarioSpec{
+		Version: ScenarioSpecVersion,
+		Seed:    seed,
+		Defense: SpecDefense{Kind: "satin", SATIN: &SpecSATINConfig{Tgoal: SpecDuration(19 * time.Second), MaxRounds: 19, Seed: 3}},
+		Evader:  SpecEvader{Kind: "fast"},
+		Run:     SpecRun{ToCompletion: true},
+	}
+}
+
+// goldenScenario builds goldenSpec(1) with each mutation applied in turn.
+func goldenScenario(t *testing.T, muts ...func(*ScenarioSpec)) *Scenario {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Tgoal = 19 * time.Second
-	cfg.MaxRounds = 19
-	cfg.Seed = 3
-	opts := append([]Option{WithSeed(1), WithSATIN(cfg), WithFastEvader(0, 0)}, extra...)
-	sc, err := NewScenario(opts...)
+	s := goldenSpec(1)
+	for _, mut := range muts {
+		mut(&s)
+	}
+	sc, err := FromSpec(s)
 	if err != nil {
-		t.Fatalf("NewScenario: %v", err)
+		t.Fatalf("FromSpec: %v", err)
 	}
 	return sc
+}
+
+// Spec mutations for goldenScenario.
+var (
+	observabilityOff = func(s *ScenarioSpec) { s.Observability = new(bool) }
+	hashCacheOff     = func(s *ScenarioSpec) { s.HashCache = new(bool) }
+	profilingOn      = func(s *ScenarioSpec) { on := true; s.Profiling = &on }
+)
+
+// withFaults sets the spec's fault plan.
+func withFaults(plan string) func(*ScenarioSpec) {
+	return func(s *ScenarioSpec) { s.Faults = plan }
 }
 
 // TestTimelineGolden locks Scenario.Timeline() output to the pre-refactor
@@ -126,11 +152,7 @@ func runSeedExports(t *testing.T, workers int) (traces, metrics []string) {
 	metrics = make([]string, seeds)
 	_, err := RunSeeds("determinism", 1, seeds, workers,
 		func(seed uint64) (SweepMetrics, error) {
-			cfg := DefaultConfig()
-			cfg.Tgoal = 19 * time.Second
-			cfg.MaxRounds = 19
-			cfg.Seed = 3
-			sc, err := NewScenario(WithSeed(seed), WithSATIN(cfg), WithFastEvader(0, 0))
+			sc, err := FromSpec(goldenSpec(seed))
 			if err != nil {
 				return nil, err
 			}
@@ -245,7 +267,7 @@ func TestReportSummarizesRun(t *testing.T) {
 func TestObservabilityDisabled(t *testing.T) {
 	on := goldenScenario(t)
 	on.RunToCompletion()
-	off := goldenScenario(t, WithObservability(false))
+	off := goldenScenario(t, observabilityOff)
 	off.RunToCompletion()
 
 	if off.Bus() != nil {
@@ -274,15 +296,15 @@ func TestObservabilityDisabled(t *testing.T) {
 	}
 }
 
-// TestWithRoutingEquivalence checks the WithRouting fix: passing the
-// default explicitly must behave exactly like omitting the option (the old
-// code silently dropped it), and an invalid mode must fail construction.
+// TestWithRoutingEquivalence: a spec that names the default routing
+// explicitly must build exactly the scenario that leaves it out, and an
+// unknown routing must fail construction.
 func TestWithRoutingEquivalence(t *testing.T) {
-	implicit := goldenScenario(t)
-	explicit := goldenScenario(t, WithRouting(NonPreemptive))
-	if implicit.Monitor().Routing() != NonPreemptive || explicit.Monitor().Routing() != NonPreemptive {
+	implicit := goldenScenario(t, func(s *ScenarioSpec) { s.Routing = "" })
+	explicit := goldenScenario(t, func(s *ScenarioSpec) { s.Routing = "nonpreemptive" })
+	if implicit.Monitor().Routing() != trustzone.NonPreemptive || explicit.Monitor().Routing() != trustzone.NonPreemptive {
 		t.Fatalf("routing modes: implicit=%v explicit=%v, want both %v",
-			implicit.Monitor().Routing(), explicit.Monitor().Routing(), NonPreemptive)
+			implicit.Monitor().Routing(), explicit.Monitor().Routing(), trustzone.NonPreemptive)
 	}
 	implicit.RunToCompletion()
 	explicit.RunToCompletion()
@@ -294,18 +316,17 @@ func TestWithRoutingEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("WithRouting(NonPreemptive) changed the run vs omitting the option")
+		t.Error("routing \"nonpreemptive\" changed the run vs leaving routing out")
 	}
-	if a.String() != b.String() || implicit.Metrics().String() != explicit.Metrics().String() {
-		t.Error("WithRouting(NonPreemptive) changed metrics vs omitting the option")
+	if implicit.Metrics().String() != explicit.Metrics().String() {
+		t.Error("routing \"nonpreemptive\" changed metrics vs leaving routing out")
 	}
 
-	if _, err := NewScenario(WithSeed(1), WithRouting(RoutingMode(0))); err == nil {
-		t.Error("NewScenario accepted the zero RoutingMode")
+	bad := goldenSpec(1)
+	bad.Routing = "bogus"
+	if _, err := FromSpec(bad); err == nil {
+		t.Error("FromSpec accepted an unknown routing")
 	} else if !strings.Contains(err.Error(), "routing") {
-		t.Errorf("zero RoutingMode error %q does not mention routing", err)
-	}
-	if _, err := NewScenario(WithSeed(1), WithRouting(RoutingMode(99))); err == nil {
-		t.Error("NewScenario accepted RoutingMode(99)")
+		t.Errorf("unknown routing error %q does not mention routing", err)
 	}
 }

@@ -12,12 +12,12 @@ import (
 	"testing"
 )
 
-// TestProfilerDetachedByDefault: scenarios built without WithProfiling have
-// a nil handle, and the nil handle is usable.
+// TestProfilerDetachedByDefault: scenarios whose spec leaves profiling off
+// have a nil handle, and the nil handle is usable.
 func TestProfilerDetachedByDefault(t *testing.T) {
 	sc := goldenScenario(t)
 	if p := sc.Profiler(); p != nil {
-		t.Fatal("profiler attached without WithProfiling(true)")
+		t.Fatal("profiler attached without \"profiling\": true")
 	}
 	sc.RunToCompletion()
 	if n := sc.Profiler().SpanCount(); n != 0 {
@@ -29,7 +29,7 @@ func TestProfilerDetachedByDefault(t *testing.T) {
 // with the profiler attached — it subscribes and observes but never
 // publishes or schedules.
 func TestProfilingPreservesGoldens(t *testing.T) {
-	sc := goldenScenario(t, WithProfiling(true))
+	sc := goldenScenario(t, profilingOn)
 	var stream bytes.Buffer
 	sink, err := NewStreamSink(&stream, ExportJSONL)
 	if err != nil {
@@ -64,11 +64,11 @@ func TestProfilingPreservesGoldens(t *testing.T) {
 // TestProfilerSpansAndResidency: the attached profiler records the run's
 // spans and its attribution partitions elapsed time exactly.
 func TestProfilerSpansAndResidency(t *testing.T) {
-	sc := goldenScenario(t, WithProfiling(true))
+	sc := goldenScenario(t, profilingOn)
 	sc.RunToCompletion()
 	p := sc.Profiler()
 	if p == nil {
-		t.Fatal("WithProfiling(true) left no profiler")
+		t.Fatal("\"profiling\": true left no profiler")
 	}
 	if p.SpanCount() == 0 {
 		t.Fatal("profiler recorded no spans")
@@ -98,7 +98,7 @@ func TestProfilerSpansAndResidency(t *testing.T) {
 // TestProfilerChromeExportValid: the facade's Chrome trace passes our
 // Perfetto-shape validator.
 func TestProfilerChromeExportValid(t *testing.T) {
-	sc := goldenScenario(t, WithProfiling(true))
+	sc := goldenScenario(t, profilingOn)
 	sc.RunToCompletion()
 	var buf bytes.Buffer
 	if err := sc.Profiler().WriteChromeTrace(&buf, sc.Report().Elapsed); err != nil {
@@ -135,13 +135,11 @@ func TestSelfDiffIdentical(t *testing.T) {
 // tool would be useless if they did.
 func TestDiffSeparatesSeeds(t *testing.T) {
 	runSeed := func(seed uint64) []TimelineEvent {
-		cfg := DefaultConfig()
-		cfg.Tgoal = 19 * 1e9
-		cfg.MaxRounds = 19
-		cfg.Seed = seed + 2
-		sc, err := NewScenario(WithSeed(seed), WithSATIN(cfg), WithFastEvader(0, 0))
+		s := goldenSpec(seed)
+		s.Defense.SATIN.Seed = 0 // root+2
+		sc, err := FromSpec(s)
 		if err != nil {
-			t.Fatalf("NewScenario: %v", err)
+			t.Fatalf("FromSpec: %v", err)
 		}
 		sc.RunToCompletion()
 		return sc.Timeline().Events()
@@ -154,7 +152,7 @@ func TestDiffSeparatesSeeds(t *testing.T) {
 
 // TestMergeProfilesFacade: the facade merge is the internal merge.
 func TestMergeProfilesFacade(t *testing.T) {
-	sc := goldenScenario(t, WithProfiling(true))
+	sc := goldenScenario(t, profilingOn)
 	sc.RunToCompletion()
 	one := sc.Profiler().Summary(sc.Report().Elapsed)
 	merged := MergeProfiles([]ProfileSummary{one, one})

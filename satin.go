@@ -13,13 +13,20 @@
 //   - SATIN itself (divide-and-conquer integrity checking, secure-timer
 //     self-activation, wake-up time queue, multi-core collaboration).
 //
-// The Scenario type assembles a complete testbed; everything it returns is
-// driven by a virtual clock, so simulated hours run in real-time seconds
-// and every run is reproducible from its seed.
+// A ScenarioSpec describes one testbed configuration and FromSpec
+// assembles it as a Scenario; everything it returns is driven by a virtual
+// clock, so simulated hours run in real-time seconds and every run is
+// reproducible from its seed.
 //
-//	sc, err := satin.NewScenario(satin.WithSeed(42), satin.WithSATIN(satin.DefaultConfig()))
+//	s := satin.ScenarioSpec{
+//	    Version: satin.ScenarioSpecVersion,
+//	    Seed:    42,
+//	    Defense: satin.SpecDefense{Kind: "satin"},
+//	    Run:     satin.SpecRun{For: satin.SpecDuration(10 * time.Minute)},
+//	}
+//	sc, err := satin.FromSpec(s)
 //	...
-//	sc.Run(10 * time.Minute) // virtual minutes
+//	satin.DriveSpec(sc, s) // ten virtual minutes
 //	fmt.Println(sc.SATIN().Alarms())
 package satin
 
@@ -41,6 +48,7 @@ import (
 	"satin/internal/richos"
 	"satin/internal/runner"
 	"satin/internal/simclock"
+	"satin/internal/spec"
 	"satin/internal/syncguard"
 	"satin/internal/trace"
 	"satin/internal/trustzone"
@@ -48,8 +56,6 @@ import (
 
 // Re-exported defense types (the paper's contribution).
 type (
-	// Config tunes SATIN; see DefaultConfig.
-	Config = core.Config
 	// Round is one completed SATIN introspection round.
 	Round = core.Round
 	// Alarm is a detected integrity violation.
@@ -80,8 +86,6 @@ type (
 	Evader = attack.Evader
 	// FastEvader is the calibrated O(1)-per-event TZ-Evader for long runs.
 	FastEvader = attack.FastEvader
-	// ProberConfig tunes the evader's probing threads.
-	ProberConfig = attack.ProberConfig
 )
 
 // Re-exported substrate types.
@@ -99,11 +103,6 @@ type (
 	Checker = introspect.Checker
 	// Baseline is the pre-SATIN periodic full-kernel checker.
 	Baseline = introspect.Baseline
-	// BaselineConfig tunes it.
-	BaselineConfig = introspect.BaselineConfig
-	// Technique is the memory-acquisition technique (DirectHash or
-	// SnapshotHash).
-	Technique = introspect.Technique
 	// BaselineOutcome is one completed baseline round.
 	BaselineOutcome = introspect.Outcome
 	// Engine is the discrete-event engine driving everything.
@@ -116,45 +115,16 @@ type (
 	SyncGuard = syncguard.Guard
 	// InterruptFlood is the §V-B interference attack.
 	InterruptFlood = attack.InterruptFlood
-	// RoutingMode is the §II-B NS-interrupt routing configuration.
-	RoutingMode = trustzone.RoutingMode
 )
-
-// Re-exported enums for baseline configuration.
-const (
-	// FixedCore always checks on one core.
-	FixedCore = introspect.FixedCore
-	// RandomCore checks on a random core each round.
-	RandomCore = introspect.RandomCore
-	// DirectHash reads and hashes live kernel memory.
-	DirectHash = introspect.DirectHash
-	// SnapshotHash copies first, then hashes the frozen copy.
-	SnapshotHash = introspect.SnapshotHash
-	// NonPreemptive is SATIN's SCR_EL3.IRQ=0 interrupt routing.
-	NonPreemptive = trustzone.NonPreemptive
-	// Preemptive is the OP-TEE-style routing an interrupt flood exploits.
-	Preemptive = trustzone.Preemptive
-)
-
-// DefaultConfig returns the paper's experimental SATIN configuration.
-func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Re-exported fault-injection types. A FaultPlan describes deterministic
 // hardware-timing perturbations — rate jitter, DVFS steps, core hotplug,
 // interrupt delay/drop, world-switch spikes — that compose over a scenario
-// via WithFaultPlan. The empty plan installs nothing and a run stays
-// byte-identical to an unperturbed one.
+// through its spec's faults string. The empty plan installs nothing and a
+// run stays byte-identical to an unperturbed one.
 type (
 	// FaultPlan describes what to inject; see faultinject.Plan.
 	FaultPlan = faultinject.Plan
-	// FaultDVFSStep is one scheduled frequency change.
-	FaultDVFSStep = faultinject.DVFSStep
-	// FaultHotplugEvent is one scheduled core offline/online transition.
-	FaultHotplugEvent = faultinject.HotplugEvent
-	// FaultIRQ perturbs interrupt delivery at the GIC.
-	FaultIRQ = faultinject.IRQFaults
-	// FaultSwitch adds world-switch entry-latency spikes.
-	FaultSwitch = faultinject.SwitchFaults
 	// FaultInjector is an installed plan; Scenario.Faults returns it.
 	FaultInjector = faultinject.Injector
 )
@@ -163,14 +133,10 @@ type (
 // (e.g. "scale:1.5" or "jitter:0.2;dvfs:at=30s,factor=0.5;hotplug:core=5,off=1m,on=2m").
 func ParseFaultPlan(spec string) (FaultPlan, error) { return faultinject.ParsePlan(spec) }
 
-// ScaledFaultPlan maps one perturbation magnitude to a plan, the knob the
-// sensitivity sweeps turn; magnitude 0 is the empty plan.
-func ScaledFaultPlan(mag float64) FaultPlan { return faultinject.ScaledPlan(mag) }
-
 // Re-exported observability types. Every Scenario carries a live event bus
-// and a metrics registry (disable with WithObservability(false)): components
-// publish trace events as they happen and keep named counters, gauges, and
-// fixed-bucket histograms. Everything is driven by virtual time, so a
+// and a metrics registry (a spec's "observability": false turns them off):
+// components publish trace events as they happen and keep named counters,
+// gauges, and fixed-bucket histograms. Everything is driven by virtual time, so a
 // fixed-seed run's bus stream and metrics snapshot are byte-identical across
 // runs and worker counts.
 type (
@@ -205,8 +171,8 @@ func NewStreamSink(w io.Writer, format ExportFormat) (*StreamSink, error) {
 	return obs.NewStreamSink(w, format)
 }
 
-// Re-exported profiling types. WithProfiling(true) attaches a causal span
-// profiler: world switches, secure dispatches, introspection rounds,
+// Re-exported profiling types. A spec's "profiling": true attaches a causal
+// span profiler: world switches, secure dispatches, introspection rounds,
 // per-chunk hash walks, and evader evasion windows become typed intervals
 // of virtual time with parent/child causality links, assembled
 // deterministically as the run executes. The profiler never publishes to
@@ -272,12 +238,13 @@ type (
 // parallel. A trial that errors or panics becomes a Failure in the sweep
 // rather than aborting it. The trial is the caller's closure, so this runs
 // on the runner's pool, not as a campaign (which executes only runs that
-// data describes).
+// data describes). With tmpl a ScenarioSpec running SATIN:
 //
 //	sw, err := satin.RunSeeds("detection", 1, 32, 0, func(seed uint64) (satin.SweepMetrics, error) {
-//	    sc, err := satin.NewScenario(satin.WithSeed(seed), ...)
+//	    s := satin.InstantiateSpec(tmpl, seed)
+//	    sc, err := satin.FromSpec(s)
 //	    if err != nil { return nil, err }
-//	    sc.RunToCompletion()
+//	    satin.DriveSpec(sc, s)
 //	    return satin.SweepMetrics{}.Add("alarms", float64(len(sc.SATIN().Alarms()))), nil
 //	})
 func RunSeeds(name string, baseSeed uint64, seeds, workers int, trial func(seed uint64) (SweepMetrics, error)) (*Sweep, error) {
@@ -296,9 +263,6 @@ func RunSeeds(name string, baseSeed uint64, seeds, workers int, trial func(seed 
 	}
 	return sw, nil
 }
-
-// DefaultProberSleep is the paper's Tsleep (2e-4 s).
-const DefaultProberSleep = attack.DefaultProberSleep
 
 // DefaultThreshold is the paper's operational probing threshold (1.8e-3 s).
 const DefaultThreshold = 1800 * time.Microsecond
@@ -336,192 +300,24 @@ type Scenario struct {
 	bootGens []uint64
 }
 
-// Option configures a Scenario.
-type Option func(*options)
-
-// evaderKind selects which evader (if any) a scenario installs.
-type evaderKind int
-
-const (
-	evaderNone evaderKind = iota
-	evaderFast
-	evaderThread
-)
-
-type options struct {
-	seed          uint64
-	satinCfg      *core.Config
-	baselineCfg   *introspect.BaselineConfig
-	evader        evaderKind
-	evaderSleep   time.Duration
-	evaderThresh  time.Duration
-	rootkitTarget *uint64
-	guard         bool
-	guardBypass   bool
-	routing       trustzone.RoutingMode
-	floodRate     float64
-	noObs         bool
-	noHashCache   bool
-	profiling     bool
-	faults        faultinject.Plan
-}
-
-// WithSeed sets the root seed for every deterministic stream.
-func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
-
-// WithSATIN installs SATIN with the given configuration and starts it at
-// boot.
-func WithSATIN(cfg Config) Option { return func(o *options) { o.satinCfg = &cfg } }
-
-// WithBaseline installs the pre-SATIN periodic checker instead of SATIN.
-func WithBaseline(cfg BaselineConfig) Option { return func(o *options) { o.baselineCfg = &cfg } }
-
-// WithFastEvader installs the GETTID rootkit driven by the calibrated
-// fast evader. Zero durations select the paper's defaults.
-func WithFastEvader(sleep, threshold time.Duration) Option {
-	return func(o *options) {
-		o.evader = evaderFast
-		o.evaderSleep = sleep
-		o.evaderThresh = threshold
-	}
-}
-
-// WithThreadEvader installs the GETTID rootkit driven by the full
-// thread-level evader (KProber-II probing threads on every core).
-func WithThreadEvader(threshold time.Duration) Option {
-	return func(o *options) {
-		o.evader = evaderThread
-		o.evaderThresh = threshold
-	}
-}
-
-// WithProberSleep overrides the evader's probing interval Tsleep (zero keeps
-// DefaultProberSleep). WithFastEvader takes the sleep directly; this option
-// exists so the thread-level evader's sleep is reachable too — scenario
-// specs set it for either kind.
-func WithProberSleep(sleep time.Duration) Option {
-	return func(o *options) { o.evaderSleep = sleep }
-}
-
-// WithRootkitAt plants the evader's 8-byte trace at an arbitrary
-// static-kernel address instead of the GETTID table entry.
-func WithRootkitAt(addr uint64) Option {
-	return func(o *options) { o.rootkitTarget = &addr }
-}
-
-// WithSyncGuard installs the §VII-A synchronous guard at boot. With bypass
-// false, any evader in the scenario fails to install its rootkit and
-// NewScenario returns that error — the guard working as intended. With
-// bypass true, the attacker first runs the write-what-where AP-flip exploit
-// against its target pages, so the hijack lands silently (§VII-A's story).
-func WithSyncGuard(bypass bool) Option {
-	return func(o *options) {
-		o.guard = true
-		o.guardBypass = bypass
-	}
-}
-
-// WithRouting selects the §II-B NS-interrupt routing mode. SATIN's design
-// requires NonPreemptive (the default); passing WithRouting(NonPreemptive)
-// explicitly is identical to omitting the option. An unknown mode —
-// including the zero RoutingMode — fails NewScenario rather than being
-// silently ignored.
-func WithRouting(mode RoutingMode) Option {
-	return func(o *options) { o.routing = mode }
-}
-
-// WithObservability enables or disables the scenario's event bus, timeline,
-// and metrics registry. It is enabled by default; disable it to measure the
-// zero-overhead path (publishes early-return, metric handles are nil
-// no-ops), in which case Bus returns nil, Timeline stays empty, and Metrics
-// returns an empty snapshot.
-func WithObservability(enabled bool) Option {
-	return func(o *options) { o.noObs = !enabled }
-}
-
-// WithProfiling attaches the causal span profiler to every component in
-// the scenario (monitor, checker, SATIN, evader). It is off by default —
-// the detached emit points cost one nil check each, so profiling is purely
-// opt-in. Attaching it never changes the run: spans are assembled on the
-// side and the profiler only *subscribes* to the bus (for instants and
-// detection latency), never publishes. Retrieve results via
-// Scenario.Profiler().
-func WithProfiling(enabled bool) Option {
-	return func(o *options) { o.profiling = enabled }
-}
-
-// WithHashCache enables or disables the checker's incremental hash cache.
-// It is enabled by default and never changes results — cached and uncached
-// checks return bit-identical sums at identical virtual instants (the cache
-// is validated by per-page write generations at the moment each chunk would
-// have been read). Disabling it also turns off the boot state's chunk terms
-// and forces every chunk to be re-hashed, which is only useful for
-// measuring the cache's speedup or cross-checking its transparency, as the
-// golden regression tests do.
-func WithHashCache(enabled bool) Option {
-	return func(o *options) { o.noHashCache = !enabled }
-}
-
-// WithFlood starts the §V-B SGI interrupt flood at boot, at the given
-// per-core rate (interrupts/second).
-func WithFlood(rate float64) Option {
-	return func(o *options) { o.floodRate = rate }
-}
-
-// WithFaultPlan installs the deterministic fault-injection plan at boot:
-// per-core rate jitter is applied immediately, DVFS and hotplug events are
-// scheduled at their virtual times, and interrupt/world-switch perturbation
-// hooks are wired in. Every injected fault appears as a "fault" trace event
-// and in the fault.* metrics. The empty plan installs nothing — the run is
-// byte-identical to one built without this option.
-func WithFaultPlan(plan FaultPlan) Option {
-	return func(o *options) { o.faults = plan }
-}
-
-// NewScenario assembles and boots a testbed.
-func NewScenario(opts ...Option) (*Scenario, error) {
-	return newScenario(nil, opts...)
-}
-
-// newScenario is NewScenario building the kernel image from boot, when it
-// is not nil, instead of booting it from the seed: the boot state of the
-// prefix an in-process fork resumes from, or of an earlier member of the
-// same campaign group, which has already filled the kernel and hashed its
-// golden table (see experiment.NewRigFrom, which refuses one booted from
-// another seed).
-func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
-	o := options{
-		seed:         1,
-		evaderSleep:  DefaultProberSleep,
-		evaderThresh: DefaultThreshold,
-		routing:      trustzone.NonPreemptive,
-	}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.evaderSleep == 0 {
-		o.evaderSleep = DefaultProberSleep
-	}
-	if o.evaderThresh == 0 {
-		o.evaderThresh = DefaultThreshold
-	}
-	if o.satinCfg != nil && o.baselineCfg != nil {
-		return nil, fmt.Errorf("satin: a scenario runs either SATIN or the baseline, not both")
-	}
-	switch o.routing {
-	case trustzone.NonPreemptive, trustzone.Preemptive:
-	default:
-		return nil, fmt.Errorf("satin: unknown routing mode %v", o.routing)
-	}
-
-	rig, err := experiment.NewRigFrom(o.seed, boot)
+// newScenario assembles and boots the testbed the canonical spec c
+// describes; FromSpec is its public form. It builds the kernel image from
+// boot when boot is not nil, instead of booting it from the seed: the boot
+// state of the prefix an in-process fork resumes from, or of an earlier
+// member of the same campaign group, which has already filled the kernel
+// and hashed its golden table (see experiment.NewRigFrom, which refuses one
+// booted from another seed). Every random stream derives from c.Seed at a
+// fixed offset, and the assembly order below is part of what the goldens
+// pin.
+func newScenario(c ScenarioSpec, boot *mem.BootState) (*Scenario, error) {
+	rig, err := experiment.NewRigFrom(c.Seed, boot)
 	if err != nil {
 		return nil, err
 	}
 	plat, image, osim, checker := rig.Plat, rig.Image, rig.OS, rig.Checker
-	checker.SetHashCache(!o.noHashCache)
+	checker.SetHashCache(c.HashCacheEnabled())
 	sc := &Scenario{
-		seed:     o.seed,
+		seed:     c.Seed,
 		engine:   rig.Engine,
 		plat:     plat,
 		image:    image,
@@ -530,38 +326,45 @@ func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
 		checker:  checker,
 		timeline: &trace.Timeline{},
 	}
-	sc.monitor.SetRouting(o.routing)
-	if !o.noObs {
+	routing := trustzone.NonPreemptive
+	if c.Routing == spec.RoutingPreemptive {
+		routing = trustzone.Preemptive
+	}
+	sc.monitor.SetRouting(routing)
+	if c.ObservabilityEnabled() {
 		sc.bus = obs.NewBus()
 		sc.reg = obs.NewRegistry()
 		sc.bus.Subscribe(sc.timeline.Observe)
 		sc.monitor.Observe(sc.bus, sc.reg)
 		sc.checker.Observe(sc.reg)
 	}
-	if o.guard {
+	if c.Guard != spec.GuardOff {
 		sc.guard = syncguard.New(osim)
 		if err := sc.guard.Install(); err != nil {
 			return nil, err
 		}
 	}
 
-	// Attack side first (the persistent threat predates the defense).
-	if o.evader != evaderNone {
-		if o.rootkitTarget != nil {
-			sc.rootkit = attack.NewRootkitAt(osim, image, *o.rootkitTarget)
+	// Attack side first (the persistent threat predates the defense). An
+	// un-bypassed guard traps the rootkit's install, so the build fails
+	// there: the guard working as intended.
+	if ev := c.Evader; ev.Kind != spec.EvaderNone {
+		sleep, threshold := time.Duration(ev.Sleep), time.Duration(ev.Threshold)
+		if ev.RootkitAddr != nil {
+			sc.rootkit = attack.NewRootkitAt(osim, image, *ev.RootkitAddr)
 		} else {
 			sc.rootkit = attack.NewRootkit(osim, image)
 		}
-		if o.guard && o.guardBypass {
+		if c.Guard == spec.GuardBypassed {
 			if _, err := syncguard.APFlipExploit(image, sc.rootkit.TargetAddr(), attack.TraceBytes); err != nil {
 				return nil, err
 			}
 			// The flipped PTE is now part of the attack surface; golden
 			// hashes were captured before, so area 17 will flag it.
 		}
-		switch o.evader {
-		case evaderFast:
-			fe, err := attack.NewFastEvader(plat, image, sc.rootkit, o.evaderSleep, o.evaderThresh, o.seed+4)
+		switch ev.Kind {
+		case spec.EvaderFast:
+			fe, err := attack.NewFastEvader(plat, image, sc.rootkit, sleep, threshold, c.Seed+4)
 			if err != nil {
 				return nil, err
 			}
@@ -570,29 +373,46 @@ func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
 				return nil, err
 			}
 			sc.fastEvader = fe
-		case evaderThread:
-			buf, err := attack.NewReportBuffer(plat.NumCores(), attack.JunoCrossCoreNoise(), o.seed+5)
+		case spec.EvaderThread:
+			buf, err := attack.NewReportBuffer(plat.NumCores(), attack.JunoCrossCoreNoise(), c.Seed+5)
 			if err != nil {
 				return nil, err
 			}
-			ev, err := attack.NewEvader(osim, sc.rootkit, buf, attack.EvaderConfig{
-				Prober: attack.ProberConfig{Kind: attack.KProberII, Sleep: o.evaderSleep, Threshold: o.evaderThresh},
-				Seed:   o.seed + 6,
+			te, err := attack.NewEvader(osim, sc.rootkit, buf, attack.EvaderConfig{
+				Prober: attack.ProberConfig{Kind: attack.KProberII, Sleep: sleep, Threshold: threshold},
+				Seed:   c.Seed + 6,
 			})
 			if err != nil {
 				return nil, err
 			}
-			ev.Observe(sc.bus, sc.reg)
-			if err := ev.Start(); err != nil {
+			te.Observe(sc.bus, sc.reg)
+			if err := te.Start(); err != nil {
 				return nil, err
 			}
-			sc.evader = ev
+			sc.evader = te
 		}
 	}
 
 	// Defense side.
-	if o.satinCfg != nil {
-		s, err := core.NewJuno(plat, sc.monitor, image, checker, *o.satinCfg)
+	switch c.Defense.Kind {
+	case spec.DefenseSATIN:
+		sat := c.Defense.SATIN
+		seed := sat.Seed
+		if seed == 0 {
+			// Zero derives from the root seed, so sweep templates follow
+			// InstantiateSpec's per-trial seed.
+			seed = c.Seed + 2
+		}
+		s, err := core.NewJuno(plat, sc.monitor, image, checker, core.Config{
+			Tgoal:            time.Duration(sat.Tgoal),
+			Technique:        technique(sat.Technique),
+			RandomDeviation:  *sat.RandomDeviation,
+			FixedCore:        *sat.FixedCore,
+			MaxRounds:        sat.MaxRounds,
+			AreaBound:        sat.AreaBound,
+			AllowUnsafeAreas: sat.AllowUnsafeAreas,
+			Seed:             seed,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -601,9 +421,20 @@ func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
 			return nil, err
 		}
 		sc.satin = s
-	}
-	if o.baselineCfg != nil {
-		b, err := introspect.NewBaseline(plat, sc.monitor, checker, image, o.seed+7, *o.baselineCfg)
+	case spec.DefenseBaseline:
+		bl := c.Defense.Baseline
+		sel := introspect.RandomCore
+		if bl.Selection == spec.SelectFixed {
+			sel = introspect.FixedCore
+		}
+		b, err := introspect.NewBaseline(plat, sc.monitor, checker, image, c.Seed+7, introspect.BaselineConfig{
+			Period:          time.Duration(bl.Period),
+			RandomizePeriod: bl.RandomizePeriod,
+			Selection:       sel,
+			Core:            bl.Core,
+			Technique:       technique(bl.Technique),
+			MaxRounds:       bl.MaxRounds,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -613,8 +444,8 @@ func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
 		}
 		sc.baseline = b
 	}
-	if o.floodRate > 0 {
-		fl, err := attack.NewInterruptFlood(plat, o.floodRate, nil)
+	if c.Workload != nil && c.Workload.FloodRate > 0 {
+		fl, err := attack.NewInterruptFlood(plat, c.Workload.FloodRate, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -625,18 +456,25 @@ func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
 	}
 	// Fault injection composes last, over the fully assembled testbed, so
 	// hotplug re-routing finds SATIN already subscribed and jitter rescales
-	// the final calibrated rates. Skipped entirely for the empty plan.
-	if !o.faults.Empty() {
-		inj, err := faultinject.Install(o.faults, plat, sc.monitor, o.seed+8, sc.bus, sc.reg)
+	// the final calibrated rates. An empty plan installs nothing, so the run
+	// is byte-identical to one without faults.
+	if c.Faults != "" {
+		plan, err := faultinject.ParsePlan(c.Faults)
 		if err != nil {
 			return nil, err
 		}
-		sc.injector = inj
+		if !plan.Empty() {
+			inj, err := faultinject.Install(plan, plat, sc.monitor, c.Seed+8, sc.bus, sc.reg)
+			if err != nil {
+				return nil, err
+			}
+			sc.injector = inj
+		}
 	}
 	// Profiling attaches last, over the fully assembled testbed: every
 	// component gets the same handle, and the profiler subscribes to the bus
 	// (never publishes), so the event stream and goldens are untouched.
-	if o.profiling {
+	if c.ProfilingEnabled() {
 		p := profile.NewProfiler(plat.NumCores())
 		p.Observe(sc.reg)
 		if sc.bus != nil {
@@ -659,13 +497,22 @@ func newScenario(boot *mem.BootState, opts ...Option) (*Scenario, error) {
 	return sc, nil
 }
 
+// technique maps a canonical spec's technique name to the checker's.
+func technique(v string) introspect.Technique {
+	if v == spec.TechniqueSnapshot {
+		return introspect.SnapshotHash
+	}
+	return introspect.DirectHash
+}
+
 // Run advances virtual time by d.
 func (s *Scenario) Run(d time.Duration) { s.engine.RunFor(d) }
 
-// RunToCompletion drains every pending event. Use it only with bounded
-// configurations (MaxRounds on SATIN/baseline) and WITHOUT the thread-level
-// evader or workloads: perpetual threads schedule events forever, so a
-// scenario containing them never drains — drive those with Run instead.
+// RunToCompletion drains every pending event. Use it only with a bounded
+// defense (max_rounds set) and WITHOUT the thread-level evader or a flood:
+// perpetual threads schedule events forever, so a scenario containing them
+// never drains — drive those with Run instead. DriveSpec follows the spec's
+// run section, which the spec validates against exactly these rules.
 func (s *Scenario) RunToCompletion() { s.engine.Run() }
 
 // Now reports the current virtual time since boot.
@@ -711,17 +558,17 @@ func (s *Scenario) Guard() *SyncGuard { return s.guard }
 // Flood returns the interrupt flood, or nil.
 func (s *Scenario) Flood() *InterruptFlood { return s.flood }
 
-// Faults returns the installed fault injector, or nil when the scenario was
-// built without a fault plan (or with an empty one).
+// Faults returns the installed fault injector, or nil when the scenario's
+// spec has no fault plan (or an empty one).
 func (s *Scenario) Faults() *FaultInjector { return s.injector }
 
-// Profiler returns the causal span profiler, or nil when the scenario was
-// built without WithProfiling(true). A nil Profiler is still a valid
-// zero-cost handle: every method on it is a no-op.
+// Profiler returns the causal span profiler, or nil when the scenario's
+// spec leaves profiling off. A nil Profiler is still a valid zero-cost
+// handle: every method on it is a no-op.
 func (s *Scenario) Profiler() *Profiler { return s.prof }
 
-// Bus returns the live event bus, or nil when the scenario was built with
-// WithObservability(false). Subscribe before driving the scenario to stream
+// Bus returns the live event bus, or nil when the scenario's spec sets
+// "observability": false. Subscribe before driving the scenario to stream
 // every trace event as it happens:
 //
 //	sink, _ := satin.NewStreamSink(f, satin.ExportJSONL)
@@ -731,8 +578,8 @@ func (s *Scenario) Bus() *Bus { return s.bus }
 // Timeline returns the run's time-ordered event stream — world entries,
 // SATIN rounds and alarms, baseline outcomes, and evader reactions. The
 // timeline is filled live by a bus subscription installed at construction,
-// so it can be inspected mid-run; it is empty when the scenario was built
-// with WithObservability(false).
+// so it can be inspected mid-run; it is empty when the scenario's spec sets
+// "observability": false.
 func (s *Scenario) Timeline() *trace.Timeline { return s.timeline }
 
 // Metrics snapshots every metric the run has accumulated: counters, gauges,
@@ -740,7 +587,7 @@ func (s *Scenario) Timeline() *trace.Timeline { return s.timeline }
 // durations per area, alarms, queue depth), the checker (bytes hashed and
 // copied), the baseline, any evader, plus the engine's own gauges
 // (virtual time, events dispatched, pending events), refreshed at snapshot
-// time. Returns an empty snapshot under WithObservability(false).
+// time. Returns an empty snapshot when the spec sets "observability": false.
 func (s *Scenario) Metrics() MetricsSnapshot {
 	if s.reg == nil {
 		return MetricsSnapshot{}

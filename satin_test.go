@@ -5,14 +5,26 @@ import (
 	"time"
 )
 
-func TestScenarioSATINDetectsEvader(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tgoal = 19 * time.Second
-	cfg.MaxRounds = 19
-	sc, err := NewScenario(WithSeed(11), WithSATIN(cfg), WithFastEvader(0, 0))
+// quickSpec is one full scan at tp = 1 s against the fast evader at the
+// given root seed, with SATIN's own seed at 1.
+func quickSpec(seed uint64) ScenarioSpec {
+	s := goldenSpec(seed)
+	s.Defense.SATIN.Seed = 1
+	return s
+}
+
+// buildSpec builds the spec's scenario, failing the test on an error.
+func buildSpec(t *testing.T, s ScenarioSpec) *Scenario {
+	t.Helper()
+	sc, err := FromSpec(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sc
+}
+
+func TestScenarioSATINDetectsEvader(t *testing.T) {
+	sc := buildSpec(t, quickSpec(11))
 	sc.RunToCompletion()
 	if got := len(sc.SATIN().Rounds()); got != 19 {
 		t.Fatalf("rounds = %d, want 19", got)
@@ -30,20 +42,15 @@ func TestScenarioSATINDetectsEvader(t *testing.T) {
 }
 
 func TestScenarioBaselineEvaded(t *testing.T) {
-	sc, err := NewScenario(
-		WithSeed(12),
-		WithBaseline(BaselineConfig{
-			Period:          2 * time.Second,
-			RandomizePeriod: true,
-			Selection:       RandomCore,
-			Technique:       DirectHash,
-			MaxRounds:       3,
-		}),
-		WithFastEvader(0, 0),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := quickSpec(12)
+	s.Defense = SpecDefense{Kind: "baseline", Baseline: &SpecBaselineConfig{
+		Period:          SpecDuration(2 * time.Second),
+		RandomizePeriod: true,
+		Selection:       "random",
+		Technique:       "direct",
+		MaxRounds:       3,
+	}}
+	sc := buildSpec(t, s)
 	sc.RunToCompletion()
 	outs := sc.Baseline().Outcomes()
 	if len(outs) != 3 {
@@ -57,14 +64,12 @@ func TestScenarioBaselineEvaded(t *testing.T) {
 }
 
 func TestScenarioThreadEvader(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tgoal = 19 * time.Second
-	cfg.MaxRounds = 10
-	sc, err := NewScenario(WithSeed(13), WithSATIN(cfg), WithThreadEvader(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Run(25 * time.Second)
+	s := quickSpec(13)
+	s.Defense.SATIN.MaxRounds = 10
+	s.Evader.Kind = "thread"
+	s.Run = SpecRun{For: SpecDuration(25 * time.Second)}
+	sc := buildSpec(t, s)
+	DriveSpec(sc, s)
 	if sc.ThreadEvader() == nil {
 		t.Fatal("thread evader nil")
 	}
@@ -73,19 +78,17 @@ func TestScenarioThreadEvader(t *testing.T) {
 	}
 }
 
-// TestScenarioRunAdvancesUnboundedSATIN: with MaxRounds 0 SATIN activates
+// TestScenarioRunAdvancesUnboundedSATIN: with no max_rounds SATIN activates
 // itself forever, so the scenario is driven in spans with Run. A booted,
 // warm scenario must keep completing rounds in every later span.
 func TestScenarioRunAdvancesUnboundedSATIN(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tgoal = 19 * time.Second
-	cfg.MaxRounds = 0
-	cfg.Seed = 3
-	sc, err := NewScenario(WithSeed(1), WithSATIN(cfg), WithObservability(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Run(40 * time.Second) // two full scans
+	s := goldenSpec(1)
+	s.Defense.SATIN.MaxRounds = 0
+	s.Evader = SpecEvader{}
+	s.Observability = new(bool)
+	s.Run = SpecRun{For: SpecDuration(40 * time.Second)} // two full scans
+	sc := buildSpec(t, s)
+	DriveSpec(sc, s)
 	done := len(sc.SATIN().Rounds())
 	if done == 0 {
 		t.Fatal("no rounds completed during warm-up")
@@ -100,29 +103,32 @@ func TestScenarioRunAdvancesUnboundedSATIN(t *testing.T) {
 	}
 }
 
+// TestScenarioValidation: a scenario runs either SATIN or the baseline, so
+// a spec carrying both sections is refused.
 func TestScenarioValidation(t *testing.T) {
-	if _, err := NewScenario(WithSATIN(DefaultConfig()), WithBaseline(BaselineConfig{})); err == nil {
+	s := quickSpec(1)
+	s.Defense.Baseline = &SpecBaselineConfig{}
+	if _, err := FromSpec(s); err == nil {
 		t.Error("SATIN+baseline accepted")
 	}
 }
 
 func TestScenarioRootkitAt(t *testing.T) {
-	sc, err := NewScenario(WithSeed(14), WithFastEvader(0, 0), WithRootkitAt(0))
-	if err == nil {
-		_ = sc
+	addr := uint64(0)
+	s := ScenarioSpec{
+		Version: ScenarioSpecVersion,
+		Seed:    14,
+		Evader:  SpecEvader{Kind: "fast", RootkitAddr: &addr},
+		Run:     SpecRun{For: SpecDuration(time.Second)},
+	}
+	if _, err := FromSpec(s); err == nil {
 		t.Fatal("unmapped rootkit target accepted at start")
 	}
 }
 
 func TestScenarioDeterminism(t *testing.T) {
 	run := func() []Round {
-		cfg := DefaultConfig()
-		cfg.Tgoal = 19 * time.Second
-		cfg.MaxRounds = 19
-		sc, err := NewScenario(WithSeed(42), WithSATIN(cfg), WithFastEvader(0, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sc := buildSpec(t, quickSpec(42))
 		sc.RunToCompletion()
 		return sc.SATIN().Rounds()
 	}
@@ -138,13 +144,7 @@ func TestScenarioDeterminism(t *testing.T) {
 }
 
 func TestScenarioTimeline(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tgoal = 19 * time.Second
-	cfg.MaxRounds = 19
-	sc, err := NewScenario(WithSeed(31), WithSATIN(cfg), WithFastEvader(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := buildSpec(t, quickSpec(31))
 	sc.RunToCompletion()
 	tl := sc.Timeline()
 	if tl.Len() == 0 {
@@ -179,20 +179,22 @@ func TestScenarioTimeline(t *testing.T) {
 func TestScenarioSyncGuardBlocksEvader(t *testing.T) {
 	// Guard on, no bypass: the evader cannot install; assembling the
 	// scenario surfaces the denial.
-	_, err := NewScenario(WithSeed(41), WithSyncGuard(false), WithFastEvader(0, 0))
-	if err == nil {
+	s := ScenarioSpec{
+		Version: ScenarioSpecVersion,
+		Seed:    41,
+		Evader:  SpecEvader{Kind: "fast"},
+		Guard:   "on",
+		Run:     SpecRun{For: SpecDuration(time.Second)},
+	}
+	if _, err := FromSpec(s); err == nil {
 		t.Fatal("guarded scenario with an un-bypassed evader should fail to assemble")
 	}
 }
 
 func TestScenarioSyncGuardBypassedThenCaught(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tgoal = 19 * time.Second
-	cfg.MaxRounds = 19
-	sc, err := NewScenario(WithSeed(41), WithSyncGuard(true), WithSATIN(cfg), WithFastEvader(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := quickSpec(41)
+	s.Guard = "bypassed"
+	sc := buildSpec(t, s)
 	if sc.Guard() == nil || !sc.Guard().Installed() {
 		t.Fatal("guard missing")
 	}
@@ -210,18 +212,13 @@ func TestScenarioSyncGuardBypassedThenCaught(t *testing.T) {
 }
 
 func TestScenarioFloodUnderNonPreemptiveIsInert(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tgoal = 19 * time.Second
-	cfg.MaxRounds = 19
-	sc, err := NewScenario(
-		WithSeed(43), WithSATIN(cfg), WithFastEvader(0, 0),
-		WithRouting(NonPreemptive), WithFlood(30000),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := quickSpec(43)
+	s.Routing = "nonpreemptive"
+	s.Workload = &SpecWorkload{FloodRate: 30000}
 	// The flood never stops: bounded horizon.
-	sc.Run(60 * time.Second)
+	s.Run = SpecRun{For: SpecDuration(60 * time.Second)}
+	sc := buildSpec(t, s)
+	DriveSpec(sc, s)
 	if sc.Flood() == nil || sc.Flood().Raised() == 0 {
 		t.Fatal("flood not running")
 	}

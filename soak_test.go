@@ -14,20 +14,26 @@ func TestSoakHourLongRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	cfg := DefaultConfig() // tp = 8 s, the paper's schedule
-	const hour = time.Hour
 	// One simulated hour at one round per 8 s ≈ 450 rounds ≈ 23 passes.
-	cfg.MaxRounds = int(hour / (8 * time.Second))
-	sc, err := NewScenario(WithSeed(99), WithSATIN(cfg), WithFastEvader(0, 0))
+	// The default tgoal is 19 × 8 s: tp = 8 s, the paper's schedule.
+	maxRounds := int(time.Hour / (8 * time.Second))
+	spec := ScenarioSpec{
+		Version: ScenarioSpecVersion,
+		Seed:    99,
+		Defense: SpecDefense{Kind: "satin", SATIN: &SpecSATINConfig{MaxRounds: maxRounds, Seed: 1}},
+		Evader:  SpecEvader{Kind: "fast"},
+		Run:     SpecRun{ToCompletion: true},
+	}
+	sc, err := FromSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.RunToCompletion()
+	DriveSpec(sc, spec)
 
 	s := sc.SATIN()
 	rounds := s.Rounds()
-	if len(rounds) != cfg.MaxRounds {
-		t.Fatalf("rounds = %d, want %d", len(rounds), cfg.MaxRounds)
+	if len(rounds) != maxRounds {
+		t.Fatalf("rounds = %d, want %d", len(rounds), maxRounds)
 	}
 	// Rate stability: total span ≈ rounds × tp, within 5%.
 	span := rounds[len(rounds)-1].Started.Sub(rounds[0].Started)

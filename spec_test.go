@@ -1,11 +1,8 @@
 package satin
 
-// Differential tests for the spec path: for each conformance exemplar, the
-// Scenario built from the committed spec file must be indistinguishable —
-// streamed trace, timeline text, and summary report, byte for byte — from
-// the Scenario the facade options build. This is the guarantee that lets
-// flags, sweeps, and the future campaign engine all route through specs
-// without re-validating the simulator.
+// Tests for the spec path: FromSpec builds every Scenario, so each field of
+// a spec must reach the scenario it describes, and the sweep trial must
+// report exactly what the scenario did.
 
 import (
 	"bytes"
@@ -14,6 +11,9 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"satin/internal/mem"
+	"satin/internal/trustzone"
 )
 
 // specScenario loads a committed corpus spec and builds its scenario.
@@ -56,46 +56,192 @@ func runScenario(t *testing.T, sc *Scenario, drive func(*Scenario)) (trace, time
 	return out.String(), tl.String(), fmt.Sprintf("%+v", rep)
 }
 
-// TestFromSpecMatchesFacadeOptions is the differential satellite: per
-// exemplar, facade-options scenario vs FromSpec scenario, byte-identical
-// output.
-func TestFromSpecMatchesFacadeOptions(t *testing.T) {
-	twoScans := DefaultConfig()
-	twoScans.Tgoal = 19 * time.Second
-	twoScans.MaxRounds = 38
-	twoScans.Seed = 3
-	cases := []struct {
-		file string
-		opts func(t *testing.T) []Option
-	}{
-		{"clean.json", func(t *testing.T) []Option { return nil }},
-		{"faulted.json", func(t *testing.T) []Option {
-			return []Option{WithFaultPlan(faultedGoldenPlan(t))}
-		}},
-		{"two_scans.json", func(t *testing.T) []Option {
-			return []Option{WithSATIN(twoScans)}
-		}},
-		{"scale_1.json", func(t *testing.T) []Option {
-			return []Option{WithFaultPlan(ScaledFaultPlan(1))}
-		}},
-		{"scale_4.json", func(t *testing.T) []Option {
-			return []Option{WithFaultPlan(ScaledFaultPlan(4))}
-		}},
+// TestFromSpecReadsEveryField builds each scenario twice, without and with
+// one spec field, and asserts the effect the field must have. newScenario is
+// the only code that reads a spec, and the corpus goldens exercise few of its
+// fields, so a field it dropped would show here and nowhere else.
+func TestFromSpecReadsEveryField(t *testing.T) {
+	gettid := mem.JunoKernelLayout().SyscallEntryAddr(mem.GettidNR)
+	next := gettid + mem.SyscallEntrySize // the following syscall-table entry
+	baseline := func(s *ScenarioSpec) {
+		s.Defense = SpecDefense{Kind: "baseline", Baseline: &SpecBaselineConfig{Period: SpecDuration(time.Second), MaxRounds: 4}}
 	}
-	for _, tc := range cases {
-		t.Run(tc.file, func(t *testing.T) {
-			facade := goldenScenario(t, tc.opts(t)...)
-			fTrace, fTimeline, fReport := runScenario(t, facade, (*Scenario).RunToCompletion)
-			specSc, s := specScenario(t, tc.file)
-			sTrace, sTimeline, sReport := runScenario(t, specSc, func(sc *Scenario) { DriveSpec(sc, s) })
-			if fTrace != sTrace {
-				t.Errorf("trace diverges between facade options and FromSpec")
+	thread := func(s *ScenarioSpec) {
+		s.Evader.Kind = "thread"
+		s.Run = SpecRun{For: SpecDuration(3 * time.Second)}
+	}
+	noEvader := func(s *ScenarioSpec) { s.Evader = SpecEvader{} }
+	built := func(*Scenario) any { return "built" }
+	kinds := func(sc *Scenario) any { return []bool{sc.SATIN() != nil, sc.Baseline() != nil} }
+	attackers := func(sc *Scenario) any {
+		return []bool{sc.Rootkit() != nil, sc.FastEvader() != nil, sc.ThreadEvader() != nil}
+	}
+	snapshots := func(sc *Scenario) any {
+		row, _ := sc.Metrics().Get("introspect.snapshot_copies")
+		return row.Value > 0
+	}
+	suspects := func(sc *Scenario) any { return sc.Report().Suspects > 0 }
+	baselineCores := func(sc *Scenario) any {
+		cores := map[int]bool{}
+		for _, o := range sc.Baseline().Outcomes() {
+			cores[o.CoreID] = true
+		}
+		return cores
+	}
+	f := false
+	two := 2
+	for _, tc := range []struct {
+		field     string
+		base, mut func(*ScenarioSpec) // base shapes both builds, mut the second
+		effect    func(*Scenario) any // observed after DriveSpec; must differ
+		without   any                 // the effect without the field; nil accepts any
+		with      any                 // the effect with it; nil accepts any
+	}{
+		// With SATIN's own seed pinned, the round sums still differ: the
+		// root seed fills the kernel bytes they hash.
+		{"seed", func(s *ScenarioSpec) { s.Defense.SATIN.Seed = 3 }, func(s *ScenarioSpec) { s.Seed = 2 },
+			func(sc *Scenario) any {
+				var sums []uint64
+				for _, r := range sc.SATIN().Rounds() {
+					sums = append(sums, r.Sum)
+				}
+				return sums
+			}, nil, nil},
+		{"defense.kind none", nil, func(s *ScenarioSpec) {
+			s.Defense = SpecDefense{Kind: "none"}
+			s.Run = SpecRun{For: SpecDuration(6 * time.Second)}
+		}, kinds, []bool{true, false}, []bool{false, false}},
+		{"defense.kind baseline", nil, baseline, kinds, []bool{true, false}, []bool{false, true}},
+		{"defense.satin.tgoal", nil, func(s *ScenarioSpec) { s.Defense.SATIN.Tgoal = SpecDuration(38 * time.Second) },
+			func(sc *Scenario) any { return sc.SATIN().BasePeriod() }, time.Second, 2 * time.Second},
+		{"defense.satin.technique", nil, func(s *ScenarioSpec) { s.Defense.SATIN.Technique = "snapshot" },
+			snapshots, false, true},
+		{"defense.satin.random_deviation", nil, func(s *ScenarioSpec) { s.Defense.SATIN.RandomDeviation = &f },
+			func(sc *Scenario) any {
+				// Undeviated wake-ups fall on whole multiples of tp; each
+				// round starts one world switch later.
+				for _, r := range sc.SATIN().Rounds() {
+					if r.Started.Duration()%sc.SATIN().BasePeriod() > 10*time.Millisecond {
+						return false
+					}
+				}
+				return true
+			}, false, true},
+		{"defense.satin.fixed_core", nil, func(s *ScenarioSpec) { s.Defense.SATIN.FixedCore = &two },
+			func(sc *Scenario) any {
+				for _, r := range sc.SATIN().Rounds() {
+					if r.CoreID != two {
+						return false
+					}
+				}
+				return true
+			}, false, true},
+		{"defense.satin.max_rounds", nil, func(s *ScenarioSpec) { s.Defense.SATIN.MaxRounds = 3 },
+			func(sc *Scenario) any { return len(sc.SATIN().Rounds()) }, 6, 3},
+		{"defense.satin.area_bound", nil, func(s *ScenarioSpec) { s.Defense.SATIN.AreaBound = 1000 },
+			built, "built", "error"},
+		{"defense.satin.allow_unsafe_areas", func(s *ScenarioSpec) { s.Defense.SATIN.AreaBound = 1000 },
+			func(s *ScenarioSpec) { s.Defense.SATIN.AllowUnsafeAreas = true }, built, "error", "built"},
+		{"defense.satin.seed", nil, func(s *ScenarioSpec) { s.Defense.SATIN.Seed = 4 },
+			func(sc *Scenario) any { return sc.SATIN().Rounds() }, nil, nil},
+		{"defense.baseline.period", baseline, func(s *ScenarioSpec) { s.Defense.Baseline.Period = SpecDuration(2 * time.Second) },
+			func(sc *Scenario) any { return sc.Baseline().Outcomes()[0].Started.Duration().Truncate(time.Second) },
+			time.Second, 2 * time.Second},
+		{"defense.baseline.randomize_period", baseline, func(s *ScenarioSpec) { s.Defense.Baseline.RandomizePeriod = true },
+			func(sc *Scenario) any {
+				// Each round starts one period, plus a world switch, after
+				// the one before it ends.
+				var prev time.Duration
+				for _, o := range sc.Baseline().Outcomes() {
+					if gap := o.Started.Duration() - prev; gap < time.Second || gap > time.Second+10*time.Millisecond {
+						return false
+					}
+					prev = o.Finished.Duration()
+				}
+				return true
+			}, true, false},
+		{"defense.baseline.selection", baseline, func(s *ScenarioSpec) { s.Defense.Baseline.Selection = "fixed" },
+			baselineCores, nil, map[int]bool{0: true}},
+		{"defense.baseline.core", func(s *ScenarioSpec) { baseline(s); s.Defense.Baseline.Selection = "fixed" },
+			func(s *ScenarioSpec) { s.Defense.Baseline.Core = 4 }, baselineCores, map[int]bool{0: true}, map[int]bool{4: true}},
+		{"defense.baseline.technique", baseline, func(s *ScenarioSpec) { s.Defense.Baseline.Technique = "snapshot" },
+			snapshots, false, true},
+		{"defense.baseline.max_rounds", baseline, func(s *ScenarioSpec) { s.Defense.Baseline.MaxRounds = 2 },
+			func(sc *Scenario) any { return len(sc.Baseline().Outcomes()) }, 4, 2},
+		{"evader.kind none", nil, noEvader, attackers, []bool{true, true, false}, []bool{false, false, false}},
+		{"evader.kind thread", nil, thread, attackers, []bool{true, true, false}, []bool{true, false, true}},
+		{"evader.sleep fast", nil, func(s *ScenarioSpec) { s.Evader.Sleep = SpecDuration(time.Millisecond) },
+			func(sc *Scenario) any { return sc.FastEvader().Events() }, nil, nil},
+		{"evader.sleep thread", thread, func(s *ScenarioSpec) { s.Evader.Sleep = SpecDuration(time.Millisecond) },
+			func(sc *Scenario) any { return sc.ThreadEvader().Events() }, nil, nil},
+		{"evader.threshold fast", nil, func(s *ScenarioSpec) { s.Evader.Threshold = SpecDuration(10 * time.Second) },
+			suspects, true, false},
+		{"evader.threshold thread", thread, func(s *ScenarioSpec) { s.Evader.Threshold = SpecDuration(10 * time.Second) },
+			suspects, true, false},
+		{"evader.rootkit_addr", nil, func(s *ScenarioSpec) { s.Evader.RootkitAddr = &next },
+			func(sc *Scenario) any { return sc.Rootkit().TargetAddr() }, gettid, next},
+		{"guard on", noEvader, func(s *ScenarioSpec) { s.Guard = "on" },
+			func(sc *Scenario) any { return sc.Guard() != nil && sc.Guard().Installed() }, false, true},
+		{"guard on against an evader", nil, func(s *ScenarioSpec) { s.Guard = "on" }, built, "built", "error"},
+		{"guard bypassed", func(s *ScenarioSpec) { s.Defense.SATIN.MaxRounds = 19 }, func(s *ScenarioSpec) { s.Guard = "bypassed" },
+			func(sc *Scenario) any {
+				areas := map[int]bool{}
+				for _, a := range sc.SATIN().Alarms() {
+					areas[a.Area] = true
+				}
+				return areas
+			}, map[int]bool{14: true}, map[int]bool{14: true, 17: true}},
+		{"routing", nil, func(s *ScenarioSpec) { s.Routing = "preemptive" },
+			func(sc *Scenario) any { return sc.Monitor().Routing() }, trustzone.NonPreemptive, trustzone.Preemptive},
+		{"workload.flood_rate", nil, func(s *ScenarioSpec) {
+			s.Workload = &SpecWorkload{FloodRate: 1000}
+			s.Run = SpecRun{For: SpecDuration(3 * time.Second)}
+		}, func(sc *Scenario) any { return sc.Flood() != nil && sc.Flood().Raised() > 0 }, false, true},
+		{"faults", nil, withFaults("scale:1"),
+			func(sc *Scenario) any { return sc.Faults() != nil && sc.Faults().Injected() > 0 }, false, true},
+		{"observability", nil, observabilityOff,
+			func(sc *Scenario) any { return []bool{sc.Bus() != nil, len(sc.Metrics().Rows) > 0} },
+			[]bool{true, true}, []bool{false, false}},
+		{"hash_cache", nil, hashCacheOff,
+			func(sc *Scenario) any { return sc.Checker().HashCacheEnabled() }, true, false},
+		{"profiling", nil, profilingOn,
+			func(sc *Scenario) any { return sc.Profiler() != nil }, false, true},
+		{"export.chrome_trace", nil, func(s *ScenarioSpec) { s.Export = &SpecExport{ChromeTrace: "spans.json"} },
+			func(sc *Scenario) any { return sc.Profiler() != nil }, false, true},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			observe := func(s ScenarioSpec) string {
+				sc, err := FromSpec(s)
+				if err != nil {
+					t.Logf("build: %v", err)
+					return "error"
+				}
+				DriveSpec(sc, s)
+				return fmt.Sprint(tc.effect(sc))
 			}
-			if fTimeline != sTimeline {
-				t.Errorf("timeline diverges between facade options and FromSpec")
+			// Six rounds of one full scan at tp = 1 s against the fast
+			// evader, SATIN's seed derived from the root.
+			s := ScenarioSpec{
+				Version: ScenarioSpecVersion,
+				Seed:    1,
+				Defense: SpecDefense{Kind: "satin", SATIN: &SpecSATINConfig{Tgoal: SpecDuration(19 * time.Second), MaxRounds: 6}},
+				Evader:  SpecEvader{Kind: "fast"},
+				Run:     SpecRun{ToCompletion: true},
 			}
-			if fReport != sReport {
-				t.Errorf("report diverges:\nfacade: %s\nspec:   %s", fReport, sReport)
+			if tc.base != nil {
+				tc.base(&s)
+			}
+			without := observe(s)
+			tc.mut(&s)
+			with := observe(s)
+			if without == with {
+				t.Errorf("the field has no effect: %s either way", without)
+			}
+			if want := fmt.Sprint(tc.without); tc.without != nil && without != want {
+				t.Errorf("without the field: %s, want %s", without, want)
+			}
+			if want := fmt.Sprint(tc.with); tc.with != nil && with != want {
+				t.Errorf("with the field: %s, want %s", with, want)
 			}
 		})
 	}

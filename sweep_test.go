@@ -3,23 +3,21 @@ package satin
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"satin/internal/runner"
 )
 
 // scenarioTrial builds one quick SATIN-vs-evader scenario (one full scan at
-// tp = 1 s) and reports its alarm and round counts.
+// tp = 1 s, SATIN's seed derived from the root) and reports its alarm and
+// round counts.
 func scenarioTrial(seed uint64) (SweepMetrics, error) {
-	cfg := DefaultConfig()
-	cfg.Tgoal = 19 * time.Second
-	cfg.MaxRounds = 19
-	cfg.Seed = seed + 2
-	sc, err := NewScenario(WithSeed(seed), WithSATIN(cfg), WithFastEvader(0, 0))
+	s := goldenSpec(seed)
+	s.Defense.SATIN.Seed = 0 // root+2
+	sc, err := FromSpec(s)
 	if err != nil {
 		return nil, err
 	}
-	sc.RunToCompletion()
+	DriveSpec(sc, s)
 	m := SweepMetrics{}.Add("alarms", float64(len(sc.SATIN().Alarms())))
 	return m.Add("rounds", float64(len(sc.SATIN().Rounds()))), nil
 }
