@@ -214,14 +214,18 @@ serve-smoke:
 campaign-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign$$' -fuzztime 20s ./internal/campaign
 
-# Short fuzz run over the djb2 kernels: from any state, each kernel must
-# equal the byte-at-a-time reference: the lane kernel (each 8-byte word
-# reduced through 16- and 32-bit lanes, the state stepped once per 32
-# bytes) and, on an AVX2 host, the vector kernel (128-byte blocks in four
-# accumulators). The fold must also split affinely into h·33^len plus the
-# chunk's term, the identity the boot-state chunk terms rest on.
+# Short fuzz runs over the hash and fill kernels, 20 s each. From any
+# state, each djb2 kernel must equal the byte-at-a-time reference: the
+# lane kernel (each 8-byte word reduced through 16- and 32-bit lanes, the
+# state stepped once per 32 bytes) and, on an AVX2 host, the vector kernel
+# (128-byte blocks in four accumulators). The fold must also split
+# affinely into h·33^len plus the chunk's term, the identity the
+# boot-state chunk terms rest on. From any seed and word offset, each fill
+# kernel must write FillWord's words: the scalar loop and, on an AVX2
+# host, the vector kernel (64-byte blocks of splitmix64, a page a call).
 hash-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzHashWordWide$$' -fuzztime 20s ./internal/introspect
+	$(GO) test -run '^$$' -fuzz 'FuzzFillWords$$' -fuzztime 20s ./internal/mem
 
 # Short fuzz run over the SATINCKP decoder, which satin-sim -resume-from
 # feeds files from disk: no input may panic it, and any input it accepts
@@ -257,7 +261,7 @@ word-size-check:
 # would move the last bits of a draw or a statistic there. Fails when the
 # arm64 assembly of any function in FMA_CHECK_FUNCS holds a fused
 # multiply-add, or when one is missing. Building introspect for arm64 also
-# builds its non-amd64 djb2 kernel.
+# builds the non-amd64 djb2 and fill kernels (introspect imports mem).
 FMA_CHECK_FUNCS := simclock.Dist.Draw simclock.FloatDist.Draw \
 	core.(*WakeQueue).refresh introspect.(*Baseline).armNext \
 	faultinject.Install experiment.RunMSweep \

@@ -140,7 +140,7 @@ func run(args []string, out io.Writer) error {
 		if s, err = specFromFlags(*seed, *defense, *evader, *tp, *scans, *rounds, *threshold, *routing, *guard, *faults, *flood); err != nil {
 			return err
 		}
-		if err := checkScenarioFlags(fs, *defense, *evader, *tp, *threshold); err != nil {
+		if err := checkScenarioFlags(fs, *defense, *evader, *tp, *threshold, *scans, *rounds, s.Run.ToCompletion); err != nil {
 			return err
 		}
 	}
@@ -418,10 +418,13 @@ func scenarioFlagsSet(fs *flag.FlagSet) []string {
 
 // checkScenarioFlags names every flag set on the command line that the
 // chosen -defense or -evader does not read, so that none is silently
-// dropped, and rejects a -tp or -threshold that is not positive. -scans is
-// read by SATIN only, -rounds by the baseline only, -tp by either defense,
-// and -threshold by either evader.
-func checkScenarioFlags(fs *flag.FlagSet, defense, evader string, tp, threshold time.Duration) error {
+// dropped, and rejects a -tp or -threshold that is not positive and a
+// negative -scans or -rounds. A zero count means unbounded, which only a
+// run with a fixed horizon (a thread evader or a flood) can end, so it is
+// refused by name in a run that goes to completion. -scans is read by
+// SATIN only, -rounds by the baseline only, -tp by either defense, and
+// -threshold by either evader.
+func checkScenarioFlags(fs *flag.FlagSet, defense, evader string, tp, threshold time.Duration, scans, rounds int, toCompletion bool) error {
 	var byDefense, byEvader []string
 	fs.Visit(func(f *flag.Flag) {
 		switch {
@@ -440,6 +443,10 @@ func checkScenarioFlags(fs *flag.FlagSet, defense, evader string, tp, threshold 
 	if len(byEvader) > 0 {
 		unread = append(unread, fmt.Sprintf("%s: flags that -evader %s does not read", strings.Join(byEvader, ", "), evader))
 	}
+	name, count := "scans", scans
+	if defense == "baseline" {
+		name, count = "rounds", rounds
+	}
 	switch {
 	case len(unread) > 0:
 		return fmt.Errorf("%s", strings.Join(unread, "; "))
@@ -447,6 +454,10 @@ func checkScenarioFlags(fs *flag.FlagSet, defense, evader string, tp, threshold 
 		return fmt.Errorf("-tp %v: the period must be positive", tp)
 	case threshold <= 0:
 		return fmt.Errorf("-threshold %v: the threshold must be positive", threshold)
+	case count < 0:
+		return fmt.Errorf("-%s %d: the count must not be negative", name, count)
+	case count == 0 && toCompletion:
+		return fmt.Errorf("-%s 0 means unbounded, and this run goes to completion, so it would never end: give a positive count, or run for a fixed horizon with -evader thread or -flood", name)
 	}
 	return nil
 }

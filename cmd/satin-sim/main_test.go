@@ -85,6 +85,14 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-evader", "thread", "-tp", "0"}, "-tp 0s"},
 		{[]string{"-defense", "baseline", "-tp", "-1s"}, "-tp -1s"},
 		{[]string{"-threshold", "-1ms", "-dump-spec"}, "-threshold -1ms"},
+		// A negative count is refused by name, and so is a zero one (no
+		// bound) in a run that goes to completion and so would never end.
+		{[]string{"-scans", "-1"}, "-scans -1: the count must not be negative"},
+		{[]string{"-scans", "-1", "-evader", "thread"}, "-scans -1: the count must not be negative"},
+		{[]string{"-defense", "baseline", "-rounds", "-2", "-evader", "thread"}, "-rounds -2: the count must not be negative"},
+		{[]string{"-scans", "0"}, "-scans 0 means unbounded"},
+		{[]string{"-scans", "0", "-dump-spec"}, "-scans 0 means unbounded"},
+		{[]string{"-defense", "baseline", "-rounds", "0"}, "-rounds 0 means unbounded"},
 	}
 	for _, c := range cases {
 		var out strings.Builder
@@ -93,6 +101,18 @@ func TestRunFlagValidation(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", c.args)
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("run(%v): error %q, want it to contain %q", c.args, err, c.want)
+		}
+	}
+	// A zero count stays valid where the run has a fixed horizon: an
+	// unbounded defense against a thread evader or beside a flood.
+	for _, args := range [][]string{
+		{"-scans", "0", "-evader", "thread", "-dump-spec"},
+		{"-scans", "0", "-flood", "1000", "-dump-spec"},
+		{"-defense", "baseline", "-rounds", "0", "-evader", "thread", "-dump-spec"},
+	} {
+		var out strings.Builder
+		if err := run(args, &out); err != nil {
+			t.Errorf("run(%v): %v", args, err)
 		}
 	}
 }

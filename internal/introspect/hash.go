@@ -39,12 +39,13 @@ const (
 //
 // On a CPU with AVX2 the vector kernel folds data's whole 128-byte blocks
 // (djb2UpdateAVX2) and the lane kernel the tail; elsewhere the lane kernel
-// folds it all (djb2Lanes). The kernel is chosen once, at init, from
-// CPUID. All arithmetic is mod 2^64 on the same affine expansion, so both
-// are bit-identical to djb2UpdateRef (hash_test.go proves each kernel
-// exhaustively at the lane bounds and by fuzzing).
+// folds it all (djb2Lanes). The kernel is chosen once, at init, by the
+// CPU probe mem.FillWords follows too (mem.HasAVX2). All arithmetic is
+// mod 2^64 on the same affine expansion, so both are bit-identical to
+// djb2UpdateRef (hash_test.go proves each kernel exhaustively at the lane
+// bounds and by fuzzing).
 func Djb2Update(h uint64, data []byte) uint64 {
-	if hasAVX2 {
+	if mem.HasAVX2() {
 		return djb2UpdateAVX2(h, data)
 	}
 	return djb2Lanes(h, data)

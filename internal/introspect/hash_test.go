@@ -58,7 +58,7 @@ type djb2Kernel struct {
 // only for tails.
 func djb2Kernels() []djb2Kernel {
 	ks := []djb2Kernel{{"Djb2Update", Djb2Update}, {"lanes", djb2Lanes}}
-	if hasAVX2 {
+	if mem.HasAVX2() {
 		ks = append(ks, djb2Kernel{"avx2", djb2UpdateAVX2})
 	}
 	return ks

@@ -113,9 +113,46 @@ func fillMix(z uint64) uint64 {
 // FillWords writes len(dst)/8 fill words, from word k of the static
 // kernel booted from seed on, into dst, little-endian: the words FillWord
 // gives, with the counter stepped once per word rather than multiplied
-// out for each.
+// out for each. Bytes past the last whole word are left as they are.
+//
+// On a CPU with AVX2 (HasAVX2) the vector kernel writes dst's whole
+// 64-byte blocks and the scalar loop the tail (fillAVX2); elsewhere the
+// scalar loop writes it all (fillScalar). Both step the counter mod 2^64,
+// so both are bit-identical to FillWord (fill_test.go proves each kernel).
 func FillWords(dst []byte, seed uint64, k int) {
 	z := seed + uint64(k)*fillGamma
+	if hasAVX2 {
+		fillAVX2(dst, z)
+		return
+	}
+	fillScalar(dst, z)
+}
+
+// HasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers: the one CPU probe, read once at init, that picks FillWords'
+// kernel and introspect's djb2 kernel. It is false off amd64.
+func HasAVX2() bool { return hasAVX2 }
+
+// fillBlock is the vector kernel's step: two vectors of four words.
+const fillBlock = 64
+
+// fillAVX2 writes dst's fill words from counter state z on a CPU with
+// AVX2: up to a page of whole blocks at a time through fillWordsAVX2, the
+// counter stepped past each call's words, then the tail through
+// fillScalar.
+func fillAVX2(dst []byte, z uint64) {
+	for len(dst) >= fillBlock {
+		n := min(len(dst), PageSize) &^ (fillBlock - 1)
+		fillWordsAVX2(dst[:n], z)
+		z += uint64(n/8) * fillGamma
+		dst = dst[n:]
+	}
+	fillScalar(dst, z)
+}
+
+// fillScalar is the scalar kernel: it writes dst's fill words one at a
+// time, word i being fillMix(z + (i+1)·fillGamma).
+func fillScalar(dst []byte, z uint64) {
 	for ; len(dst) >= 8; dst = dst[8:] {
 		z += fillGamma
 		binary.LittleEndian.PutUint64(dst, fillMix(z))
